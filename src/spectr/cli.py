@@ -147,7 +147,9 @@ def cmd_coupling(args: argparse.Namespace) -> int:
             alpha = 1.0 - tv_distance(p, q)
             reports.append(tc.AcceptanceReport("maximal", alpha, 1, {}))
         elif name == "kseq":
-            gamma = args.gamma if args.gamma is not None else tc.kseq_gamma_star(p, q, k, args.delta)
+            gamma = args.gamma
+            if gamma is None:
+                gamma = tc._gamma_star_or_k(p, q, k, args.delta)
             alpha = tc.kseq_acceptance(p, q, k, gamma)
             reports.append(tc.AcceptanceReport("kseq", alpha, k, {"gamma": gamma}))
         elif name == "otm":
@@ -213,7 +215,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             if tv_distance(p, q) == 0.0:
                 kseq_alpha = 1.0
             else:
-                kseq_alpha = tc.kseq_acceptance(p, q, k, tc.kseq_gamma_star(p, q, k))
+                kseq_alpha = tc.kseq_acceptance(p, q, k, tc._gamma_star_or_k(p, q, k))
             out.row(args.family, param, k, "kseq", _fmt(kseq_alpha))
             if args.with_lp:
                 try:
@@ -234,6 +236,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failures = []
 
     if args.scope == "token":
+        if args.cases < 1:
+            raise ValidationError("--cases must be >= 1 for the token scope")
         out = _Report(config, ("case", "vocab", "k", "gamma_kind", "max_error", "status"))
         for case in range(args.cases):
             rng = RngStream(args.seed, path=(case,))
@@ -299,6 +303,8 @@ def _selection_method(name: str, args: argparse.Namespace) -> SelectionMethod:
 # ---------------------------------------------------------------------------
 
 def cmd_decode(args: argparse.Namespace) -> int:
+    if args.prompts < 1:
+        raise ValidationError("--prompts must be >= 1")
     config = BenchConfig.from_args("decode", args)
     pair = make_model_pair(args.vocab, args.order, args.seed, args.eps,
                            allow_zeros=args.allow_zeros)

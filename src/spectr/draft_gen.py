@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .prob_core import ProbVector, RngStream, SpectrError, sample
+from .prob_core import ProbVector, RngStream, SpectrError, _pick, sample
 from .lm_sim import ToyLm
 
 
@@ -96,8 +96,8 @@ def sample_iid_drafts(small: ToyLm, context: Sequence[int], K: int, L: int,
                       rng: RngStream) -> DraftSet:
     """K independent autoregressive rollouts of length L from the draft model.
 
-    Draft j consumes its own substream rng.child(j) sequentially, so draft
-    contents do not depend on K or on generation order.
+    Draft j takes its L uniforms from its own substream rng.child(j), in
+    one call, so draft contents do not depend on K or on generation order.
     """
     if K < 1 or L < 1:
         raise StructuralError("K and L must be >= 1")
@@ -105,15 +105,14 @@ def sample_iid_drafts(small: ToyLm, context: Sequence[int], K: int, L: int,
     roots = []
     base = tuple(int(t) for t in context)
     for j in range(K):
-        stream = rng.child(j)
         prefix: tuple[int, ...] = ()
         tokens = []
-        for _ in range(L):
+        for u in rng.child(j).uniforms(L).tolist():
             cond = conditionals.get(prefix)
             if cond is None:
                 cond = small.next_dist(base + prefix)
                 conditionals[prefix] = cond
-            tok = sample(cond, stream)
+            tok = _pick(cond, u)
             tokens.append(tok)
             prefix = prefix + (tok,)
         roots.append(_chain(tuple(tokens)))

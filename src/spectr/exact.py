@@ -75,10 +75,7 @@ class ExactSelector:
         else:
             gamma = self._cache.get(("gamma", ckey, k))
             if gamma is None:
-                try:
-                    gamma = tc.kseq_gamma_star(p, q, k)
-                except tc.DegenerateSupportError:
-                    gamma = float(k)
+                gamma = tc._gamma_star_or_k(p, q, k)
                 self._cache[("gamma", ckey, k)] = gamma
         params = self._cache.get(("params", ckey, k, gamma))
         if params is None:

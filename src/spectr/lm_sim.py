@@ -81,8 +81,10 @@ class _BlendedLm(ToyLm):
         self._eps = eps
 
     def _row_values(self, key: tuple[int, ...]) -> np.ndarray:
+        # The perturbation row only feeds the blend, so it is neither
+        # validated nor memoized; ProbVector would hold the same float64s.
         row = ((1.0 - self._eps) * self._base.next_dist(key).probs
-               + self._eps * self._perturbation.next_dist(key).probs)
+               + self._eps * self._perturbation._row_values(key))
         return row / row.sum()
 
 

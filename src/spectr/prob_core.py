@@ -8,6 +8,7 @@ the algorithms enumerable in tests.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -150,8 +151,18 @@ class RngStream:
         return self._gen.random(n)
 
     def child(self, *path: int) -> "RngStream":
-        """Independent substream keyed by this stream's path extended by `path`."""
-        return RngStream(self.seed, self.path + tuple(path))
+        """Independent substream keyed by this stream's path extended by `path`.
+
+        Equal to RngStream(seed, path + extension), built from this stream's
+        already-validated seed and path.
+        """
+        stream = RngStream.__new__(RngStream)
+        stream.seed = seed = self.seed
+        stream.path = key = self.path + tuple(map(int, path))
+        stream._gen = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(seed, spawn_key=key)))
+        stream.draws = 0
+        return stream
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, path={self.path}, draws={self.draws})"
@@ -177,7 +188,8 @@ def sample_many(dist: ProbVector, rng: RngStream, n: int) -> np.ndarray:
 
 
 def _pick(dist: ProbVector, u: float) -> TokenId:
-    i = int(np.searchsorted(dist.cdf, u, side="right"))
+    # The cdf is nondecreasing, so this is searchsorted(cdf, u, side="right").
+    i = bisect.bisect_right(dist.cdf, u)
     if i >= dist.vocab_size:
         # u fell beyond a cdf that sums just under 1; assign to the top token.
         i = _last_positive(dist)

@@ -121,11 +121,7 @@ def _select_token(p: ProbVector, q: ProbVector, tokens: list[int], k_initial: in
         else:
             gamma = cache.store.get(("gamma", ckey, k))
             if gamma is None:
-                try:
-                    gamma = tc.kseq_gamma_star(p, q, k)
-                except tc.DegenerateSupportError:
-                    # Disjoint supports: any gamma is valid, every draft is rejected.
-                    gamma = float(k)
+                gamma = tc._gamma_star_or_k(p, q, k)
                 cache.store[("gamma", ckey, k)] = gamma
         params = cache.store.get(("params", ckey, k, gamma))
         if params is None:

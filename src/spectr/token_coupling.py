@@ -16,6 +16,7 @@ chance that it comes from the draft set:
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
@@ -42,6 +43,7 @@ UPPER_BOUND_MAX_VOCAB = 16
 
 MARGINAL_TOL = 1e-7
 DEFAULT_GAMMA_DELTA = 1e-9
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class InvalidDraftError(SpectrError):
@@ -176,32 +178,85 @@ def kseq_gamma_star(p: ProbVector, q: ProbVector, k: int,
 
     Binary search on the monotone f(g) = 1 - (1-beta(g))^k - g*beta(g) over
     [1, k]; returns the upper end of the final bracket so the result is never
-    below gamma*. Cost O(|vocab| * log((k-1)/delta)).
+    below gamma*. Each step reads beta off the sorted breakpoints q/p in
+    O(log |vocab|), after one O(|vocab| log |vocab|) sort. Where that value
+    lies within rounding of deciding the other way, `beta_damped` decides,
+    so the result is exactly that of bisecting on `beta_damped`.
     """
     _check_same_vocab(p, q)
     if k < 1:
         raise ValidationError("k must be >= 1")
     if delta <= 0.0:
         raise ValidationError("delta must be positive")
-    if beta_damped(p, q, 1.0) <= NEG_TOL:
+    beta, error = _sorted_beta(p, q)
+    b = beta(1.0)
+    if abs(b - NEG_TOL) <= error:
+        b = beta_damped(p, q, 1.0)
+    if b <= NEG_TOL:
         raise DegenerateSupportError("p and q have disjoint support; gamma* undefined")
 
-    def f(gamma: float) -> float:
-        b = beta_damped(p, q, gamma)
+    def f(b: float, gamma: float) -> float:
         return 1.0 - (1.0 - b) ** k - gamma * b
 
-    if f(1.0) <= 0.0:
+    # |df/db| <= 2k on [0, 1]; the rest covers rounding in evaluating f twice.
+    margin = 2.0 * k * error + 16.0 * k * _EPS
+
+    def positive(gamma: float) -> bool:
+        value = f(beta(gamma), gamma)
+        if abs(value) <= margin:
+            value = f(beta_damped(p, q, gamma), gamma)
+        return value > 0.0
+
+    if not positive(1.0):
         return 1.0
     lo, hi = 1.0, float(k)
-    if f(hi) > 0.0:
+    if positive(hi):
         return hi
     while hi - lo > delta:
         mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
+        if positive(mid):
             lo = mid
         else:
             hi = mid
     return hi
+
+
+def _gamma_star_or_k(p: ProbVector, q: ProbVector, k: int,
+                     delta: float = DEFAULT_GAMMA_DELTA) -> float:
+    """gamma*, or k on disjoint supports, where every gamma is valid and the
+    scan rejects every draft (acceptance 0)."""
+    try:
+        return kseq_gamma_star(p, q, k, delta)
+    except DegenerateSupportError:
+        return float(k)
+
+
+def _sorted_beta(p: ProbVector, q: ProbVector):
+    """beta(g) = sum_{q/p >= g} p + (sum_{q/p < g} q) / g over supp(p), and
+    a bound on its distance from `beta_damped`.
+
+    Each of the two sums takes at most n = |supp(p)| roundings of partial
+    sums of mass at most about 1 (zero terms add exactly), and a breakpoint
+    that rounds to the other side of g moves a term by one rounding, so the
+    two values differ by well under (n + 2) * eps; the bound is four times
+    that.
+    """
+    supp = np.flatnonzero(p.probs)
+    ps, qs = p.probs[supp], q.probs[supp]
+    ratios = qs / ps
+    order = ratios.argsort(kind="stable")
+    ratios = ratios[order].tolist()
+    # p_above[j] sums p over sorted entries j.., q_below[j] sums q over ..j-1.
+    p_above = ps[order][::-1].cumsum()[::-1].tolist()
+    p_above.append(0.0)
+    q_below = [0.0]
+    q_below.extend(qs[order].cumsum().tolist())
+
+    def beta(gamma: float) -> float:
+        j = bisect.bisect_left(ratios, gamma)
+        return p_above[j] + q_below[j] / gamma
+
+    return beta, 4.0 * (supp.size + 8) * _EPS
 
 
 def kseq_params(p: ProbVector, q: ProbVector, k: int, gamma: float) -> KseqParams:

@@ -224,3 +224,36 @@ def test_output_flag_writes_file(capsys, tmp_path):
     text = out_path.read_text()
     assert text.startswith("# config: sweep")
     assert "family,param,k,method,alpha" in text
+
+
+def test_coupling_disjoint_supports_report_zero(capsys):
+    code, out, _ = run_cli(capsys, "coupling", "--p", "1,0", "--q", "0,1",
+                           "--k", "2", "--method", "all")
+    assert code == 0
+    rows = {r["method"]: r for r in csv_cells(out)}
+    assert set(rows) == {"maximal", "kseq", "otm_lp", "upper_bound"}
+    assert all(float(r["alpha"]) == 0.0 for r in rows.values())
+    assert rows["kseq"]["detail"] == "gamma=2"
+
+
+def test_sweep_disjoint_supports_report_zero(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--family", "bernoulli", "--p-head", "0",
+                           "--b-list", "1", "--k-max", "3")
+    assert code == 0
+    kseq = [r for r in csv_cells(out) if r["method"] == "kseq"]
+    assert len(kseq) == 3
+    assert all(float(r["alpha"]) == 0.0 for r in kseq)
+
+
+def test_decode_rejects_zero_prompts(capsys):
+    code, out, err = run_cli(capsys, "decode", "--prompts", "0")
+    assert code == 2
+    assert out == ""
+    assert "--prompts" in err
+
+
+def test_verify_token_scope_rejects_zero_cases(capsys):
+    code, out, err = run_cli(capsys, "verify", "--scope", "token", "--cases", "0")
+    assert code == 2
+    assert "PASS" not in out
+    assert "--cases" in err

@@ -1,0 +1,176 @@
+"""Property tests: the fast paths of the decode loop equal their plain forms.
+
+gamma* from sorted breakpoints against a bisection on `beta_damped`,
+bisect sampling against `searchsorted`, one `uniforms(n)` call against n
+`uniform()` calls, `child` against a fresh stream, and the blended draft
+model against blending memoized rows.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from spectr import token_coupling as tc
+from spectr.lm_sim import ToyLm, make_model_pair
+from spectr.prob_core import ProbVector, RngStream, _pick
+from spectr.spectr_decode import SelectionMethod, spectr_decode
+
+
+def reference_gamma_star(p, q, k, delta=tc.DEFAULT_GAMMA_DELTA):
+    """The bisection on beta_damped that kseq_gamma_star must reproduce exactly."""
+    if tc.beta_damped(p, q, 1.0) <= tc.NEG_TOL:
+        raise tc.DegenerateSupportError("disjoint supports")
+
+    def f(gamma):
+        b = tc.beta_damped(p, q, gamma)
+        return 1.0 - (1.0 - b) ** k - gamma * b
+
+    if f(1.0) <= 0.0:
+        return 1.0
+    lo, hi = 1.0, float(k)
+    if f(hi) > 0.0:
+        return hi
+    while hi - lo > delta:
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+SHAPES = ("dense", "zeros_p", "zeros_q", "equal", "point_p", "point_q", "disjoint")
+
+
+@st.composite
+def distribution_pairs(draw):
+    """(p, q) over up to 512 tokens, with zeros, p = q, point masses, disjoint supports."""
+    vocab = draw(st.integers(2, 512))
+    shape = draw(st.sampled_from(SHAPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alpha = draw(st.sampled_from([0.05, 1.0, 20.0]))
+    p = rng.dirichlet(np.full(vocab, alpha))
+    q = rng.dirichlet(np.full(vocab, alpha))
+    if shape == "zeros_p":
+        p[rng.random(vocab) < 0.4] = 0.0
+    elif shape == "zeros_q":
+        q[rng.random(vocab) < 0.4] = 0.0
+    elif shape == "equal":
+        q = p.copy()
+    elif shape == "point_p":
+        p = np.zeros(vocab)
+        p[rng.integers(vocab)] = 1.0
+    elif shape == "point_q":
+        q = np.zeros(vocab)
+        q[rng.integers(vocab)] = 1.0
+    elif shape == "disjoint":
+        cut = int(rng.integers(1, vocab))
+        p[cut:] = 0.0
+        q[:cut] = 0.0
+    if p.sum() == 0.0:
+        p[0] = 1.0
+    if q.sum() == 0.0:
+        q[-1] = 1.0
+    return ProbVector(p / p.sum()), ProbVector(q / q.sum())
+
+
+@st.composite
+def small_pairs(draw):
+    """(p, q) from raw weights over a few tokens, exact zeros and ties included."""
+    weights = st.one_of(st.just(0.0), st.floats(1e-6, 1.0), st.sampled_from([0.25, 0.5, 1.0]))
+    vocab = draw(st.integers(2, 8))
+    p = np.array(draw(st.lists(weights, min_size=vocab, max_size=vocab)))
+    q = np.array(draw(st.lists(weights, min_size=vocab, max_size=vocab)))
+    p[0] += 1.0 if p.sum() == 0.0 else 0.0
+    q[0] += 1.0 if q.sum() == 0.0 else 0.0
+    return ProbVector(p / p.sum()), ProbVector(q / q.sum())
+
+
+def _gamma_or_error(fn, p, q, k):
+    try:
+        return fn(p, q, k)
+    except tc.DegenerateSupportError:
+        return "disjoint"
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=st.one_of(distribution_pairs(), small_pairs()), k=st.integers(1, 16))
+def test_gamma_star_equals_bisection_on_beta_damped(pair, k):
+    p, q = pair
+    got = _gamma_or_error(tc.kseq_gamma_star, p, q, k)
+    want = _gamma_or_error(reference_gamma_star, p, q, k)
+    assert got == want
+    if got != "disjoint":
+        assert tc.kseq_params(p, q, k, got).p_acc <= got * tc.beta_damped(p, q, got) + 1e-12
+
+
+@st.composite
+def cdf_points(draw):
+    """A distribution and a uniform: anywhere, exactly at a cdf entry, or at/after its end."""
+    p, _ = draw(small_pairs())
+    cdf = p.cdf
+    kind = draw(st.sampled_from(["anywhere", "entry", "end", "past_end"]))
+    if kind == "anywhere":
+        u = draw(st.floats(0.0, 1.0, exclude_max=True))
+    elif kind == "entry":
+        u = float(cdf[draw(st.integers(0, cdf.size - 1))])
+    elif kind == "end":
+        u = float(cdf[-1])
+    else:
+        u = float(np.nextafter(cdf[-1], 2.0))
+    return p, u
+
+
+@settings(max_examples=300, deadline=None)
+@given(point=cdf_points())
+def test_pick_equals_searchsorted(point):
+    p, u = point
+    want = int(np.searchsorted(p.cdf, u, side="right"))
+    if want >= p.vocab_size:
+        want = int(p.support()[-1])
+    assert _pick(p, u) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**63), path=st.lists(st.integers(0, 2**31), max_size=3),
+       n=st.integers(0, 40))
+def test_uniforms_equal_single_draws(seed, path, n):
+    a, b = RngStream(seed, tuple(path)), RngStream(seed, tuple(path))
+    batch = a.uniforms(n)
+    singles = [b.uniform() for _ in range(n)]
+    assert batch.tolist() == singles
+    assert a.draws == b.draws == n
+    assert a.uniform() == b.uniform()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**63), path=st.lists(st.integers(0, 2**31), max_size=3),
+       extension=st.lists(st.integers(0, 2**31), max_size=3), used=st.integers(0, 3))
+def test_child_equals_fresh_stream(seed, path, extension, used):
+    parent = RngStream(seed, tuple(path))
+    parent.uniforms(used)
+    child = parent.child(*extension)
+    fresh = RngStream(seed, tuple(path) + tuple(extension))
+    assert (child.seed, child.path, child.draws) == (fresh.seed, fresh.path, 0)
+    assert child.uniforms(5).tolist() == fresh.uniforms(5).tolist()
+    assert repr(child) == repr(fresh)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 1000), eps=st.sampled_from([0.1, 0.3, 0.9]),
+       allow_zeros=st.booleans(), tree=st.booleans())
+def test_blend_does_not_memoize_perturbation_rows(seed, eps, allow_zeros, tree):
+    pair = make_model_pair(12, 2, seed, eps, allow_zeros=allow_zeros)
+    run = dict(K=0, L=0, drafting="tree", factors=(2, 2)) if tree else dict(K=3, L=3)
+    spectr_decode(pair.big, pair.small, (1, 2), 24, method=SelectionMethod.kseq(),
+                  rng=RngStream(seed), **run)
+    perturbation = pair.small._perturbation
+    assert perturbation._rows == {}
+    assert pair.small._rows
+    # The same rows through a memoizing, validating perturbation model.
+    memoized = ToyLm(perturbation.vocab_size, perturbation.order, perturbation.seed,
+                     allow_zeros=perturbation.allow_zeros)
+    for key, row in pair.small._rows.items():
+        blend = ((1.0 - eps) * pair.big.next_dist(key).probs
+                 + eps * memoized.next_dist(key).probs)
+        assert row.probs.tobytes() == (blend / blend.sum()).tobytes()
+

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -199,3 +200,42 @@ def test_block_efficiency_decreases_with_divergence():
         means.append(float(np.mean(vals)))
     assert means[0] >= means[1] >= means[2]
     assert means[2] >= 1.0
+
+
+# Pinned stream: (model pair, decode arguments, sha256 prefix of the emitted
+# tokens and serial-call counts of four seeded decodes). A change made only
+# for speed must keep every sampled uniform, gamma and token, so these must
+# not move.
+STREAM_PINS = {
+    "iid_kseq_gamma_star": (dict(vocab_size=16, order=1, seed=0, eps=0.3),
+                            dict(K=8, L=4, method=SelectionMethod.kseq()),
+                            "2c5e366200f24dbb"),
+    "iid_kseq_k_initial": (dict(vocab_size=16, order=1, seed=0, eps=0.3),
+                           dict(K=8, L=4, method=SelectionMethod.kseq("k_initial")),
+                           "349c025c33d0cf33"),
+    "tree_kseq_zeros": (dict(vocab_size=64, order=2, seed=1, eps=0.3, allow_zeros=True),
+                        dict(K=0, L=0, method=SelectionMethod.kseq(), drafting="tree",
+                             factors=(2, 2, 2)),
+                        "8e96f7bd1419f2e7"),
+    "iid_kseq_zeros": (dict(vocab_size=32, order=2, seed=2, eps=0.5, allow_zeros=True),
+                       dict(K=4, L=3, method=SelectionMethod.kseq()),
+                       "7fed39a4a7cfc4cd"),
+    "iid_maximal": (dict(vocab_size=16, order=1, seed=3, eps=0.4),
+                    dict(K=1, L=4, method=SelectionMethod.maximal()),
+                    "4ede3c7e82e54d00"),
+    "iid_otm_lp": (dict(vocab_size=4, order=1, seed=4, eps=0.4),
+                   dict(K=2, L=2, method=SelectionMethod.otm_lp()),
+                   "bbfd758365e055c3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_PINS))
+def test_sampled_stream_is_pinned(name):
+    model, run, digest = STREAM_PINS[name]
+    pair = make_model_pair(**model)
+    h = hashlib.sha256()
+    for i in range(4):
+        trace = spectr_decode(pair.big, pair.small, (i % model["vocab_size"], 1), 40,
+                              rng=RngStream(100 + i), **run)
+        h.update(json.dumps([list(trace.emitted_tokens), trace.serial_big_calls]).encode())
+    assert h.hexdigest()[:16] == digest
