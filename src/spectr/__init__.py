@@ -1,8 +1,9 @@
 """Speculative decoding with multiple drafts.
 
-Token-level draft selection as optimal transport with membership cost (exact
-LP and the K-SEQ approximation), sequence-level recursive selection, draft-set
-construction, and a toy benchmark harness for block efficiency.
+Token-level draft selection as optimal transport with membership cost (the
+exact optimum by min-cut, its plan by max-flow, and the K-SEQ approximation),
+sequence-level recursive selection, draft-set construction, and a toy
+benchmark harness for block efficiency.
 """
 
 from .prob_core import (
@@ -27,6 +28,7 @@ from .token_coupling import (
     SizeLimitError,
     TransportPlan,
     alpha_bernoulli_closed_form,
+    alpha_star,
     alpha_uniform_closed_form,
     alpha_upper_bound,
     kseq_acceptance,

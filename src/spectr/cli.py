@@ -153,9 +153,9 @@ def cmd_coupling(args: argparse.Namespace) -> int:
             alpha = tc.kseq_acceptance(p, q, k, gamma)
             reports.append(tc.AcceptanceReport("kseq", alpha, k, {"gamma": gamma}))
         elif name == "otm":
-            plan, alpha = tc.otm_lp_solve(p, q, k, cap=args.cap)
-            reports.append(tc.AcceptanceReport("otm_lp", alpha, k, {}))
+            reports.append(tc.AcceptanceReport("otm_lp", tc.alpha_star(p, q, k), k, {}))
             if args.plan_out:
+                plan, _ = tc.otm_lp_solve(p, q, k, cap=args.cap)
                 _write_plan(plan, args.plan_out, config)
         elif name == "upper":
             alpha, subset = tc.alpha_upper_bound(p, q, k, cap=args.cap)
@@ -218,11 +218,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 kseq_alpha = tc.kseq_acceptance(p, q, k, tc._gamma_star_or_k(p, q, k))
             out.row(args.family, param, k, "kseq", _fmt(kseq_alpha))
             if args.with_lp:
-                try:
-                    _, alpha = tc.otm_lp_solve(p, q, k, cap=args.cap)
-                    out.row(args.family, param, k, "otm_lp", _fmt(alpha))
-                except tc.SizeLimitError:
-                    out.row(args.family, param, k, "otm_lp", "skipped")
+                out.row(args.family, param, k, "otm_lp", _fmt(tc.alpha_star(p, q, k)))
     out.flush(args.format, args.output)
     return EXIT_OK
 
@@ -369,9 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--gamma", type=float, default=None,
                     help="fixed division factor for kseq (default: gamma*)")
     cp.add_argument("--delta", type=float, default=tc.DEFAULT_GAMMA_DELTA)
-    cp.add_argument("--cap", type=int, default=tc.DEFAULT_TUPLE_CAP)
+    cp.add_argument("--cap", type=int, default=tc.DEFAULT_TUPLE_CAP,
+                    help="largest |vocab|^k that --plan-out and --method upper enumerate")
     cp.add_argument("--plan-out", dest="plan_out", default=None,
-                    help="write the LP transport plan as CSV")
+                    help="write an optimal transport plan as CSV")
     cp.add_argument("--format", default="csv", choices=["csv", "json"])
     cp.add_argument("--output", default=None)
     cp.set_defaults(func=cmd_coupling)
@@ -383,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--d", type=int, default=120)
     sw.add_argument("--r-list", dest="r_list", default=None)
     sw.add_argument("--k-max", dest="k_max", type=int, default=8)
-    sw.add_argument("--with-lp", dest="with_lp", action="store_true")
-    sw.add_argument("--cap", type=int, default=tc.DEFAULT_TUPLE_CAP)
+    sw.add_argument("--with-lp", dest="with_lp", action="store_true",
+                    help="add the exact optimum, alpha_star, as otm_lp rows")
     sw.add_argument("--format", default="csv", choices=["csv", "json"])
     sw.add_argument("--output", default=None)
     sw.set_defaults(func=cmd_sweep)

@@ -44,7 +44,20 @@ class ExactSelector:
 
     def conditional(self, context: tuple[int, ...], tokens: tuple[int, ...],
                     k_initial: int) -> np.ndarray:
-        """Distribution of the selected token given the ordered draft tokens."""
+        """Distribution of the selected token given the ordered draft tokens.
+
+        Memoized by (context key, tokens, k_initial); the returned array is
+        shared between calls, so it is read-only.
+        """
+        ckey = (self.big.memo_key(context), self.small.memo_key(context))
+        out = self._cache.get((ckey, tokens, k_initial))
+        if out is None:
+            out = self._conditional(context, ckey, tokens, k_initial)
+            out.setflags(write=False)
+            self._cache[(ckey, tokens, k_initial)] = out
+        return out
+
+    def _conditional(self, context, ckey, tokens, k_initial) -> np.ndarray:
         p = self.small.next_dist(context)
         q = self.big.next_dist(context)
         k = len(tokens)
@@ -54,10 +67,10 @@ class ExactSelector:
                 raise tc.ValidationError("maximal selection requires a single draft")
             return self._maximal_conditional(p, q, tokens[0])
         if kind == "kseq":
-            gamma, params = self._kseq_setup(p, q, context, k, k_initial)
+            gamma, params = self._kseq_setup(p, q, ckey, k, k_initial)
             return self._kseq_conditional(p, q, tokens, gamma, params)
-        plan = self._plan(p, q, context, k)
-        return plan.conditional(tokens).probs.copy()
+        plan = self._plan(p, q, ckey, k)
+        return plan.conditional(tokens).probs
 
     @staticmethod
     def _maximal_conditional(p: ProbVector, q: ProbVector, draft: int) -> np.ndarray:
@@ -68,8 +81,7 @@ class ExactSelector:
             out += (1.0 - accept) * residual_maximal(p, q).probs
         return out
 
-    def _kseq_setup(self, p, q, context, k, k_initial):
-        ckey = (self.big.context_key(context), self.small.context_key(context))
+    def _kseq_setup(self, p, q, ckey, k, k_initial):
         if self.method.gamma_policy == "k_initial":
             gamma = float(max(k_initial, k))
         else:
@@ -91,12 +103,10 @@ class ExactSelector:
             accept = min(1.0, q[x] / (gamma * p[x]))
             out[x] += survive * accept
             survive *= (1.0 - accept)
-        if params.residual is not None:
-            out += survive * params.residual.probs
+        out += survive * params.residual.probs
         return out
 
-    def _plan(self, p, q, context, k):
-        ckey = (self.big.context_key(context), self.small.context_key(context))
+    def _plan(self, p, q, ckey, k):
         plan = self._cache.get(("plan", ckey, k))
         if plan is None:
             plan, _ = tc.otm_lp_solve(p, q, k, cap=self.method.lp_cap)

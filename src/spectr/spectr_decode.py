@@ -27,7 +27,8 @@ class SelectionMethod:
     """How the token-level transport plan is chosen at every depth.
 
     kind "maximal" is the single-draft rule (requires one draft), "kseq" the
-    sequential scan, "otm_lp" the exact LP optimum (subject to the tuple cap).
+    sequential scan, "otm_lp" an exact optimal plan, `otm_lp_solve`'s
+    max-flow over distinct-token sets (subject to the tuple cap).
     For kseq, gamma_policy "gamma_star" re-solves gamma* for the live draft
     count at every depth; "k_initial" reuses the initial draft count as a
     fixed division factor (raised to the live count if that ever exceeds it,
@@ -103,7 +104,7 @@ class _PlanCache:
         self.store: dict = {}
 
     def key(self, big: ToyLm, small: ToyLm, context: tuple[int, ...]) -> tuple:
-        return (id(big), id(small), big.context_key(context), small.context_key(context))
+        return (id(big), id(small), big.memo_key(context), small.memo_key(context))
 
 
 def _select_token(p: ProbVector, q: ProbVector, tokens: list[int], k_initial: int,

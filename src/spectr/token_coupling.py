@@ -8,8 +8,12 @@ chance that it comes from the draft set:
 * ``maximal_coupling_select``: the classic single-draft accept/resample rule.
 * ``kseq_select``: sequential scan over k drafts, damped by a division
   factor gamma; valid for any gamma >= gamma*, near-linear to compute.
-* ``otm_lp_solve``: the exact optimum as a linear program over joint masses
-  pi(draft-tuple, output) with membership cost; exponential in k, so capped.
+* ``alpha_star``: the exact optimal acceptance, by min-cut in closed form,
+  1 - max(0, max_A p(A)^k - q(A)) over prefixes A of the tokens sorted by
+  q/p; O(|vocab| log |vocab|) at any k.
+* ``otm_lp_solve``: an optimal transport plan itself, pi(draft-tuple, output)
+  with membership cost, as a max-flow from distinct-token sets to tokens;
+  it lists every draft tuple, so it is capped.
 * ``alpha_upper_bound`` and the closed forms: analytic anchors used to
   cross-check both algorithms.
 """
@@ -18,12 +22,13 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import _simplex
 from .prob_core import (
     NEG_TOL,
     ProbVector,
@@ -36,10 +41,12 @@ from .prob_core import (
     sample,
 )
 
-# Largest |vocab|^k the LP and the exhaustive bound will accept.
+# Largest |vocab|^k the plan and the exhaustive bound will accept.
 DEFAULT_TUPLE_CAP = 4096
 # Subset enumeration in alpha_upper_bound is 2^|vocab|.
 UPPER_BOUND_MAX_VOCAB = 16
+# Elements of the (subsets x tuples) block alpha_upper_bound evaluates at once.
+_UPPER_BOUND_CHUNK = 1 << 12
 
 MARGINAL_TOL = 1e-7
 DEFAULT_GAMMA_DELTA = 1e-9
@@ -75,29 +82,28 @@ class TransportPlan:
     vocab_size: int
     entries: Mapping[tuple[tuple[int, ...], int], float]
 
-    def mass(self, draft_tuple: tuple[int, ...], token: int) -> float:
-        return self.entries.get((draft_tuple, token), 0.0)
-
-    def row_marginal(self, draft_tuple: tuple[int, ...]) -> float:
-        return sum(m for (t, _), m in self.entries.items() if t == draft_tuple)
-
-    def column_marginal(self, token: int) -> float:
-        return sum(m for (_, y), m in self.entries.items() if y == token)
-
     def acceptance(self) -> float:
         """Probability mass on pairs whose output token appears in the tuple."""
         return sum(m for (t, y), m in self.entries.items() if y in t)
 
     def conditional(self, draft_tuple: tuple[int, ...]) -> ProbVector:
         """Output distribution given an observed draft tuple."""
-        row = np.zeros(self.vocab_size)
-        for (t, y), m in self.entries.items():
-            if t == draft_tuple:
-                row[y] += m
-        total = row.sum()
+        row = self._rows.get(tuple(draft_tuple))
+        total = 0.0 if row is None else row.sum()
         if total <= 0.0:
             raise InvalidDraftError(f"draft tuple {draft_tuple} has zero probability under the plan")
         return ProbVector(row / total)
+
+    @cached_property
+    def _rows(self) -> dict[tuple[int, ...], np.ndarray]:
+        """Joint masses indexed by draft tuple, built on the first lookup."""
+        rows: dict[tuple[int, ...], np.ndarray] = {}
+        for (t, y), m in self.entries.items():
+            row = rows.get(t)
+            if row is None:
+                row = rows[t] = np.zeros(self.vocab_size)
+            row[y] += m
+        return rows
 
     def csv_rows(self) -> list[tuple[str, int, float]]:
         """(hyphen-joined draft tuple, output token, mass), lexicographic."""
@@ -115,8 +121,9 @@ class TransportPlan:
         if np.abs(cols - q.probs).max() > tol:
             raise ValidationError("plan column marginals do not match q")
         supp = [int(i) for i in p.support()]
+        probs = p.probs.tolist()
         for t in itertools.product(supp, repeat=self.k):
-            expected = float(np.prod([p[i] for i in t]))
+            expected = math.prod(probs[i] for i in t)
             if abs(rows.get(t, 0.0) - expected) > tol:
                 raise ValidationError(f"plan row marginal at {t} is {rows.get(t, 0.0)}, want {expected}")
 
@@ -127,13 +134,13 @@ class KseqParams:
 
     beta = sum_x min(p(x), q(x)/gamma) is the per-draft acceptance mass,
     p_acc = 1 - (1 - beta)^k the chance the scan accepts anything, and
-    residual the correction law used when it does not (None when p_acc = 1).
+    residual the correction law used when it does not.
     """
 
     gamma: float
     beta: float
     p_acc: float
-    residual: Optional[ProbVector]
+    residual: ProbVector
 
 
 @dataclass(frozen=True)
@@ -273,13 +280,18 @@ def kseq_params(p: ProbVector, q: ProbVector, k: int, gamma: float) -> KseqParam
         raise ValidationError(f"gamma {gamma!r} must be >= 1")
     b = beta_damped(p, q, gamma)
     p_acc = 1.0 - (1.0 - b) ** k
-    if p_acc >= 1.0 - NEG_TOL:
-        # Acceptance is certain; the residual branch is unreachable.
-        return KseqParams(gamma=gamma, beta=b, p_acc=1.0, residual=None)
     if b <= 0.0:
         # Disjoint supports: nothing can be accepted and the correction is q itself.
         return KseqParams(gamma=gamma, beta=b, p_acc=0.0, residual=ProbVector(q.probs.copy()))
     accepted_share = np.minimum(p.probs, q.probs / gamma) * (p_acc / b)
+    if p_acc >= 1.0 - NEG_TOL:
+        # p_acc rounds to 1, yet the scan may still reject every draft (with
+        # probability below NEG_TOL): keep the residual as it was before that
+        # rounding, or q where every entry of it rounds to zero.
+        raw = np.maximum(q.probs - accepted_share, 0.0)
+        total = raw.sum()
+        residual = ProbVector(raw / total) if total > 0.0 else q
+        return KseqParams(gamma=gamma, beta=b, p_acc=1.0, residual=residual)
     raw = (q.probs - accepted_share) / (1.0 - p_acc)
     if raw.min() < -NEG_TOL:
         raise InvalidGammaError(
@@ -306,8 +318,6 @@ def kseq_select(p: ProbVector, q: ProbVector, drafts: Sequence[TokenId], gamma: 
         accept = min(1.0, q[x] / (gamma * p[x]))
         if rng.uniform() <= accept:
             return x, i
-    if params.residual is None:
-        raise SpectrError("scan rejected all drafts although acceptance was certain")
     return sample(params.residual, rng), None
 
 
@@ -322,10 +332,7 @@ def kseq_output_marginal(p: ProbVector, q: ProbVector, k: int, gamma: float) -> 
         accepted = np.minimum(p.probs, q.probs / gamma) * (params.p_acc / params.beta)
     else:
         accepted = np.zeros(p.vocab_size)
-    total = accepted.copy()
-    if params.residual is not None:
-        total += (1.0 - params.p_acc) * params.residual.probs
-    return ProbVector(total)
+    return ProbVector(accepted + (1.0 - params.p_acc) * params.residual.probs)
 
 
 def kseq_acceptance(p: ProbVector, q: ProbVector, k: int, gamma: float) -> float:
@@ -341,52 +348,120 @@ def _tuple_space(p: ProbVector, k: int, cap: int) -> list[tuple[int, ...]]:
     return list(itertools.product(supp, repeat=k))
 
 
+def alpha_star(p: ProbVector, q: ProbVector, k: int) -> float:
+    """Optimal acceptance probability of k i.i.d. p-drafts against target q.
+
+    By max-flow/min-cut on the membership-cost transport,
+        alpha* = 1 - max(0, max_A p(A)^k - q(A)),
+    and a maximizing A is a prefix of supp(p) sorted by q/p ascending (where
+    p(A)^k - q(A) is largest, every x in A has q/p <= k p(A)^(k-1) and every
+    other token q/p >= k p(A)^(k-1)). One sort, so O(|vocab| log |vocab|)
+    at any k, with no cap.
+    """
+    _check_same_vocab(p, q)
+    if k < 1:
+        raise ValidationError("k must be >= 1")
+    supp = np.flatnonzero(p.probs)
+    ps, qs = p.probs[supp], q.probs[supp]
+    order = (qs / ps).argsort(kind="stable")
+    excess = float((ps[order].cumsum() ** k - qs[order].cumsum()).max())
+    return min(max(1.0 - max(excess, 0.0), 0.0), 1.0)
+
+
 def otm_lp_solve(p: ProbVector, q: ProbVector, k: int,
                  cap: int = DEFAULT_TUPLE_CAP) -> tuple[TransportPlan, float]:
-    """Exact optimal transport with membership cost, via the dense simplex.
+    """An optimal transport plan with membership cost, and its acceptance.
 
-    Variables are pi(x^k, y) over draft tuples with positive product mass and
-    outputs in supp(q); the objective charges 1 whenever y is not among the
-    tuple's distinct tokens. Returns (plan, alpha = 1 - optimal cost).
+    The plan pi(x^k, y) charges 1 whenever y is not among the tuple's
+    distinct tokens, so a tuple's cost depends on its distinct set S alone.
+    A max-flow sends P(S), the mass of the tuples whose distinct set is S,
+    to the tokens y in S, each taking at most q(y). The mass it leaves
+    unsent is coupled with the mass it leaves unfilled in proportion; after
+    a max-flow no y in an unsent S is unfilled, so this accepts nothing.
+    Every tuple takes its set's conditional (proportional disaggregation),
+    which keeps the plan optimal. The plan lists every tuple of supp(p)^k,
+    hence the cap. Returns (plan, the plan's own acceptance), which equals
+    alpha_star(p, q, k) up to rounding; the two are computed apart, so each
+    checks the other.
     """
     _check_same_vocab(p, q)
     if k < 1:
         raise ValidationError("k must be >= 1")
     tuples = _tuple_space(p, k, cap)
-    ys = [int(i) for i in q.support()]
-    nt, ny = len(tuples), len(ys)
-    n = nt * ny
+    probs = p.probs.tolist()
+    tuple_mass = [math.prod(probs[i] for i in t) for t in tuples]
+    tuple_set = [tuple(sorted(set(t))) for t in tuples]
+    set_mass: dict[tuple[int, ...], float] = {}
+    for s, m in zip(tuple_set, tuple_mass):
+        set_mass[s] = set_mass.get(s, 0.0) + m
 
-    tuple_mass = np.array([float(np.prod([p[i] for i in t])) for t in tuples])
+    # Residual capacities; sets are tuples, tokens ints.
+    ys = [int(y) for y in q.support()]
+    res: dict = {"source": dict(set_mass), "sink": {}}
+    res.update((s, {y: math.inf for y in s if q[y] > 0.0}) for s in set_mass)
+    res.update((y, {"sink": q[y]}) for y in ys)
+    _max_flow(res, "source", "sink")
 
-    cost = np.ones(n)
-    for ti, t in enumerate(tuples):
-        members = set(t)
-        for yi, y in enumerate(ys):
-            if y in members:
-                cost[ti * ny + yi] = 0.0
-
-    A = np.zeros((nt + ny, n))
-    b = np.zeros(nt + ny)
-    for ti in range(nt):
-        A[ti, ti * ny:(ti + 1) * ny] = 1.0
-        b[ti] = tuple_mass[ti]
-    for yi, y in enumerate(ys):
-        A[nt + yi, yi::ny] = 1.0
-        b[nt + yi] = q[y]
-
-    x, objective = _simplex.solve_equality_lp(cost, A, b)
-
-    entries: dict[tuple[tuple[int, ...], int], float] = {}
-    for ti, t in enumerate(tuples):
-        for yi, y in enumerate(ys):
-            m = x[ti * ny + yi]
-            if m > 0.0:
-                entries[(t, y)] = float(m)
+    left = math.fsum(res[y]["sink"] for y in ys)
+    # Where rounding leaves unsent mass but no unfilled mass, q takes it.
+    share = {y: res[y]["sink"] / left if left > 0.0 else q[y] for y in ys}
+    conditional = {}
+    for s in set_mass:
+        row = {y: res[y][s] for y in s if y in res and res[y][s] > 0.0}
+        unsent = res["source"][s]
+        for y, w in share.items():
+            if unsent * w > 0.0:
+                row[y] = row.get(y, 0.0) + unsent * w
+        total = math.fsum(row.values())
+        conditional[s] = {y: w / total for y, w in row.items()}
+    entries = {(t, y): m * w for t, s, m in zip(tuples, tuple_set, tuple_mass)
+               for y, w in conditional[s].items() if m * w > 0.0}
     plan = TransportPlan(k=k, vocab_size=p.vocab_size, entries=entries)
     plan.validate(p, q)
-    alpha = min(max(1.0 - objective, 0.0), 1.0)
-    return plan, alpha
+    return plan, min(max(plan.acceptance(), 0.0), 1.0)
+
+
+def _max_flow(res: dict, source, sink) -> None:
+    """Dinic's maximum flow, in place on residual capacities res[u][v].
+
+    Each augmentation subtracts the path's bottleneck, which never exceeds
+    a residual and equals one, so in floating point too residuals stay
+    nonnegative, one edge empties exactly, and the search ends as it does
+    in exact arithmetic.
+    """
+    for u in list(res):
+        for v in res[u]:
+            res[v].setdefault(u, 0.0)
+    while True:
+        level = {source: 0}
+        frontier = [source]
+        while frontier and sink not in level:
+            reached = []
+            for u in frontier:
+                for v, c in res[u].items():
+                    if c > 0.0 and v not in level:
+                        level[v] = level[u] + 1
+                        reached.append(v)
+            frontier = reached
+        if sink not in level:
+            return
+        dead = set()
+
+        def push(u, limit: float) -> float:
+            if u == sink:
+                return limit
+            for v, c in res[u].items():
+                if c > 0.0 and level.get(v) == level[u] + 1 and v not in dead:
+                    sent = push(v, min(limit, c))
+                    if sent > 0.0:
+                        res[u][v] -= sent
+                        res[v][u] += sent
+                        return sent
+            dead.add(u)
+            return 0.0
+
+        while push(source, math.inf) > 0.0:
+            pass
 
 
 def alpha_upper_bound(p: ProbVector, q: ProbVector, k: int,
@@ -399,7 +474,9 @@ def alpha_upper_bound(p: ProbVector, q: ProbVector, k: int,
       + sum_{x^k} min(prod p(x_i), q(distinct(x^k) \\ S)),
     and returns (value, minimizing subset). The subset witness is the
     smallest minimizer by (size, lexicographic order). Exponential in both
-    |vocab| and k, hence the caps.
+    |vocab| and k, hence the caps. The minimum equals alpha_star(p, q, k):
+    at S = the min-cut set A the two sums are at most q(A) and 1 - p(A)^k.
+    It stays as an independent check on the closed form and the plan.
     """
     _check_same_vocab(p, q)
     if k < 1:
@@ -412,26 +489,31 @@ def alpha_upper_bound(p: ProbVector, q: ProbVector, k: int,
     tuple_sets = np.array([_mask(t) for t in tuples], dtype=np.int64)
 
     first_term = np.minimum(q.probs, 1.0 - (1.0 - p.probs) ** k)
-    # q-sum over every bitmask, by subset-sum DP.
-    qsum = np.zeros(1 << v)
-    for y in range(v):
-        bit = 1 << y
-        half = qsum[:bit].copy()
-        qsum[bit:bit << 1] = half + q[y]
+    # Sums over every bitmask, adding members in ascending order.
+    inside = _subset_sums(first_term)
+    qsum = _subset_sums(q.probs)
 
-    best_value = np.inf
-    best_key: tuple[int, tuple[int, ...]] | None = None
     full = (1 << v) - 1
-    for subset in range(1 << v):
-        members = [y for y in range(v) if subset >> y & 1]
-        term1 = float(sum(first_term[y] for y in members))
-        outside = qsum[tuple_sets & (full ^ subset)]
-        value = term1 + float(np.minimum(tuple_mass, outside).sum())
-        key = (len(members), tuple(members))
-        if value < best_value or (value == best_value and key < best_key):
-            best_value = value
-            best_key = key
-    return best_value, best_key[1]
+    values = np.empty(1 << v)
+    step = max(1, _UPPER_BOUND_CHUNK // len(tuples))
+    for lo in range(0, 1 << v, step):
+        subsets = np.arange(lo, min(lo + step, 1 << v))
+        outside = qsum[tuple_sets & (full ^ subsets)[:, None]]
+        values[subsets] = inside[subsets] + np.minimum(tuple_mass, outside).sum(axis=1)
+    best = values.min()
+    witness = min((tuple(y for y in range(v) if subset >> y & 1)
+                   for subset in np.flatnonzero(values == best).tolist()),
+                  key=lambda members: (len(members), members))
+    return float(best), witness
+
+
+def _subset_sums(values: np.ndarray) -> np.ndarray:
+    """sums[mask] = sum of values[y] over the bits y of mask, by subset-sum DP."""
+    sums = np.zeros(1 << values.size)
+    for y, value in enumerate(values):
+        bit = 1 << y
+        sums[bit:bit << 1] = sums[:bit] + value
+    return sums
 
 
 def _mask(tokens: tuple[int, ...]) -> int:

@@ -103,8 +103,10 @@ def test_sweep_lp_rows_skipped_above_cap(capsys):
                            "--r-list", "2", "--k-max", "3", "--with-lp")
     assert code == 0
     lp = {int(r["k"]): r["alpha"] for r in csv_cells(out) if r["method"] == "otm_lp"}
-    assert lp[1] not in ("skipped",)           # 66 tuples fits the cap
-    assert lp[2] == "skipped" and lp[3] == "skipped"  # 66^2 > 4096
+    # 66^2 > 4096 tuples, yet the closed-form optimum answers every row:
+    # 1 - (1 - 1/r)^k for uniform pairs
+    for k in (1, 2, 3):
+        assert float(lp[k]) == pytest.approx(1 - (1 - 1 / 2) ** k, abs=1e-12)
 
 
 def test_verify_token_scope_passes(capsys):
@@ -196,10 +198,16 @@ def test_byte_identical_reruns(capsys, argv):
 def test_exit_code_cap_exceeded(capsys, tmp_path):
     big = tmp_path / "u70.txt"
     big.write_text(ProbVector.uniform(70).format())
+    # 70^2 tuples exceed the cap: only writing the plan has to list them
     code, out, err = run_cli(capsys, "coupling", "--p", str(big), "--q", str(big),
-                             "--k", "2", "--method", "otm")
+                             "--k", "2", "--method", "otm",
+                             "--plan-out", str(tmp_path / "plan.csv"))
     assert code == 3
     assert "cap" in err
+    code, out, _ = run_cli(capsys, "coupling", "--p", str(big), "--q", str(big),
+                           "--k", "2", "--method", "otm")
+    assert code == 0
+    assert float(csv_cells(out)[0]["alpha"]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exit_code_usage_error():

@@ -42,6 +42,18 @@ def test_token_out_of_range():
         lm.next_dist([7])
 
 
+def test_token_out_of_range_on_a_warm_model():
+    # the memo is looked up by the raw suffix, so a bad token must still miss
+    # it and reach the range check once every valid row is built
+    lm = ToyLm(4, 1, seed=0)
+    for t in range(4):
+        lm.next_dist([t])
+    assert lm.next_dist(np.array([0, 3])) is lm.next_dist((3,))
+    for bad in ([7], [-1], [1, 4]):
+        with pytest.raises(ValidationError):
+            lm.next_dist(bad)
+
+
 def test_allow_zeros_produces_zero_entries():
     lm = ToyLm(12, 1, seed=5, allow_zeros=True)
     rows = [lm.next_dist([t]) for t in range(12)]

@@ -1,13 +1,17 @@
-"""Property tests: the fast paths of the decode loop equal their plain forms.
+"""Property tests: the fast paths equal their plain forms.
 
 gamma* from sorted breakpoints against a bisection on `beta_damped`,
 bisect sampling against `searchsorted`, one `uniforms(n)` call against n
 `uniform()` calls, `child` against a fresh stream, and the blended draft
-model against blending memoized rows.
+model against blending memoized rows. The OTM plan against the closed form
+and a brute-force min-cut, and the chunked upper bound against its subset
+loop.
 """
 
+import itertools
+
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from spectr import token_coupling as tc
 from spectr.lm_sim import ToyLm, make_model_pair
@@ -42,9 +46,10 @@ SHAPES = ("dense", "zeros_p", "zeros_q", "equal", "point_p", "point_q", "disjoin
 
 
 @st.composite
-def distribution_pairs(draw):
-    """(p, q) over up to 512 tokens, with zeros, p = q, point masses, disjoint supports."""
-    vocab = draw(st.integers(2, 512))
+def distribution_pairs(draw, max_vocab=512):
+    """(p, q) over up to `max_vocab` tokens, with zeros, p = q, point masses,
+    disjoint supports."""
+    vocab = draw(st.integers(2, max_vocab))
     shape = draw(st.sampled_from(SHAPES))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     alpha = draw(st.sampled_from([0.05, 1.0, 20.0]))
@@ -174,3 +179,83 @@ def test_blend_does_not_memoize_perturbation_rows(seed, eps, allow_zeros, tree):
                  + eps * memoized.next_dist(key).probs)
         assert row.probs.tobytes() == (blend / blend.sum()).tobytes()
 
+
+
+def brute_force_min_cut(p, q, k):
+    """1 - max(0, max_A p(A)^k - q(A)) over every subset A of the vocabulary."""
+    worst = 0.0
+    for size in range(1, p.vocab_size + 1):
+        for subset in itertools.combinations(range(p.vocab_size), size):
+            idx = list(subset)
+            worst = max(worst, p.probs[idx].sum() ** k - q.probs[idx].sum())
+    return 1.0 - worst
+
+
+def reference_upper_bound(p, q, k):
+    """The subset loop that the chunked alpha_upper_bound must reproduce."""
+    v = p.vocab_size
+    tuples = tc._tuple_space(p, k, tc.DEFAULT_TUPLE_CAP)
+    tuple_mass = np.array([float(np.prod([p[i] for i in t])) for t in tuples])
+    tuple_sets = np.array([tc._mask(t) for t in tuples], dtype=np.int64)
+    first_term = np.minimum(q.probs, 1.0 - (1.0 - p.probs) ** k)
+    qsum = np.zeros(1 << v)
+    for y in range(v):
+        bit = 1 << y
+        qsum[bit:bit << 1] = qsum[:bit] + q[y]
+    best_value, best_key = np.inf, None
+    full = (1 << v) - 1
+    for subset in range(1 << v):
+        members = [y for y in range(v) if subset >> y & 1]
+        term1 = float(sum(first_term[y] for y in members))
+        outside = qsum[tuple_sets & (full ^ subset)]
+        value = term1 + float(np.minimum(tuple_mass, outside).sum())
+        key = (len(members), tuple(members))
+        if value < best_value or (value == best_value and key < best_key):
+            best_value, best_key = value, key
+    return best_value, best_key[1]
+
+
+@st.composite
+def otm_instances(draw):
+    """(p, q, k) over 2-8 tokens and 1-5 drafts, at most 1024 draft tuples."""
+    p, q = draw(st.one_of(distribution_pairs(max_vocab=8), small_pairs()))
+    k = draw(st.integers(1, 5))
+    assume(p.vocab_size ** k <= 1024)
+    return p, q, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=otm_instances())
+# Tuple (0, 0) has mass 1.5e-25 and no token of its set in supp(q), and the
+# unfilled mass left by the flow rounds to 0.
+@example(instance=(ProbVector([3.91180854e-13, 1.0 - 3.91180854e-13]),
+                   ProbVector([0.0, 1.0]), 2))
+def test_otm_plan_is_optimal_and_set_proportional(instance):
+    p, q, k = instance
+    plan, alpha = tc.otm_lp_solve(p, q, k)
+    plan.validate(p, q)
+    # the returned value is the plan's own, not the closed form
+    assert alpha == min(max(plan.acceptance(), 0.0), 1.0)
+    want = tc.alpha_star(p, q, k)
+    assert abs(alpha - want) <= 1e-12
+    assert abs(brute_force_min_cut(p, q, k) - want) <= 1e-12
+    # the conditional given a draft tuple depends on its distinct set alone
+    by_set = {}
+    for t in itertools.product([int(i) for i in p.support()], repeat=k):
+        if float(np.prod([p[i] for i in t])) == 0.0:
+            continue
+        cond = plan.conditional(t).probs
+        first = by_set.setdefault(frozenset(t), cond)
+        assert np.abs(cond - first).max() <= 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=otm_instances())
+def test_upper_bound_equals_its_subset_loop_and_alpha_star(instance):
+    p, q, k = instance
+    value, witness = tc.alpha_upper_bound(p, q, k)
+    want_value, want_witness = reference_upper_bound(p, q, k)
+    assert witness == want_witness
+    assert abs(value - want_value) <= 1e-15
+    # the bound is never loose: at S = the min-cut set it is at most alpha*
+    assert abs(value - tc.alpha_star(p, q, k)) <= 1e-12

@@ -1,8 +1,11 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spectr.exact import ExactSelector
 from spectr.prob_core import ProbVector, RngStream, random_prob_vector, tv_distance
 from spectr.token_coupling import (
     AcceptanceReport,
@@ -12,6 +15,7 @@ from spectr.token_coupling import (
     SizeLimitError,
     ValidationError,
     alpha_bernoulli_closed_form,
+    alpha_star,
     alpha_uniform_closed_form,
     alpha_upper_bound,
     beta_damped,
@@ -146,7 +150,8 @@ def test_kseq_params_p_equals_q():
     params = kseq_params(p, p, 3, 1.0)
     assert params.beta == pytest.approx(1.0)
     assert params.p_acc == 1.0
-    assert params.residual is None
+    # every draft is accepted; the unreachable residual is the stand-in q
+    assert np.array_equal(params.residual.probs, p.probs)
 
 
 def test_kseq_params_uniform_example():
@@ -274,8 +279,34 @@ def test_kseq_select_disjoint_support_falls_back_to_q():
     assert token == 1 and idx is None
 
 
+class _RejectingRng:
+    """Stub stream whose every uniform is 1 - 1e-9: rejects any draft whose
+    acceptance probability is below that."""
+
+    def uniform(self):
+        return 1.0 - 1e-9
+
+
+def test_kseq_select_rejects_all_when_p_acc_rounds_to_one():
+    # at gamma*, p_acc = 1 - 8e-15 rounds to 1, yet each draft of token 0
+    # is accepted with probability 0.99996 only
+    p = ProbVector([0.5 + 1e-5, 0.5 - 1e-5])
+    q = ProbVector([0.5, 0.5])
+    gamma = kseq_gamma_star(p, q, 3)
+    params = kseq_params(p, q, 3, gamma)
+    assert params.p_acc == 1.0
+    assert np.allclose(params.residual.probs, q.probs, atol=1e-12)
+    # the exact oracle gives the all-reject mass, about 6e-14, to that residual
+    cond = ExactSelector._kseq_conditional(p, q, (0, 0, 0), gamma, params)
+    assert abs(cond.sum() - 1.0) <= 1e-15
+    for given in (params, None):
+        token, idx = kseq_select(p, q, [0, 0, 0], gamma, _RejectingRng(), params=given)
+        # the unrounded residual is q itself, and u = 1 - 1e-9 picks its last token
+        assert (token, idx) == (1, None)
+
+
 # ---------------------------------------------------------------------------
-# exact OTM via LP
+# exact OTM: closed form and max-flow plan
 # ---------------------------------------------------------------------------
 
 def test_otm_k1_equals_overlap():
@@ -320,6 +351,31 @@ def test_otm_cap_enforced():
     p = ProbVector.uniform(70)
     with pytest.raises(SizeLimitError):
         otm_lp_solve(p, p, 2)  # 70^2 > 4096
+
+
+def test_otm_at_the_tuple_cap_is_quick_and_small():
+    # 16^3 = 4096 tuples, exactly the default cap; a dense simplex tableau
+    # for this instance would be 4113 x 69649 float64, about 2.3 GB
+    p, q = random_pair(83, 16, 0)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        plan, alpha = otm_lp_solve(p, q, 3)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 10.0
+    assert peak < 64 * 2**20
+    assert plan.acceptance() == pytest.approx(alpha_star(p, q, 3), abs=1e-12)
+
+
+def test_alpha_star_has_no_cap():
+    # U(d) drafts against U(d/r): 1 - (1 - 1/r)^k, far beyond any tuple cap
+    for d, r, k in ((120, 2.0, 8), (4096, 4.0, 50), (12, 3.0, 1)):
+        got = alpha_star(ProbVector.uniform(d), ProbVector.uniform(d, support=int(d / r)), k)
+        assert got == pytest.approx(alpha_uniform_closed_form(d, r, k), abs=1e-12)
+    assert alpha_star(ProbVector([1.0, 0.0]), ProbVector([0.0, 1.0]), 3) == 0.0
 
 
 def test_optimality_sandwich_chain():
