@@ -50,17 +50,8 @@ class DraftSet:
     @property
     def sequences(self) -> tuple[tuple[int, ...], ...]:
         out: list[tuple[int, ...]] = []
-
-        def walk(node: DraftNode, prefix: tuple[int, ...]) -> None:
-            path = prefix + (node.token,)
-            if not node.children:
-                out.append(path)
-                return
-            for child in node.children:
-                walk(child, path)
-
         for root in self.roots:
-            walk(root, ())
+            _leaf_paths(root, (), out)
         return tuple(out)
 
     def validate(self) -> None:
@@ -83,6 +74,14 @@ class DraftSet:
         roots = tuple(_chain(tuple(int(t) for t in s)) for s in sequences)
         return cls(roots=roots, length=lengths.pop(), construction="iid",
                    params=(len(sequences),), conditionals=dict(conditionals or {}))
+
+
+def _leaf_paths(node: DraftNode, prefix: tuple[int, ...], out: list) -> None:
+    path = prefix + (node.token,)
+    if not node.children:
+        out.append(path)
+    for child in node.children:
+        _leaf_paths(child, path, out)
 
 
 def _chain(tokens: tuple[int, ...]) -> DraftNode:
@@ -134,29 +133,26 @@ def build_prefix_tree_drafts(small: ToyLm, context: Sequence[int],
     if not factors or any(k < 1 for k in factors):
         raise StructuralError("expansion factors must be positive integers")
     conditionals: dict[tuple[int, ...], ProbVector] = {}
-    base = tuple(int(t) for t in context)
-
-    def cond_at(prefix: tuple[int, ...]) -> ProbVector:
-        cond = conditionals.get(prefix)
-        if cond is None:
-            cond = small.next_dist(base + prefix)
-            conditionals[prefix] = cond
-        return cond
-
-    def grow(prefix: tuple[int, ...], path: tuple[int, ...], depth: int) -> tuple[DraftNode, ...]:
-        cond = cond_at(prefix)
-        nodes = []
-        for c in range(factors[depth]):
-            tok = sample(cond, rng.child(*path, c))
-            children = ()
-            if depth + 1 < len(factors):
-                children = grow(prefix + (tok,), path + (c,), depth + 1)
-            nodes.append(DraftNode(tok, children))
-        return tuple(nodes)
-
-    roots = grow((), (), 0)
+    roots = _grow(small, tuple(int(t) for t in context), factors, rng, conditionals, (), (), 0)
     return DraftSet(roots=roots, length=len(factors), construction="tree",
                     params=tuple(factors), conditionals=conditionals)
+
+
+def _grow(small: ToyLm, base: tuple, factors: list[int], rng: RngStream, conditionals: dict,
+          prefix: tuple, path: tuple, depth: int) -> tuple[DraftNode, ...]:
+    """The nodes under `prefix`, caching the draft model's row there."""
+    cond = conditionals.get(prefix)
+    if cond is None:
+        cond = conditionals[prefix] = small.next_dist(base + prefix)
+    nodes = []
+    for c in range(factors[depth]):
+        tok = sample(cond, rng.child(*path, c))
+        children = ()
+        if depth + 1 < len(factors):
+            children = _grow(small, base, factors, rng, conditionals, prefix + (tok,),
+                             path + (c,), depth + 1)
+        nodes.append(DraftNode(tok, children))
+    return tuple(nodes)
 
 
 def draft_count(drafts: DraftSet) -> int:

@@ -9,13 +9,21 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .prob_core import ProbVector, RngStream, SpectrError, ValidationError, sample
+import numpy as np
+
+from .prob_core import (ProbVector, RngStream, SpectrError, ValidationError, residual_maximal,
+                        sample)
 from .lm_sim import CostModel, ToyLm
 from .draft_gen import DraftSet, draft_count, sample_iid_drafts, build_prefix_tree_drafts
 from . import token_coupling as tc
+
+
+# Conditional entries at or below this are left out of `TokenSelector.support`.
+PROB_FLOOR = 1e-15
 
 
 class UndefinedMetricError(SpectrError):
@@ -97,49 +105,140 @@ class DecodeTrace:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
-class _PlanCache:
-    """Per-session memo of gamma*, scan parameters and LP plans by context key."""
+class TokenSelector:
+    """Token-level selection for one (big, small, method), memoised per context.
 
-    def __init__(self):
-        self.store: dict = {}
+    `select` draws the token and `conditional` gives its exact law, both from
+    one memo of gamma, scan parameters and plans keyed by the two models'
+    memo keys of the context and the live-draft count, so the exact oracle
+    checks the decoder's own values. The entries hold for p =
+    small.next_dist(context) only; any other draft law is solved apart from
+    the memo. With no live drafts the token is a fresh big-model sample.
+    Models are held by weak reference: a shared memo keeps neither alive.
+    """
 
-    def key(self, big: ToyLm, small: ToyLm, context: tuple[int, ...]) -> tuple:
-        return (id(big), id(small), big.memo_key(context), small.memo_key(context))
+    def __init__(self, big: ToyLm, small: ToyLm, method: SelectionMethod):
+        self._big = weakref.ref(big)
+        self._small = weakref.ref(small)
+        self.method = method
+        self.memo: dict = {}
 
+    def select(self, context: tuple[int, ...], p: Optional[ProbVector], tokens: list[int],
+               k_initial: int, rng: RngStream) -> int:
+        """Draw the token given the live draft tokens in order, drawn from p
+        (None: the draft model's row at `context`)."""
+        q = self._big().next_dist(context)
+        if not tokens:
+            return sample(q, rng)
+        k = len(tokens)
+        p, ckey = self._draft_law(context, p, k)
+        if self.method.kind == "maximal":
+            return tc.maximal_coupling_select(p, q, tokens[0], rng)[0]
+        if self.method.kind == "kseq":
+            gamma, params = self._kseq(p, q, ckey, k, k_initial)
+            return tc.kseq_select(p, q, tokens, gamma, rng, params=params)[0]
+        return sample(self._plan(p, q, ckey, k).conditional(tuple(tokens)), rng)
 
-def _select_token(p: ProbVector, q: ProbVector, tokens: list[int], k_initial: int,
-                  method: SelectionMethod, rng: RngStream, cache: _PlanCache,
-                  ckey: tuple) -> int:
-    k = len(tokens)
-    if method.kind == "maximal":
-        if k != 1:
+    def conditional(self, context: tuple[int, ...], tokens: tuple[int, ...],
+                    k_initial: int) -> np.ndarray:
+        """Law of `select`'s token for p the draft model's row; read-only."""
+        return self._law(context, tokens, k_initial)[0]
+
+    def support(self, context: tuple[int, ...], tokens: tuple[int, ...],
+                k_initial: int) -> list[tuple[int, float]]:
+        """(token, probability) over the entries of `conditional` above PROB_FLOOR."""
+        return self._law(context, tokens, k_initial)[1]
+
+    def _law(self, context, tokens, k_initial):
+        ckey = (self._big().memo_key(context), self._small().memo_key(context))
+        out = self.memo.get(("law", ckey, tokens, k_initial))
+        if out is None:
+            law = self._solve_law(context, ckey, tokens, k_initial)
+            law.setflags(write=False)
+            out = self.memo[("law", ckey, tokens, k_initial)] = (
+                law, [(int(y), float(law[y])) for y in np.flatnonzero(law > PROB_FLOOR)])
+        return out
+
+    def _solve_law(self, context, ckey, tokens, k_initial) -> np.ndarray:
+        q = self._big().next_dist(context)
+        k = len(tokens)
+        if not k:
+            return q.probs
+        p, _ = self._draft_law(context, None, k)
+        if self.method.kind == "maximal":
+            return self._maximal_conditional(p, q, tokens[0])
+        if self.method.kind == "kseq":
+            return self._kseq_conditional(p, q, tokens, *self._kseq(p, q, ckey, k, k_initial))
+        return self._plan(p, q, ckey, k).conditional(tokens).probs
+
+    def _draft_law(self, context, p, k):
+        """(p, memo key of the context), the key None when p is not the draft row."""
+        small = self._small()
+        row = small.next_dist(context)
+        if self.method.kind == "maximal" and k != 1:
             raise ValidationError("maximal selection is only valid with a single draft")
-        token, _ = tc.maximal_coupling_select(p, q, tokens[0], rng)
-        return token
-    if method.kind == "kseq":
-        if method.gamma_policy == "k_initial":
+        if p is not None and p is not row:
+            return p, None
+        return row, (self._big().memo_key(context), small.memo_key(context))
+
+    def _memo(self, key, solve):
+        """solve(), kept under `key` unless its context key, key[1], is None."""
+        if key[1] is None:
+            return solve()
+        out = self.memo.get(key)
+        if out is None:
+            out = self.memo[key] = solve()
+        return out
+
+    def _kseq(self, p, q, ckey, k, k_initial) -> tuple[float, tc.KseqParams]:
+        if self.method.gamma_policy == "k_initial":
             gamma = float(max(k_initial, k))
         else:
-            gamma = cache.store.get(("gamma", ckey, k))
-            if gamma is None:
-                gamma = tc._gamma_star_or_k(p, q, k)
-                cache.store[("gamma", ckey, k)] = gamma
-        params = cache.store.get(("params", ckey, k, gamma))
-        if params is None:
-            params = tc.kseq_params(p, q, k, gamma)
-            cache.store[("params", ckey, k, gamma)] = params
-        token, _ = tc.kseq_select(p, q, tokens, gamma, rng, params=params)
-        return token
-    plan = cache.store.get(("plan", ckey, k))
-    if plan is None:
-        plan, _ = tc.otm_lp_solve(p, q, k, cap=method.lp_cap)
-        cache.store[("plan", ckey, k)] = plan
-    return sample(plan.conditional(tuple(tokens)), rng)
+            gamma = self._memo(("gamma", ckey, k), lambda: tc._gamma_star_or_k(p, q, k))
+        return gamma, self._memo(("params", ckey, k, gamma),
+                                 lambda: tc.kseq_params(p, q, k, gamma))
+
+    def _plan(self, p, q, ckey, k) -> tc.TransportPlan:
+        return self._memo(("plan", ckey, k),
+                          lambda: tc.otm_lp_solve(p, q, k, cap=self.method.lp_cap)[0])
+
+    @staticmethod
+    def _maximal_conditional(p: ProbVector, q: ProbVector, draft: int) -> np.ndarray:
+        accept = min(1.0, q[draft] / p[draft])
+        out = np.zeros(p.vocab_size)
+        out[draft] += accept
+        if accept < 1.0:
+            out += (1.0 - accept) * residual_maximal(p, q).probs
+        return out
+
+    @staticmethod
+    def _kseq_conditional(p: ProbVector, q: ProbVector, tokens: Sequence[int], gamma: float,
+                          params: tc.KseqParams) -> np.ndarray:
+        out = np.zeros(p.vocab_size)
+        survive = 1.0
+        for x in tokens:
+            accept = min(1.0, q[x] / (gamma * p[x]))
+            out[x] += survive * accept
+            survive *= (1.0 - accept)
+        out += survive * params.residual.probs
+        return out
+
+
+# model -> model -> method -> the selector every spectr_decode on that pair shares.
+_SHARED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _shared_selector(big: ToyLm, small: ToyLm, method: SelectionMethod) -> TokenSelector:
+    """The pair's selector; it and its memo die with either model."""
+    by_method = _SHARED.setdefault(big, weakref.WeakKeyDictionary()).setdefault(small, {})
+    if method not in by_method:
+        by_method[method] = TokenSelector(big, small, method)
+    return by_method[method]
 
 
 def draft_selection(context: Sequence[int], drafts: DraftSet, big: ToyLm, small: ToyLm,
                     method: SelectionMethod, rng: RngStream,
-                    cache: Optional[_PlanCache] = None) -> list[int]:
+                    cache: Optional[TokenSelector] = None) -> list[int]:
     """Recursively select a valid continuation from a draft forest.
 
     At each depth a token-level transport plan from the draft conditional
@@ -148,32 +247,26 @@ def draft_selection(context: Sequence[int], drafts: DraftSet, big: ToyLm, small:
     of the survivors become the next depth's drafts. If the selected token
     survives to the final depth, one bonus token is sampled from the big
     model. Returns between 1 and L+1 tokens distributed by the big model's
-    chain rule.
+    chain rule. `cache` is a `TokenSelector` for (big, small, method) to use
+    and fill, by default a new one; its memo serves the draft model's own
+    rows only, never a law in `drafts.conditionals` that differs from them.
     """
     drafts.validate()
-    cache = cache or _PlanCache()
+    selector = cache or TokenSelector(big, small, method)
     base = tuple(int(t) for t in context)
     k_initial = draft_count(drafts)
     state = list(drafts.roots)
     emitted: list[int] = []
     while True:
-        ctx = base + tuple(emitted)
-        p = drafts.conditionals.get(tuple(emitted))
-        if p is None:
-            p = small.next_dist(ctx)
-        q = big.next_dist(ctx)
-        tokens = [node.token for node in state]
-        ckey = cache.key(big, small, ctx)
-        chosen = _select_token(p, q, tokens, k_initial, method, rng, cache, ckey)
+        prefix = tuple(emitted)
+        chosen = selector.select(base + prefix, drafts.conditionals.get(prefix),
+                                 [node.token for node in state], k_initial, rng)
         emitted.append(chosen)
         survivors = [node for node in state if node.token == chosen]
         if not survivors:
             return emitted
-        children = [child for node in survivors for child in node.children]
-        if not children:
-            emitted.append(sample(big.next_dist(base + tuple(emitted)), rng))
-            return emitted
-        state = children
+        # No children left: the next pass draws the bonus token.
+        state = [child for node in survivors for child in node.children]
 
 
 def _iteration_time(draft_length: int, cost: CostModel) -> float:
@@ -191,7 +284,10 @@ def spectr_decode(big: ToyLm, small: ToyLm, prompt: Sequence[int], total_tokens:
     Each iteration builds a fresh draft set at the current context, charges
     one serial big-model call, and may overshoot the target by up to L
     tokens. With drafting="tree", `factors` replaces (K, L): the draft count
-    is prod(factors) and the draft length len(factors).
+    is prod(factors) and the draft length len(factors). Every decode on one
+    (big, small) pair shares one `TokenSelector` per method, so gamma*, scan
+    parameters and plans are solved once per context for the pair's life;
+    the sampled stream is the one a fresh memo gives.
     """
     if total_tokens < 1:
         raise ValidationError("total_tokens must be >= 1")
@@ -207,7 +303,7 @@ def spectr_decode(big: ToyLm, small: ToyLm, prompt: Sequence[int], total_tokens:
     if method.kind == "maximal" and K != 1:
         raise ValidationError("maximal selection requires K = 1")
 
-    cache = _PlanCache()
+    selector = _shared_selector(big, small, method)
     base = tuple(int(t) for t in prompt)
     emitted: list[int] = []
     records: list[IterationRecord] = []
@@ -220,7 +316,7 @@ def spectr_decode(big: ToyLm, small: ToyLm, prompt: Sequence[int], total_tokens:
         else:
             drafts = sample_iid_drafts(small, ctx, K, L, rng.child(iteration, 0))
         new = draft_selection(ctx, drafts, big, small, method, rng.child(iteration, 1),
-                              cache=cache)
+                              cache=selector)
         emitted.extend(new)
         records.append(IterationRecord(
             drafts_used=K, draft_length=L,

@@ -445,23 +445,24 @@ def _max_flow(res: dict, source, sink) -> None:
             frontier = reached
         if sink not in level:
             return
-        dead = set()
-
-        def push(u, limit: float) -> float:
-            if u == sink:
-                return limit
-            for v, c in res[u].items():
-                if c > 0.0 and level.get(v) == level[u] + 1 and v not in dead:
-                    sent = push(v, min(limit, c))
-                    if sent > 0.0:
-                        res[u][v] -= sent
-                        res[v][u] += sent
-                        return sent
-            dead.add(u)
-            return 0.0
-
-        while push(source, math.inf) > 0.0:
+        dead: set = set()
+        while _push(res, level, dead, source, sink, math.inf) > 0.0:
             pass
+
+
+def _push(res: dict, level: dict, dead: set, u, sink, limit: float) -> float:
+    """One augmenting path from u along the level graph; its bottleneck, or 0."""
+    if u == sink:
+        return limit
+    for v, c in res[u].items():
+        if c > 0.0 and level.get(v) == level[u] + 1 and v not in dead:
+            sent = _push(res, level, dead, v, sink, min(limit, c))
+            if sent > 0.0:
+                res[u][v] -= sent
+                res[v][u] += sent
+                return sent
+    dead.add(u)
+    return 0.0
 
 
 def alpha_upper_bound(p: ProbVector, q: ProbVector, k: int,

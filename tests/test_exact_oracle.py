@@ -8,7 +8,7 @@ from spectr.exact import (
 )
 from spectr.lm_sim import make_model_pair
 from spectr.prob_core import RngStream
-from spectr.spectr_decode import SelectionMethod, _PlanCache, draft_selection
+from spectr.spectr_decode import SelectionMethod, TokenSelector, draft_selection
 
 PAIR = make_model_pair(3, 1, seed=0, eps=0.5)
 CONTEXT = (0,)
@@ -50,7 +50,7 @@ def test_first_token_marginal_is_big_model():
 
 def _empirical_distribution(method, n, seed, tree=False):
     counts = {}
-    cache = _PlanCache()  # shared across runs, keyed by context
+    cache = TokenSelector(PAIR.big, PAIR.small, method)  # shared across runs, keyed by context
     for i in range(n):
         rng = RngStream(seed, path=(i,))
         if tree:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spectr.exact import ExactSelector
+from spectr.spectr_decode import TokenSelector
 from spectr.prob_core import ProbVector, RngStream, random_prob_vector, tv_distance
 from spectr.token_coupling import (
     AcceptanceReport,
@@ -297,7 +297,7 @@ def test_kseq_select_rejects_all_when_p_acc_rounds_to_one():
     assert params.p_acc == 1.0
     assert np.allclose(params.residual.probs, q.probs, atol=1e-12)
     # the exact oracle gives the all-reject mass, about 6e-14, to that residual
-    cond = ExactSelector._kseq_conditional(p, q, (0, 0, 0), gamma, params)
+    cond = TokenSelector._kseq_conditional(p, q, (0, 0, 0), gamma, params)
     assert abs(cond.sum() - 1.0) <= 1e-15
     for given in (params, None):
         token, idx = kseq_select(p, q, [0, 0, 0], gamma, _RejectingRng(), params=given)
