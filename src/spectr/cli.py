@@ -229,6 +229,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     config = BenchConfig.from_args("verify", args)
+    for flag, value in (("--k-max", args.k_max), ("--num-drafts", args.num_drafts),
+                        ("--draft-len", args.draft_len)):
+        if value < 1:
+            raise ValidationError(f"{flag} must be >= 1")
     failures = []
 
     if args.scope == "token":
@@ -290,7 +294,7 @@ def _selection_method(name: str, args: argparse.Namespace) -> SelectionMethod:
     if name == "kseq":
         return SelectionMethod.kseq(gamma_policy=args.gamma_policy)
     if name in ("otm", "otm_lp"):
-        return SelectionMethod.otm_lp(lp_cap=args.cap)
+        return SelectionMethod.otm_lp()
     raise ValidationError(f"unknown selection method {name!r}")
 
 
@@ -402,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--factors", default="2,2")
     vf.add_argument("--gamma-policy", dest="gamma_policy", default="gamma_star",
                     choices=["gamma_star", "k_initial"])
-    vf.add_argument("--cap", type=int, default=tc.DEFAULT_TUPLE_CAP)
     vf.add_argument("--format", default="csv", choices=["csv", "json"])
     vf.add_argument("--output", default=None)
     vf.set_defaults(func=cmd_verify)
@@ -427,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     dc.add_argument("--big-cost", dest="big_cost", type=float, default=1.0)
     dc.add_argument("--small-cost", dest="small_cost", type=float, default=0.0)
     dc.add_argument("--overhead", type=float, default=0.0)
-    dc.add_argument("--cap", type=int, default=tc.DEFAULT_TUPLE_CAP)
     dc.add_argument("--trace-dir", dest="trace_dir", default=None)
     dc.add_argument("--format", default="csv", choices=["csv", "json"])
     dc.add_argument("--output", default=None)

@@ -7,17 +7,17 @@ selection consumes the forest directly: at each depth the *nodes* currently
 alive are exactly the i.i.d. small-model draws the token-level coupling
 assumes.
 
-Every next-token conditional encountered during construction is cached, the
-same bookkeeping a batched scorer would keep for the selection phase.
+A draft set is only the forest: the draft law at every prefix is the draft
+model's own row, which selection reads back from `ToyLm.next_dist` and its
+row memo.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
-from .prob_core import ProbVector, RngStream, SpectrError, _pick, sample
+from .prob_core import RngStream, SpectrError, _pick, sample
 from .lm_sim import ToyLm
 
 
@@ -33,19 +33,14 @@ class DraftNode:
 
 @dataclass(frozen=True)
 class DraftSet:
-    """Candidate continuations of a context, with cached draft-model conditionals.
+    """Candidate continuations of a context, drawn from the draft model.
 
     `roots` is the construction forest; `sequences` lists its leaves'
-    root-to-leaf token paths in construction order. `conditionals` maps each
-    context-relative prefix encountered during sampling to the draft model's
-    next-token law at that prefix.
+    root-to-leaf token paths in construction order.
     """
 
     roots: tuple[DraftNode, ...]
     length: int
-    construction: str  # "iid" | "tree"
-    params: tuple[int, ...]  # (K,) for iid, expansion factors for tree
-    conditionals: Mapping[tuple[int, ...], ProbVector] = field(default_factory=dict)
 
     @property
     def sequences(self) -> tuple[tuple[int, ...], ...]:
@@ -54,26 +49,27 @@ class DraftSet:
             _leaf_paths(root, (), out)
         return tuple(out)
 
-    def validate(self) -> None:
+    def validate(self) -> int:
+        """The number of drafts (leaves); raises unless every leaf is at depth `length`."""
         if not self.roots:
             raise StructuralError("draft set is empty")
         seqs = self.sequences
         if any(len(s) != self.length for s in seqs):
             raise StructuralError("draft sequences have mixed lengths")
+        return len(seqs)
 
     @classmethod
-    def from_sequences(cls, sequences: Sequence[Sequence[int]],
-                       conditionals: Mapping[tuple[int, ...], ProbVector] | None = None,
-                       ) -> "DraftSet":
+    def from_sequences(cls, sequences: Sequence[Sequence[int]]) -> "DraftSet":
         """Wrap explicit equal-length sequences as an i.i.d.-style chain forest."""
         if not sequences:
             raise StructuralError("draft set is empty")
         lengths = {len(s) for s in sequences}
         if len(lengths) != 1:
             raise StructuralError("draft sequences have mixed lengths")
+        if 0 in lengths:
+            raise StructuralError("draft sequences must have at least one token")
         roots = tuple(_chain(tuple(int(t) for t in s)) for s in sequences)
-        return cls(roots=roots, length=lengths.pop(), construction="iid",
-                   params=(len(sequences),), conditionals=dict(conditionals or {}))
+        return cls(roots=roots, length=lengths.pop())
 
 
 def _leaf_paths(node: DraftNode, prefix: tuple[int, ...], out: list) -> None:
@@ -100,23 +96,23 @@ def sample_iid_drafts(small: ToyLm, context: Sequence[int], K: int, L: int,
     """
     if K < 1 or L < 1:
         raise StructuralError("K and L must be >= 1")
-    conditionals: dict[tuple[int, ...], ProbVector] = {}
+    # The rows read so far, by prefix: drafts share prefixes, so this saves
+    # most `next_dist` calls.
+    rows: dict = {}
     roots = []
     base = tuple(int(t) for t in context)
     for j in range(K):
         prefix: tuple[int, ...] = ()
         tokens = []
         for u in rng.child(j).uniforms(L).tolist():
-            cond = conditionals.get(prefix)
-            if cond is None:
-                cond = small.next_dist(base + prefix)
-                conditionals[prefix] = cond
-            tok = _pick(cond, u)
+            row = rows.get(prefix)
+            if row is None:
+                row = rows[prefix] = small.next_dist(base + prefix)
+            tok = _pick(row, u)
             tokens.append(tok)
             prefix = prefix + (tok,)
         roots.append(_chain(tuple(tokens)))
-    return DraftSet(roots=tuple(roots), length=L, construction="iid", params=(K,),
-                    conditionals=conditionals)
+    return DraftSet(roots=tuple(roots), length=L)
 
 
 def build_prefix_tree_drafts(small: ToyLm, context: Sequence[int],
@@ -132,31 +128,22 @@ def build_prefix_tree_drafts(small: ToyLm, context: Sequence[int],
     factors = [int(k) for k in factors]
     if not factors or any(k < 1 for k in factors):
         raise StructuralError("expansion factors must be positive integers")
-    conditionals: dict[tuple[int, ...], ProbVector] = {}
-    roots = _grow(small, tuple(int(t) for t in context), factors, rng, conditionals, (), (), 0)
-    return DraftSet(roots=roots, length=len(factors), construction="tree",
-                    params=tuple(factors), conditionals=conditionals)
+    roots = _grow(small, tuple(int(t) for t in context), factors, rng, {}, (), (), 0)
+    return DraftSet(roots=roots, length=len(factors))
 
 
-def _grow(small: ToyLm, base: tuple, factors: list[int], rng: RngStream, conditionals: dict,
+def _grow(small: ToyLm, base: tuple, factors: list[int], rng: RngStream, rows: dict,
           prefix: tuple, path: tuple, depth: int) -> tuple[DraftNode, ...]:
-    """The nodes under `prefix`, caching the draft model's row there."""
-    cond = conditionals.get(prefix)
-    if cond is None:
-        cond = conditionals[prefix] = small.next_dist(base + prefix)
+    """The nodes under `prefix`; `rows` keeps the draft model's rows read so far, by prefix."""
+    row = rows.get(prefix)
+    if row is None:
+        row = rows[prefix] = small.next_dist(base + prefix)
     nodes = []
     for c in range(factors[depth]):
-        tok = sample(cond, rng.child(*path, c))
+        tok = sample(row, rng.child(*path, c))
         children = ()
         if depth + 1 < len(factors):
-            children = _grow(small, base, factors, rng, conditionals, prefix + (tok,),
+            children = _grow(small, base, factors, rng, rows, prefix + (tok,),
                              path + (c,), depth + 1)
         nodes.append(DraftNode(tok, children))
     return tuple(nodes)
-
-
-def draft_count(drafts: DraftSet) -> int:
-    """Number of leaf sequences (K for iid, prod k_i for tree)."""
-    if drafts.construction == "tree":
-        return math.prod(drafts.params)
-    return drafts.params[0]

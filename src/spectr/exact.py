@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .lm_sim import ToyLm
-from .draft_gen import DraftNode
+from .draft_gen import DraftNode, StructuralError
 from .spectr_decode import PROB_FLOOR, SelectionMethod, TokenSelector
 from . import token_coupling as tc
 
@@ -62,8 +62,11 @@ def enumerate_draft_forests(small: ToyLm, context: Sequence[int],
     K and length L correspond to (K, 1, ..., 1). Probabilities multiply the
     draft-model conditionals of every node given its own prefix.
     """
+    branching = [int(b) for b in branching]
+    if not branching or any(b < 1 for b in branching):
+        raise StructuralError("branching factors must be positive integers")
     base = tuple(int(t) for t in context)
-    yield from _group_options(small, base, [int(b) for b in branching], (), 0)
+    yield from _group_options(small, base, branching, (), 0)
 
 
 def _node_options(small: ToyLm, base: tuple[int, ...], branching: list[int],

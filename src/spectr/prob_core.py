@@ -215,12 +215,6 @@ def tv_distance(p: ProbVector, q: ProbVector) -> float:
     return float(0.5 * np.abs(p.probs - q.probs).sum())
 
 
-def overlap(p: ProbVector, q: ProbVector) -> float:
-    """sum_x min(p(x), q(x)), equal to 1 - tv_distance(p, q)."""
-    _check_same_vocab(p, q)
-    return float(np.minimum(p.probs, q.probs).sum())
-
-
 def residual_maximal(p: ProbVector, q: ProbVector) -> ProbVector:
     """Correction distribution of the single-draft maximal coupling.
 

@@ -11,14 +11,14 @@ import json
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .prob_core import (ProbVector, RngStream, SpectrError, ValidationError, residual_maximal,
                         sample)
 from .lm_sim import CostModel, ToyLm
-from .draft_gen import DraftSet, draft_count, sample_iid_drafts, build_prefix_tree_drafts
+from .draft_gen import DraftSet, sample_iid_drafts, build_prefix_tree_drafts
 from . import token_coupling as tc
 
 
@@ -36,7 +36,7 @@ class SelectionMethod:
 
     kind "maximal" is the single-draft rule (requires one draft), "kseq" the
     sequential scan, "otm_lp" an exact optimal plan, `otm_lp_solve`'s
-    max-flow over distinct-token sets (subject to the tuple cap).
+    max-flow over distinct-token sets (subject to its default tuple cap).
     For kseq, gamma_policy "gamma_star" re-solves gamma* for the live draft
     count at every depth; "k_initial" reuses the initial draft count as a
     fixed division factor (raised to the live count if that ever exceeds it,
@@ -45,7 +45,6 @@ class SelectionMethod:
 
     kind: str
     gamma_policy: str = "gamma_star"
-    lp_cap: int = tc.DEFAULT_TUPLE_CAP
 
     def __post_init__(self):
         if self.kind not in ("maximal", "kseq", "otm_lp"):
@@ -62,8 +61,8 @@ class SelectionMethod:
         return cls(kind="kseq", gamma_policy=gamma_policy)
 
     @classmethod
-    def otm_lp(cls, lp_cap: int = tc.DEFAULT_TUPLE_CAP) -> "SelectionMethod":
-        return cls(kind="otm_lp", lp_cap=lp_cap)
+    def otm_lp(cls) -> "SelectionMethod":
+        return cls(kind="otm_lp")
 
 
 @dataclass(frozen=True)
@@ -111,9 +110,9 @@ class TokenSelector:
     `select` draws the token and `conditional` gives its exact law, both from
     one memo of gamma, scan parameters and plans keyed by the two models'
     memo keys of the context and the live-draft count, so the exact oracle
-    checks the decoder's own values. The entries hold for p =
-    small.next_dist(context) only; any other draft law is solved apart from
-    the memo. With no live drafts the token is a fresh big-model sample.
+    checks the decoder's own values. The live drafts are draws from the draft
+    model, so their law is small.next_dist(context). With no live drafts the
+    token is a fresh big-model sample.
     Models are held by weak reference: a shared memo keeps neither alive.
     """
 
@@ -123,17 +122,18 @@ class TokenSelector:
         self.method = method
         self.memo: dict = {}
 
-    def select(self, context: tuple[int, ...], p: Optional[ProbVector], tokens: list[int],
-               k_initial: int, rng: RngStream) -> int:
-        """Draw the token given the live draft tokens in order, drawn from p
-        (None: the draft model's row at `context`)."""
-        q = self._big().next_dist(context)
+    def select(self, context: tuple[int, ...], tokens: list[int], k_initial: int,
+               rng: RngStream) -> int:
+        """Draw the token given the live draft tokens in order."""
+        big = self._big()
+        q = big.next_dist(context)
         if not tokens:
             return sample(q, rng)
         k = len(tokens)
-        p, ckey = self._draft_law(context, p, k)
+        p = self._draft_law(context, k)
         if self.method.kind == "maximal":
             return tc.maximal_coupling_select(p, q, tokens[0], rng)[0]
+        ckey = (big.memo_key(context), self._small().memo_key(context))
         if self.method.kind == "kseq":
             gamma, params = self._kseq(p, q, ckey, k, k_initial)
             return tc.kseq_select(p, q, tokens, gamma, rng, params=params)[0]
@@ -141,7 +141,7 @@ class TokenSelector:
 
     def conditional(self, context: tuple[int, ...], tokens: tuple[int, ...],
                     k_initial: int) -> np.ndarray:
-        """Law of `select`'s token for p the draft model's row; read-only."""
+        """Law of `select`'s token; read-only."""
         return self._law(context, tokens, k_initial)[0]
 
     def support(self, context: tuple[int, ...], tokens: tuple[int, ...],
@@ -164,27 +164,20 @@ class TokenSelector:
         k = len(tokens)
         if not k:
             return q.probs
-        p, _ = self._draft_law(context, None, k)
+        p = self._draft_law(context, k)
         if self.method.kind == "maximal":
             return self._maximal_conditional(p, q, tokens[0])
         if self.method.kind == "kseq":
             return self._kseq_conditional(p, q, tokens, *self._kseq(p, q, ckey, k, k_initial))
         return self._plan(p, q, ckey, k).conditional(tokens).probs
 
-    def _draft_law(self, context, p, k):
-        """(p, memo key of the context), the key None when p is not the draft row."""
-        small = self._small()
-        row = small.next_dist(context)
+    def _draft_law(self, context, k) -> ProbVector:
         if self.method.kind == "maximal" and k != 1:
             raise ValidationError("maximal selection is only valid with a single draft")
-        if p is not None and p is not row:
-            return p, None
-        return row, (self._big().memo_key(context), small.memo_key(context))
+        return self._small().next_dist(context)
 
     def _memo(self, key, solve):
-        """solve(), kept under `key` unless its context key, key[1], is None."""
-        if key[1] is None:
-            return solve()
+        """solve(), kept under `key`."""
         out = self.memo.get(key)
         if out is None:
             out = self.memo[key] = solve()
@@ -199,8 +192,7 @@ class TokenSelector:
                                  lambda: tc.kseq_params(p, q, k, gamma))
 
     def _plan(self, p, q, ckey, k) -> tc.TransportPlan:
-        return self._memo(("plan", ckey, k),
-                          lambda: tc.otm_lp_solve(p, q, k, cap=self.method.lp_cap)[0])
+        return self._memo(("plan", ckey, k), lambda: tc.otm_lp_solve(p, q, k)[0])
 
     @staticmethod
     def _maximal_conditional(p: ProbVector, q: ProbVector, draft: int) -> np.ndarray:
@@ -237,8 +229,7 @@ def _shared_selector(big: ToyLm, small: ToyLm, method: SelectionMethod) -> Token
 
 
 def draft_selection(context: Sequence[int], drafts: DraftSet, big: ToyLm, small: ToyLm,
-                    method: SelectionMethod, rng: RngStream,
-                    cache: Optional[TokenSelector] = None) -> list[int]:
+                    method: SelectionMethod, rng: RngStream) -> list[int]:
     """Recursively select a valid continuation from a draft forest.
 
     At each depth a token-level transport plan from the draft conditional
@@ -247,20 +238,17 @@ def draft_selection(context: Sequence[int], drafts: DraftSet, big: ToyLm, small:
     of the survivors become the next depth's drafts. If the selected token
     survives to the final depth, one bonus token is sampled from the big
     model. Returns between 1 and L+1 tokens distributed by the big model's
-    chain rule. `cache` is a `TokenSelector` for (big, small, method) to use
-    and fill, by default a new one; its memo serves the draft model's own
-    rows only, never a law in `drafts.conditionals` that differs from them.
+    chain rule. The drafts must be draws from `small`. Gamma*, scan
+    parameters and plans come from the pair's shared `TokenSelector`.
     """
-    drafts.validate()
-    selector = cache or TokenSelector(big, small, method)
+    k_initial = drafts.validate()
+    selector = _shared_selector(big, small, method)
     base = tuple(int(t) for t in context)
-    k_initial = draft_count(drafts)
     state = list(drafts.roots)
     emitted: list[int] = []
     while True:
-        prefix = tuple(emitted)
-        chosen = selector.select(base + prefix, drafts.conditionals.get(prefix),
-                                 [node.token for node in state], k_initial, rng)
+        chosen = selector.select(base + tuple(emitted), [node.token for node in state],
+                                 k_initial, rng)
         emitted.append(chosen)
         survivors = [node for node in state if node.token == chosen]
         if not survivors:
@@ -303,7 +291,6 @@ def spectr_decode(big: ToyLm, small: ToyLm, prompt: Sequence[int], total_tokens:
     if method.kind == "maximal" and K != 1:
         raise ValidationError("maximal selection requires K = 1")
 
-    selector = _shared_selector(big, small, method)
     base = tuple(int(t) for t in prompt)
     emitted: list[int] = []
     records: list[IterationRecord] = []
@@ -315,8 +302,7 @@ def spectr_decode(big: ToyLm, small: ToyLm, prompt: Sequence[int], total_tokens:
             drafts = build_prefix_tree_drafts(small, ctx, factors, rng.child(iteration, 0))
         else:
             drafts = sample_iid_drafts(small, ctx, K, L, rng.child(iteration, 0))
-        new = draft_selection(ctx, drafts, big, small, method, rng.child(iteration, 1),
-                              cache=selector)
+        new = draft_selection(ctx, drafts, big, small, method, rng.child(iteration, 1))
         emitted.extend(new)
         records.append(IterationRecord(
             drafts_used=K, draft_length=L,

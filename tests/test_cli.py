@@ -260,6 +260,21 @@ def test_decode_rejects_zero_prompts(capsys):
     assert "--prompts" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--scope", "sequence", "--num-drafts", "0"),
+    ("--scope", "sequence", "--num-drafts", "-1"),
+    ("--scope", "sequence", "--draft-len", "0"),
+    ("--scope", "sequence", "--tree", "--factors", "0,2"),
+    ("--scope", "sequence", "--tree", "--factors", ","),
+    ("--scope", "token", "--k-max", "0"),
+])
+def test_verify_rejects_sizes_it_cannot_verify(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "must be" in err
+
+
 def test_verify_token_scope_rejects_zero_cases(capsys):
     code, out, err = run_cli(capsys, "verify", "--scope", "token", "--cases", "0")
     assert code == 2

@@ -5,7 +5,6 @@ from spectr.draft_gen import (
     DraftSet,
     StructuralError,
     build_prefix_tree_drafts,
-    draft_count,
     sample_iid_drafts,
 )
 from spectr.lm_sim import ToyLm
@@ -68,14 +67,6 @@ def test_iid_first_token_frequencies():
     assert np.abs(counts / trials - target).max() <= 0.01
 
 
-def test_iid_cache_covers_every_prefix():
-    lm = ToyLm(5, 1, seed=8)
-    drafts = sample_iid_drafts(lm, [3], K=3, L=4, rng=RngStream(2))
-    for seq in drafts.sequences:
-        for i in range(len(seq)):
-            assert seq[:i] in drafts.conditionals
-
-
 def test_iid_construction_audit():
     # every token must have been drawn from the conditional of its own prefix,
     # via the substream of its draft index
@@ -96,7 +87,7 @@ def test_tree_structure_counts():
     lm = ToyLm(6, 1, seed=10)
     drafts = build_prefix_tree_drafts(lm, [0], factors=(2, 3), rng=RngStream(0))
     assert len(drafts.sequences) == 6
-    assert draft_count(drafts) == 6
+    assert drafts.validate() == 6
     firsts = [seq[0] for seq in drafts.sequences]
     # seed 0 gives two distinct roots; each root token heads 3 consecutive leaves
     assert len(set(firsts)) == 2
@@ -116,9 +107,6 @@ def test_tree_leaf_count_three_levels():
     drafts = build_prefix_tree_drafts(lm, [0], factors=(2, 2, 2), rng=RngStream(3))
     assert len(drafts.sequences) == 8
     assert all(len(s) == 3 for s in drafts.sequences)
-    for seq in drafts.sequences:
-        for i in range(len(seq)):
-            assert seq[:i] in drafts.conditionals
 
 
 def test_tree_depth_one_matches_iid_first_tokens():
@@ -153,6 +141,8 @@ def test_from_sequences_and_validation():
         DraftSet.from_sequences([])
     with pytest.raises(StructuralError):
         DraftSet.from_sequences([(1, 2), (1,)])
+    with pytest.raises(StructuralError):
+        DraftSet.from_sequences([()])
     with pytest.raises(StructuralError):
         sample_iid_drafts(ToyLm(4, 1, seed=0), [0], K=0, L=2, rng=RngStream(0))
     with pytest.raises(StructuralError):

@@ -8,7 +8,7 @@ from spectr.exact import (
 )
 from spectr.lm_sim import make_model_pair
 from spectr.prob_core import RngStream
-from spectr.spectr_decode import SelectionMethod, TokenSelector, draft_selection
+from spectr.spectr_decode import SelectionMethod, draft_selection
 
 PAIR = make_model_pair(3, 1, seed=0, eps=0.5)
 CONTEXT = (0,)
@@ -50,7 +50,6 @@ def test_first_token_marginal_is_big_model():
 
 def _empirical_distribution(method, n, seed, tree=False):
     counts = {}
-    cache = TokenSelector(PAIR.big, PAIR.small, method)  # shared across runs, keyed by context
     for i in range(n):
         rng = RngStream(seed, path=(i,))
         if tree:
@@ -58,7 +57,7 @@ def _empirical_distribution(method, n, seed, tree=False):
         else:
             drafts = sample_iid_drafts(PAIR.small, CONTEXT, K=2, L=2, rng=rng.child(0))
         out = tuple(draft_selection(CONTEXT, drafts, PAIR.big, PAIR.small, method,
-                                    rng.child(1), cache=cache))
+                                    rng.child(1)))
         counts[out] = counts.get(out, 0) + 1
     return {seq: c / n for seq, c in counts.items()}
 

@@ -145,8 +145,7 @@ def test_maximal_requires_single_draft():
 def test_structural_error_on_mixed_drafts():
     pair = make_model_pair(5, 1, seed=4, eps=0.4)
     from spectr.draft_gen import DraftNode, StructuralError
-    bad = DraftSet(roots=(DraftNode(0, (DraftNode(1),)), DraftNode(2)),
-                   length=2, construction="iid", params=(2,))
+    bad = DraftSet(roots=(DraftNode(0, (DraftNode(1),)), DraftNode(2)), length=2)
     with pytest.raises(StructuralError):
         draft_selection((0,), bad, pair.big, pair.small, kseq(), RngStream(0))
 

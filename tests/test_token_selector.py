@@ -1,9 +1,9 @@
 """The token selector shared by the decoder and the exact oracle, and its memo.
 
-Every spectr_decode on one model pair shares one selector per method; these
-tests check that sharing it changes no sampled stream, saves the repeated
-solves, holds neither model alive and is never used for a draft law other
-than the draft model's own rows.
+Every spectr_decode and draft_selection on one model pair shares one selector
+per method; these tests check that sharing it changes no sampled stream, saves
+the repeated solves and holds neither model alive, and that the oracle's law
+reads the entries the draws stored.
 """
 
 import gc
@@ -12,10 +12,10 @@ import weakref
 import pytest
 
 from spectr import token_coupling as tc
-from spectr.draft_gen import DraftSet
+from spectr.draft_gen import sample_iid_drafts
 from spectr.exact import method_output_distribution
 from spectr.lm_sim import make_model_pair
-from spectr.prob_core import ProbVector, RngStream
+from spectr.prob_core import RngStream
 from spectr.spectr_decode import (
     PROB_FLOOR,
     SelectionMethod,
@@ -70,6 +70,12 @@ def test_decode_after_other_prompts_equals_decode_on_a_fresh_pair():
         got = spectr_decode(warm.big, warm.small, (7, 1), 48, K=K, L=3, method=method,
                             rng=RngStream(9))
         assert got == want, method
+        # a direct draft_selection reads the same shared memo, now warm at (7, 1)
+        fresh = make_model_pair(**model)
+        drafts = sample_iid_drafts(fresh.small, (7, 1), K, 3, RngStream(10))
+        want, got = ([draft_selection((7, 1), drafts, pair.big, pair.small, method, RngStream(s))
+                      for s in range(12)] for pair in (fresh, warm))
+        assert got == want, method
 
 
 def test_second_decode_of_a_prompt_solves_no_gamma(monkeypatch):
@@ -102,55 +108,10 @@ def test_one_selector_per_pair_and_method():
     assert _shared_selector(other.big, other.small, SelectionMethod.kseq()) is not kseq
 
 
-class _Recording(dict):
-    """A memo that records every lookup and store."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.touched = []
-
-    def get(self, key, default=None):
-        self.touched.append(("get", key))
-        return super().get(key, default)
-
-    def __setitem__(self, key, value):
-        self.touched.append(("set", key))
-        super().__setitem__(key, value)
-
-
-# draft_selection((0, 1), drafts, ...) with RngStream(0..11), recorded before
-# decodes shared a memo, when every call solved from scratch.
-FOREIGN_LAW_OUTPUTS = {
-    "kseq": [(0, 2), (0, 0), (3,), (0, 1), (3,), (3,), (3,), (3,), (3,), (0, 3), (3,), (3,)],
-    "otm_lp": [(0, 2), (0, 0), (3,), (0, 1), (3,), (3,), (3,), (3,), (3,), (2,), (0, 2), (3,)],
-}
-
-
-@pytest.mark.parametrize("kind", sorted(FOREIGN_LAW_OUTPUTS))
-def test_foreign_draft_law_leaves_the_pair_memo_alone(kind):
-    method = SelectionMethod.kseq() if kind == "kseq" else SelectionMethod.otm_lp()
-    pair = make_model_pair(4, 1, seed=5, eps=0.5)
-    spectr_decode(pair.big, pair.small, (0, 1), 40, K=2, L=1, method=method, rng=RngStream(3))
-    shared = _shared_selector(pair.big, pair.small, method)
-    # the memo holds entries for the context the drafts below are scored at
-    assert any(key[1] == ((1,), (1,)) for key in shared.memo)
-    before = dict(shared.memo)
-    p = ProbVector([0.7, 0.1, 0.1, 0.1])
-    assert p.probs.tolist() != pair.small.next_dist((1,)).probs.tolist()
-    drafts = DraftSet.from_sequences([[0], [0]], conditionals={(): p})
-    shared.memo = _Recording(before)
-    for cache in (None, shared):
-        outs = [tuple(draft_selection((0, 1), drafts, pair.big, pair.small, method,
-                                      RngStream(s), cache=cache)) for s in range(12)]
-        assert outs == FOREIGN_LAW_OUTPUTS[kind]
-    assert shared.memo.touched == []
-    assert shared.memo == before
-
-
 def test_oracle_conditional_reads_the_decoder_entries():
     pair = make_model_pair(4, 1, seed=2, eps=0.4)
     selector = TokenSelector(pair.big, pair.small, SelectionMethod.kseq())
-    selector.select((2,), None, [0, 1, 1], 3, RngStream(0))
+    selector.select((2,), [0, 1, 1], 3, RngStream(0))
     solved = dict(selector.memo)
     law = selector.conditional((2,), (0, 1, 1), 3)
     assert not law.flags.writeable
