@@ -7,14 +7,12 @@ benchmark harness for block efficiency.
 """
 
 from .prob_core import (
-    DegenerateResidualError,
     DimensionError,
     ProbVector,
     RngStream,
     SpectrError,
     TokenId,
     ValidationError,
-    residual_maximal,
     sample,
     sample_many,
     tv_distance,

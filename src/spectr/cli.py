@@ -3,7 +3,8 @@ verification, and decoding benchmarks.
 
 Every run is fully determined by its flags and seed; outputs (stdout and any
 files) are byte-identical across repeated invocations. Exit codes: 0 success,
-1 verification failure, 2 usage error, 3 enumeration cap exceeded.
+1 verification failure, 2 usage error (malformed input, or a file that cannot
+be read or written), 3 enumeration cap exceeded.
 """
 
 from __future__ import annotations
@@ -116,17 +117,17 @@ def _parse_dist(text: str) -> ProbVector:
     if "," in text:
         return ProbVector.parse(text)
     path = Path(text)
-    if path.exists():
+    if path.is_file():
         return ProbVector.parse(path.read_text().strip())
     return ProbVector.parse(text)
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip() != ""]
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip() != ""]
+def _parse_list(text: str, kind: type) -> list:
+    """Comma-separated numbers of one kind (float or int); blanks are skipped."""
+    try:
+        return [kind(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError as exc:
+        raise ValidationError(f"cannot parse a list of {kind.__name__} from {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +135,8 @@ def _int_list(text: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def cmd_coupling(args: argparse.Namespace) -> int:
+    if args.cap < 1:
+        raise ValidationError("--cap must be >= 1")
     p = _parse_dist(args.p)
     q = _parse_dist(args.q)
     k = args.k
@@ -185,6 +188,8 @@ def _write_plan(plan: tc.TransportPlan, path: str, config: BenchConfig) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.k_max < 1:
+        raise ValidationError("--k-max must be >= 1")
     config = BenchConfig.from_args("sweep", args)
     out = _Report(config, ("family", "param", "k", "method", "alpha"))
 
@@ -192,12 +197,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if args.b_list is None:
             raise ValidationError("bernoulli sweep requires --b-list")
         cells = [(b, ProbVector.bernoulli(args.p_head), ProbVector.bernoulli(b))
-                 for b in _float_list(args.b_list)]
+                 for b in _parse_list(args.b_list, float)]
     else:
         if args.r_list is None:
             raise ValidationError("uniform sweep requires --r-list")
         cells = []
-        for r in _float_list(args.r_list):
+        for r in _parse_list(args.r_list, float):
+            if not r >= 1.0:
+                raise ValidationError(f"r = {r!r} must be >= 1")
             support = args.d / r
             if abs(support - round(support)) > 1e-9 or round(support) < 1:
                 raise ValidationError(f"d/r = {support!r} must be a positive integer")
@@ -212,10 +219,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             else:
                 closed = tc.alpha_uniform_closed_form(args.d, value, k)
             out.row(args.family, param, k, "closed_form", _fmt(closed))
-            if tv_distance(p, q) == 0.0:
-                kseq_alpha = 1.0
-            else:
-                kseq_alpha = tc.kseq_acceptance(p, q, k, tc._gamma_star_or_k(p, q, k))
+            kseq_alpha = tc.kseq_acceptance(p, q, k, tc._gamma_star_or_k(p, q, k))
             out.row(args.family, param, k, "kseq", _fmt(kseq_alpha))
             if args.with_lp:
                 out.row(args.family, param, k, "otm_lp", _fmt(tc.alpha_star(p, q, k)))
@@ -264,7 +268,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         out = _Report(config, ("vocab", "L", "K", "construction", "method",
                                "max_gap", "status"))
         branching = ([args.num_drafts] + [1] * (args.draft_len - 1)
-                     if not args.tree else _int_list(args.factors))
+                     if not args.tree else _parse_list(args.factors, int))
         pair = make_model_pair(args.vocab, order=1, seed=args.seed, eps=args.eps)
         context = (0,)
         for name in args.methods.split(","):
@@ -305,12 +309,14 @@ def _selection_method(name: str, args: argparse.Namespace) -> SelectionMethod:
 def cmd_decode(args: argparse.Namespace) -> int:
     if args.prompts < 1:
         raise ValidationError("--prompts must be >= 1")
+    if args.prompt_len < 0:
+        raise ValidationError("--prompt-len must be >= 0")
     config = BenchConfig.from_args("decode", args)
     pair = make_model_pair(args.vocab, args.order, args.seed, args.eps,
                            allow_zeros=args.allow_zeros)
     cost = CostModel(big_call_cost=args.big_cost, small_call_cost=args.small_cost,
                      overhead_per_iter=args.overhead)
-    factors = _int_list(args.factors) if args.factors else None
+    factors = _parse_list(args.factors, int) if args.factors else None
 
     traces = []
     for i in range(args.prompts):
@@ -370,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fixed division factor for kseq (default: gamma*)")
     cp.add_argument("--delta", type=float, default=tc.DEFAULT_GAMMA_DELTA)
     cp.add_argument("--cap", type=int, default=tc.DEFAULT_TUPLE_CAP,
-                    help="largest |vocab|^k that --plan-out and --method upper enumerate")
+                    help="largest |supp(p)|^k that --plan-out and --method upper enumerate")
     cp.add_argument("--plan-out", dest="plan_out", default=None,
                     help="write an optimal transport plan as CSV")
     cp.add_argument("--format", default="csv", choices=["csv", "json"])
@@ -445,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
     except tc.SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except SpectrError as exc:
+    except (SpectrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

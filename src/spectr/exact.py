@@ -25,7 +25,7 @@ import numpy as np
 
 from .lm_sim import ToyLm
 from .draft_gen import DraftNode, StructuralError
-from .spectr_decode import PROB_FLOOR, SelectionMethod, TokenSelector
+from .spectr_decode import PROB_FLOOR, SelectionMethod, TokenSelector, selection_step
 from . import token_coupling as tc
 
 SeqDist = dict[tuple[int, ...], float]
@@ -43,11 +43,10 @@ def _selection_law(selector: TokenSelector, base: tuple[int, ...], emitted: tupl
     out: SeqDist = {}
     tokens = tuple(node.token for node in state)
     for y, w in selector.support(base + emitted, tokens, k_initial):
-        survivors = [node for node in state if node.token == y]
-        if not survivors:
+        children = selection_step(state, y)
+        if children is None:
             _bump(out, emitted + (y,), w)
             continue
-        children = tuple(c for node in survivors for c in node.children)
         for seq, w2 in _selection_law(selector, base, emitted + (y,), children,
                                       k_initial).items():
             _bump(out, seq, w * w2)

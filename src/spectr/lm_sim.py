@@ -126,8 +126,9 @@ class CostModel:
     overhead_per_iter: float = 0.0
 
     def __post_init__(self):
-        if min(self.big_call_cost, self.small_call_cost, self.overhead_per_iter) < 0.0:
-            raise ValidationError("costs must be nonnegative")
+        costs = (self.big_call_cost, self.small_call_cost, self.overhead_per_iter)
+        if not all(0.0 <= c < np.inf for c in costs):
+            raise ValidationError("costs must be finite and nonnegative")
 
 
 def make_model_pair(vocab_size: int, order: int, seed: int, eps: float,

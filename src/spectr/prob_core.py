@@ -36,10 +36,6 @@ class DimensionError(SpectrError, ValueError):
     """Operands declare different vocabulary sizes."""
 
 
-class DegenerateResidualError(SpectrError):
-    """Residual requested for p == q, where acceptance is certain."""
-
-
 @dataclass(frozen=True)
 class ProbVector:
     """A finite categorical distribution over token indices 0..vocab_size-1."""
@@ -214,16 +210,3 @@ def tv_distance(p: ProbVector, q: ProbVector) -> float:
     _check_same_vocab(p, q)
     return float(0.5 * np.abs(p.probs - q.probs).sum())
 
-
-def residual_maximal(p: ProbVector, q: ProbVector) -> ProbVector:
-    """Correction distribution of the single-draft maximal coupling.
-
-    p_res(x) = (q(x) - min(p(x), q(x))) / (1 - sum min(p, q)). Only defined
-    when p != q; the caller must not request it when acceptance is certain.
-    """
-    _check_same_vocab(p, q)
-    m = np.minimum(p.probs, q.probs)
-    denom = 1.0 - float(m.sum())
-    if denom <= SUM_TOL:
-        raise DegenerateResidualError("residual undefined: p equals q within tolerance")
-    return ProbVector((q.probs - m) / denom)

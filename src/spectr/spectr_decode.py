@@ -15,10 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .prob_core import (ProbVector, RngStream, SpectrError, ValidationError, residual_maximal,
-                        sample)
+from .prob_core import ProbVector, RngStream, SpectrError, ValidationError, sample
 from .lm_sim import CostModel, ToyLm
-from .draft_gen import DraftSet, sample_iid_drafts, build_prefix_tree_drafts
+from .draft_gen import DraftNode, DraftSet, sample_iid_drafts, build_prefix_tree_drafts
 from . import token_coupling as tc
 
 
@@ -34,13 +33,13 @@ class UndefinedMetricError(SpectrError):
 class SelectionMethod:
     """How the token-level transport plan is chosen at every depth.
 
-    kind "maximal" is the single-draft rule (requires one draft), "kseq" the
-    sequential scan, "otm_lp" an exact optimal plan, `otm_lp_solve`'s
-    max-flow over distinct-token sets (subject to its default tuple cap).
-    For kseq, gamma_policy "gamma_star" re-solves gamma* for the live draft
-    count at every depth; "k_initial" reuses the initial draft count as a
-    fixed division factor (raised to the live count if that ever exceeds it,
-    which keeps prefix-tree selection valid).
+    kind "kseq" is the sequential scan, "maximal" the single-draft rule (the
+    scan at its one draft, with gamma = 1 under either policy), "otm_lp" an
+    exact optimal plan, `otm_lp_solve`'s max-flow over distinct-token sets
+    (subject to its default tuple cap). gamma_policy "gamma_star" re-solves
+    gamma* for the live draft count at every depth; "k_initial" reuses the
+    initial draft count as a fixed division factor (raised to the live count
+    if that ever exceeds it, which keeps prefix-tree selection valid).
     """
 
     kind: str
@@ -108,11 +107,11 @@ class TokenSelector:
     """Token-level selection for one (big, small, method), memoised per context.
 
     `select` draws the token and `conditional` gives its exact law, both from
-    one memo of gamma, scan parameters and plans keyed by the two models'
-    memo keys of the context and the live-draft count, so the exact oracle
-    checks the decoder's own values. The live drafts are draws from the draft
-    model, so their law is small.next_dist(context). With no live drafts the
-    token is a fresh big-model sample.
+    one memo of scan parameters (which carry gamma) and plans keyed by the
+    two models' memo keys of the context and the live-draft count, so the
+    exact oracle checks the decoder's own values. The live drafts are draws
+    from the draft model, so their law is small.next_dist(context). With no
+    live drafts the token is a fresh big-model sample.
     Models are held by weak reference: a shared memo keeps neither alive.
     """
 
@@ -131,13 +130,11 @@ class TokenSelector:
             return sample(q, rng)
         k = len(tokens)
         p = self._draft_law(context, k)
-        if self.method.kind == "maximal":
-            return tc.maximal_coupling_select(p, q, tokens[0], rng)[0]
         ckey = (big.memo_key(context), self._small().memo_key(context))
-        if self.method.kind == "kseq":
-            gamma, params = self._kseq(p, q, ckey, k, k_initial)
-            return tc.kseq_select(p, q, tokens, gamma, rng, params=params)[0]
-        return sample(self._plan(p, q, ckey, k).conditional(tuple(tokens)), rng)
+        if self.method.kind == "otm_lp":
+            return sample(self._plan(p, q, ckey, k).conditional(tuple(tokens)), rng)
+        params = self._kseq(p, q, ckey, k, k_initial)
+        return tc.kseq_select(p, q, tokens, params.gamma, rng, params=params)[0]
 
     def conditional(self, context: tuple[int, ...], tokens: tuple[int, ...],
                     k_initial: int) -> np.ndarray:
@@ -165,11 +162,9 @@ class TokenSelector:
         if not k:
             return q.probs
         p = self._draft_law(context, k)
-        if self.method.kind == "maximal":
-            return self._maximal_conditional(p, q, tokens[0])
-        if self.method.kind == "kseq":
-            return self._kseq_conditional(p, q, tokens, *self._kseq(p, q, ckey, k, k_initial))
-        return self._plan(p, q, ckey, k).conditional(tokens).probs
+        if self.method.kind == "otm_lp":
+            return self._plan(p, q, ckey, k).conditional(tokens).probs
+        return self._kseq_conditional(p, q, tokens, self._kseq(p, q, ckey, k, k_initial))
 
     def _draft_law(self, context, k) -> ProbVector:
         if self.method.kind == "maximal" and k != 1:
@@ -183,33 +178,22 @@ class TokenSelector:
             out = self.memo[key] = solve()
         return out
 
-    def _kseq(self, p, q, ckey, k, k_initial) -> tuple[float, tc.KseqParams]:
-        if self.method.gamma_policy == "k_initial":
-            gamma = float(max(k_initial, k))
-        else:
-            gamma = self._memo(("gamma", ckey, k), lambda: tc._gamma_star_or_k(p, q, k))
-        return gamma, self._memo(("params", ckey, k, gamma),
-                                 lambda: tc.kseq_params(p, q, k, gamma))
+    def _kseq(self, p, q, ckey, k, k_initial) -> tc.KseqParams:
+        """The scan's parameters, kept under the fixed gamma, or None for gamma*."""
+        fixed = float(max(k_initial, k)) if self.method.gamma_policy == "k_initial" else None
+        return self._memo(("kseq", ckey, k, fixed), lambda: tc.kseq_params(
+            p, q, k, tc._gamma_star_or_k(p, q, k) if fixed is None else fixed))
 
     def _plan(self, p, q, ckey, k) -> tc.TransportPlan:
         return self._memo(("plan", ckey, k), lambda: tc.otm_lp_solve(p, q, k)[0])
 
     @staticmethod
-    def _maximal_conditional(p: ProbVector, q: ProbVector, draft: int) -> np.ndarray:
-        accept = min(1.0, q[draft] / p[draft])
-        out = np.zeros(p.vocab_size)
-        out[draft] += accept
-        if accept < 1.0:
-            out += (1.0 - accept) * residual_maximal(p, q).probs
-        return out
-
-    @staticmethod
-    def _kseq_conditional(p: ProbVector, q: ProbVector, tokens: Sequence[int], gamma: float,
+    def _kseq_conditional(p: ProbVector, q: ProbVector, tokens: Sequence[int],
                           params: tc.KseqParams) -> np.ndarray:
         out = np.zeros(p.vocab_size)
         survive = 1.0
         for x in tokens:
-            accept = min(1.0, q[x] / (gamma * p[x]))
+            accept = min(1.0, q[x] / (params.gamma * p[x]))
             out[x] += survive * accept
             survive *= (1.0 - accept)
         out += survive * params.residual.probs
@@ -244,17 +228,22 @@ def draft_selection(context: Sequence[int], drafts: DraftSet, big: ToyLm, small:
     k_initial = drafts.validate()
     selector = _shared_selector(big, small, method)
     base = tuple(int(t) for t in context)
-    state = list(drafts.roots)
+    state = drafts.roots
     emitted: list[int] = []
-    while True:
+    while state is not None:
         chosen = selector.select(base + tuple(emitted), [node.token for node in state],
                                  k_initial, rng)
         emitted.append(chosen)
-        survivors = [node for node in state if node.token == chosen]
-        if not survivors:
-            return emitted
-        # No children left: the next pass draws the bonus token.
-        state = [child for node in survivors for child in node.children]
+        state = selection_step(state, chosen)
+    return emitted
+
+
+def selection_step(state: Sequence[DraftNode], chosen: int) -> tuple[DraftNode, ...] | None:
+    """The children of the nodes carrying `chosen`, or None when none does and
+    the selection stops; after leaves, the empty tuple asks for the bonus token.
+    `draft_selection` and the exact oracle both walk by this step."""
+    survivors = [node for node in state if node.token == chosen]
+    return tuple(child for node in survivors for child in node.children) if survivors else None
 
 
 def _iteration_time(draft_length: int, cost: CostModel) -> float:

@@ -5,9 +5,10 @@ vocabulary, the routines here pick one output token from k i.i.d. draft
 tokens so that the output is exactly q-distributed, while maximizing the
 chance that it comes from the draft set:
 
-* ``maximal_coupling_select``: the classic single-draft accept/resample rule.
 * ``kseq_select``: sequential scan over k drafts, damped by a division
-  factor gamma; valid for any gamma >= gamma*, near-linear to compute.
+  factor gamma; valid for any gamma >= gamma*, near-linear to compute. At
+  one draft and gamma = 1 it is ``maximal_coupling_select``, the classic
+  single-draft accept/resample rule.
 * ``alpha_star``: the exact optimal acceptance, by min-cut in closed form,
   1 - max(0, max_A p(A)^k - q(A)) over prefixes A of the tokens sorted by
   q/p; O(|vocab| log |vocab|) at any k.
@@ -37,11 +38,10 @@ from .prob_core import (
     TokenId,
     ValidationError,
     _check_same_vocab,
-    residual_maximal,
     sample,
 )
 
-# Largest |vocab|^k the plan and the exhaustive bound will accept.
+# Largest |supp(p)|^k the plan and the exhaustive bound will enumerate.
 DEFAULT_TUPLE_CAP = 4096
 # Subset enumeration in alpha_upper_bound is 2^|vocab|.
 UPPER_BOUND_MAX_VOCAB = 16
@@ -160,18 +160,13 @@ class AcceptanceReport:
 
 def maximal_coupling_select(p: ProbVector, q: ProbVector, draft: TokenId,
                             rng: RngStream) -> tuple[TokenId, bool]:
-    """Accept the draft with probability min(1, q/p), else sample the residual.
-
-    When the draft is p-distributed the returned token is exactly
-    q-distributed, and acceptance happens with probability 1 - tv(p, q).
+    """Accept the draft with probability min(1, q/p), else sample the residual:
+    `kseq_select` at one draft with gamma = 1. When the draft is p-distributed
+    the returned token is exactly q-distributed, and acceptance happens with
+    probability 1 - tv(p, q).
     """
-    _check_same_vocab(p, q)
-    if p[draft] <= 0.0:
-        raise InvalidDraftError(f"draft token {draft} has zero probability under p")
-    ratio = min(1.0, q[draft] / p[draft])
-    if rng.uniform() <= ratio:
-        return draft, True
-    return sample(residual_maximal(p, q), rng), False
+    token, index = kseq_select(p, q, [draft], 1.0, rng)
+    return token, index is not None
 
 
 def beta_damped(p: ProbVector, q: ProbVector, gamma: float) -> float:
@@ -341,10 +336,10 @@ def kseq_acceptance(p: ProbVector, q: ProbVector, k: int, gamma: float) -> float
 
 
 def _tuple_space(p: ProbVector, k: int, cap: int) -> list[tuple[int, ...]]:
-    if p.vocab_size ** k > cap:
-        raise SizeLimitError(
-            f"|vocab|^k = {p.vocab_size}^{k} exceeds the tuple cap {cap}")
     supp = [int(i) for i in p.support()]
+    if len(supp) ** k > cap:
+        raise SizeLimitError(
+            f"|supp p|^k = {len(supp)}^{k} exceeds the tuple cap {cap}")
     return list(itertools.product(supp, repeat=k))
 
 

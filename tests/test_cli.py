@@ -275,6 +275,41 @@ def test_verify_rejects_sizes_it_cannot_verify(capsys, argv):
     assert err.startswith("error: ") and "must be" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--family", "bernoulli", "--b-list", "abc"),
+    ("decode", "--drafting", "tree", "--factors", "2,x"),
+    ("decode", "--prompt-len", "-1"),
+    ("decode", "--small-cost", "nan"),
+    ("decode", "--big-cost", "inf"),
+    ("sweep", "--family", "uniform", "--d", "4", "--r-list", "0"),
+    ("sweep", "--family", "bernoulli", "--b-list", "0.5", "--k-max", "0"),
+    ("coupling", "--p", "", "--q", "0.3,0.7"),
+    ("coupling", "--p", "0.5,0.5", "--q", "0.3,0.7", "--k", "2", "--method", "upper",
+     "--cap", "0"),
+    ("coupling", "--p", "0.5,0.5", "--q", "0.3,0.7", "--method", "otm",
+     "--plan-out", "{tmp}/missing/plan.csv"),
+    ("sweep", "--family", "bernoulli", "--b-list", "0.5", "--output", "{tmp}/missing/out.csv"),
+    # --trace-dir makes missing directories, but not under a regular file
+    ("decode", "--tokens", "4", "--prompts", "1", "--trace-dir", "{tmp}/file.txt/traces"),
+])
+def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv):
+    (tmp_path / "file.txt").write_text("")
+    code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_verify_maximal_when_tv_is_tiny(capsys):
+    # at eps = 1e-12 the pair's rows differ by far less than 1e-9 in TV
+    code, out, _ = run_cli(capsys, "verify", "--scope", "sequence", "--vocab", "3",
+                           "--num-drafts", "1", "--draft-len", "2",
+                           "--methods", "maximal,kseq", "--eps", "1e-12")
+    assert code == 0
+    assert [r["status"] for r in csv_cells(out)] == ["PASS", "PASS"]
+    assert "PASS: all cases within tolerance" in out
+
+
 def test_verify_token_scope_rejects_zero_cases(capsys):
     code, out, err = run_cli(capsys, "verify", "--scope", "token", "--cases", "0")
     assert code == 2

@@ -95,3 +95,6 @@ def test_cost_model_validation():
     CostModel(1.0, 0.2, 0.05)
     with pytest.raises(ValidationError):
         CostModel(big_call_cost=-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            CostModel(small_call_cost=bad)

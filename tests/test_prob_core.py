@@ -2,18 +2,17 @@ import numpy as np
 import pytest
 
 from spectr.prob_core import (
-    DegenerateResidualError,
     DimensionError,
     ProbVector,
     RngStream,
     ValidationError,
     _pick,
     random_prob_vector,
-    residual_maximal,
     sample,
     sample_many,
     tv_distance,
 )
+from spectr.token_coupling import kseq_params
 
 
 def test_probvector_validation():
@@ -120,13 +119,23 @@ def test_tv_equals_one_minus_overlap():
         assert direct == pytest.approx(via_min, abs=1e-12)
 
 
+def residual_maximal(p, q):
+    """The single-draft maximal coupling's residual: the scan's at k = 1, gamma = 1."""
+    return kseq_params(p, q, 1, 1.0).residual
+
+
 def test_residual_maximal_examples():
     res = residual_maximal(ProbVector([1.0, 0.0]), ProbVector([0.5, 0.5]))
     assert np.allclose(res.probs, [0.0, 1.0])
     res = residual_maximal(ProbVector([0.25, 0.75]), ProbVector([0.1, 0.9]))
     assert np.allclose(res.probs, [0.0, 1.0])
-    with pytest.raises(DegenerateResidualError):
-        residual_maximal(ProbVector([0.5, 0.5]), ProbVector([0.5, 0.5]))
+    # p == q: every draft is accepted, and the unreachable residual is q
+    params = kseq_params(ProbVector([0.5, 0.5]), ProbVector([0.5, 0.5]), 1, 1.0)
+    assert params.p_acc == 1.0
+    assert np.array_equal(params.residual.probs, [0.5, 0.5])
+    # 0 < tv(p, q) <= 1e-9: the residual is still defined, (q - min(p, q)) / tv
+    res = residual_maximal(ProbVector([0.5 + 1e-10, 0.5 - 1e-10]), ProbVector([0.5, 0.5]))
+    assert np.allclose(res.probs, [0.0, 1.0])
 
 
 def test_residual_maximal_is_valid_distribution():
@@ -137,3 +146,5 @@ def test_residual_maximal_is_valid_distribution():
         res = residual_maximal(p, q)
         assert res.probs.min() >= 0.0
         assert res.probs.sum() == pytest.approx(1.0, abs=1e-9)
+        m = np.minimum(p.probs, q.probs)
+        assert np.allclose(res.probs, (q.probs - m) / (1.0 - m.sum()), atol=1e-12)

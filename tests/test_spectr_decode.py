@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from spectr.draft_gen import DraftSet, sample_iid_drafts
+from spectr.draft_gen import DraftNode, DraftSet, sample_iid_drafts
 from spectr.lm_sim import CostModel, make_model_pair
 from spectr.prob_core import RngStream, ValidationError, sample
 from spectr.spectr_decode import (
@@ -14,6 +14,7 @@ from spectr.spectr_decode import (
     baseline_decode,
     block_efficiency,
     draft_selection,
+    selection_step,
     simulated_speedup,
     spectr_decode,
     trace_time,
@@ -133,6 +134,16 @@ def test_otm_method_decodes_small_instances():
     trace = spectr_decode(pair.big, pair.small, (0,), 20, 2, 2,
                           SelectionMethod.otm_lp(), RngStream(3))
     assert len(trace.emitted_tokens) >= 20
+
+
+def test_selection_step_keeps_the_children_of_the_nodes_carrying_the_token():
+    a, b, c = DraftNode(3), DraftNode(4), DraftNode(3)
+    forest = (DraftNode(1, (a, b)), DraftNode(2), DraftNode(1, (c,)))
+    assert selection_step(forest, 1) == (a, b, c)
+    assert selection_step(forest, 0) is None
+    # survivors that are leaves leave no drafts: the bonus token comes next
+    assert selection_step(forest, 2) == ()
+    assert selection_step((), 5) is None
 
 
 def test_maximal_requires_single_draft():

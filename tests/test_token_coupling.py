@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spectr.spectr_decode import TokenSelector
+from spectr.spectr_decode import SelectionMethod, TokenSelector
 from spectr.prob_core import ProbVector, RngStream, random_prob_vector, tv_distance
 from spectr.token_coupling import (
     AcceptanceReport,
@@ -89,6 +89,49 @@ def test_maximal_output_is_q_distributed():
         token, _ = maximal_coupling_select(p, q, int(d), sel)
         counts[token] += 1
     assert np.abs(counts / n - q.probs).max() <= 0.01
+
+
+class _LastUniformRng:
+    """Stub stream whose every uniform is 1 - 1e-12."""
+
+    def uniform(self):
+        return 1.0 - 1e-12
+
+
+class _FixedRowLm:
+    """Stub model with one next-token row for every context."""
+
+    def __init__(self, row: ProbVector):
+        self.row = row
+
+    def next_dist(self, context):
+        return self.row
+
+    def memo_key(self, context):
+        return ()
+
+
+# 0 < tv(p, q) = 1e-10 < SUM_TOL: a draft of token 0 is rejected with probability 2e-10
+NEAR_P = ProbVector([0.5 + 1e-10, 0.5 - 1e-10])
+NEAR_Q = ProbVector([0.5, 0.5])
+
+
+def test_maximal_rejects_a_draft_when_tv_is_tiny():
+    # token 0 is accepted with probability 1 - 2e-10, so u = 1 - 1e-12 rejects
+    # it, and the residual (q - min(p, q)) / tv puts all its mass on token 1
+    assert maximal_coupling_select(NEAR_P, NEAR_Q, 0, _LastUniformRng()) == (1, False)
+
+
+def test_maximal_oracle_law_when_tv_is_tiny():
+    big, small = _FixedRowLm(NEAR_Q), _FixedRowLm(NEAR_P)
+    selector = TokenSelector(big, small, SelectionMethod.maximal())
+    for draft in (0, 1):
+        law = selector.conditional((0,), (draft,), 1)
+        assert law.sum() == pytest.approx(1.0, abs=1e-15)
+        assert law.min() >= 0.0
+    # averaged over the draft's law, the output is q
+    mixed = sum(NEAR_P[d] * selector.conditional((0,), (d,), 1) for d in (0, 1))
+    assert np.allclose(mixed, NEAR_Q.probs, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +340,7 @@ def test_kseq_select_rejects_all_when_p_acc_rounds_to_one():
     assert params.p_acc == 1.0
     assert np.allclose(params.residual.probs, q.probs, atol=1e-12)
     # the exact oracle gives the all-reject mass, about 6e-14, to that residual
-    cond = TokenSelector._kseq_conditional(p, q, (0, 0, 0), gamma, params)
+    cond = TokenSelector._kseq_conditional(p, q, (0, 0, 0), params)
     assert abs(cond.sum() - 1.0) <= 1e-15
     for given in (params, None):
         token, idx = kseq_select(p, q, [0, 0, 0], gamma, _RejectingRng(), params=given)
@@ -351,6 +394,17 @@ def test_otm_cap_enforced():
     p = ProbVector.uniform(70)
     with pytest.raises(SizeLimitError):
         otm_lp_solve(p, p, 2)  # 70^2 > 4096
+
+
+def test_otm_cap_counts_the_support():
+    # |vocab|^k = 70^2 is over the cap, but the plan lists only |supp p|^k = 4 tuples
+    p = ProbVector.uniform(70, support=2)
+    q = ProbVector.uniform(70, support=3)
+    plan, alpha = otm_lp_solve(p, q, 2)
+    assert alpha == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert alpha_star(p, q, 2) == pytest.approx(2.0 / 3.0, abs=1e-12)
+    plan.validate(p, q)
+    assert {t for t, _ in plan.entries} == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 def test_otm_at_the_tuple_cap_is_quick_and_small():

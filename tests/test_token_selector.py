@@ -108,6 +108,34 @@ def test_one_selector_per_pair_and_method():
     assert _shared_selector(other.big, other.small, SelectionMethod.kseq()) is not kseq
 
 
+@pytest.mark.parametrize("method,gamma", [
+    (SelectionMethod.kseq(), None),
+    (SelectionMethod.kseq("k_initial"), 3.0),
+    (SelectionMethod.maximal(), None),
+    (SelectionMethod("maximal", "k_initial"), 1.0),
+])
+def test_one_scan_entry_per_context_and_live_count(method, gamma):
+    pair = make_model_pair(4, 1, seed=2, eps=0.4)
+    selector = TokenSelector(pair.big, pair.small, method)
+    tokens = [1] if method.kind == "maximal" else [0, 1, 1]
+    k_initial = len(tokens)
+    for seed in range(3):
+        selector.select((2,), tokens, k_initial, RngStream(seed))
+    selector.conditional((2,), tuple(tokens), k_initial)
+    ckey = (pair.big.memo_key((2,)), pair.small.memo_key((2,)))
+    assert [key for key in selector.memo if key[0] != "law"] == [
+        ("kseq", ckey, len(tokens), gamma)]
+    params = selector.memo[("kseq", ckey, len(tokens), gamma)]
+    p, q = pair.small.next_dist((2,)), pair.big.next_dist((2,))
+    want = tc.kseq_gamma_star(p, q, len(tokens)) if gamma is None else gamma
+    expected = tc.kseq_params(p, q, len(tokens), want)
+    assert (params.gamma, params.p_acc) == (expected.gamma, expected.p_acc)
+    assert (params.residual.probs == expected.residual.probs).all()
+    # at one draft both policies scan at gamma = 1
+    if method.kind == "maximal":
+        assert params.gamma == 1.0
+
+
 def test_oracle_conditional_reads_the_decoder_entries():
     pair = make_model_pair(4, 1, seed=2, eps=0.4)
     selector = TokenSelector(pair.big, pair.small, SelectionMethod.kseq())
