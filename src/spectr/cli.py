@@ -233,10 +233,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     config = BenchConfig.from_args("verify", args)
-    for flag, value in (("--k-max", args.k_max), ("--num-drafts", args.num_drafts),
-                        ("--draft-len", args.draft_len)):
-        if value < 1:
-            raise ValidationError(f"{flag} must be >= 1")
+    if args.k_max < 1:
+        raise ValidationError("--k-max must be >= 1")
     failures = []
 
     if args.scope == "token":
@@ -267,8 +265,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         out = _Report(config, ("vocab", "L", "K", "construction", "method",
                                "max_gap", "status"))
-        branching = ([args.num_drafts] + [1] * (args.draft_len - 1)
-                     if not args.tree else _parse_list(args.factors, int))
+        if args.factors is None:
+            for flag, value in (("--num-drafts", args.num_drafts),
+                                ("--draft-len", args.draft_len)):
+                if value < 1:
+                    raise ValidationError(f"{flag} must be >= 1")
+            branching = [args.num_drafts] + [1] * (args.draft_len - 1)
+        else:
+            branching = _parse_list(args.factors, int)
         pair = make_model_pair(args.vocab, order=1, seed=args.seed, eps=args.eps)
         context = (0,)
         for name in args.methods.split(","):
@@ -278,7 +282,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             gap, cell = exact.max_chain_rule_gap(dist, pair.big, context, len(branching))
             status = "PASS" if gap <= SEQUENCE_TOL else "FAIL"
             out.row(args.vocab, len(branching), int(np.prod(branching)),
-                    "tree" if args.tree else "iid", name.strip(), _fmt(gap), status)
+                    "iid" if args.factors is None else "tree", name.strip(), _fmt(gap), status)
             if status == "FAIL":
                 failures.append((gap, f"sequence method={name} cell={cell}"))
 
@@ -316,7 +320,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
                            allow_zeros=args.allow_zeros)
     cost = CostModel(big_call_cost=args.big_cost, small_call_cost=args.small_cost,
                      overhead_per_iter=args.overhead)
-    factors = _parse_list(args.factors, int) if args.factors else None
+    factors = None if args.factors is None else _parse_list(args.factors, int)
 
     traces = []
     for i in range(args.prompts):
@@ -330,7 +334,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
             method = _selection_method(args.method, args)
             trace = spectr_decode(pair.big, pair.small, prompt, args.tokens,
                                   args.num_drafts, args.draft_len, method, rng.child(1),
-                                  drafting=args.drafting, factors=factors, cost=cost)
+                                  drafting="iid" if factors is None else "tree",
+                                  factors=factors, cost=cost)
         traces.append(trace)
         if args.trace_dir:
             directory = Path(args.trace_dir)
@@ -345,7 +350,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
                            "stderr_block_efficiency", "mean_simulated_speedup"))
     if args.method == "baseline":
         k_label, l_label = "-", "-"
-    elif args.drafting == "tree":
+    elif factors is not None:
         k_label, l_label = int(np.prod(factors)), len(factors)
     else:
         k_label, l_label = args.num_drafts, args.draft_len
@@ -408,8 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--num-drafts", dest="num_drafts", type=int, default=2)
     vf.add_argument("--eps", type=float, default=0.5)
     vf.add_argument("--methods", default="kseq,otm")
-    vf.add_argument("--tree", action="store_true")
-    vf.add_argument("--factors", default="2,2")
+    vf.add_argument("--factors", default=None,
+                    help="prefix-tree branching factors, replacing --num-drafts and --draft-len")
     vf.add_argument("--gamma-policy", dest="gamma_policy", default="gamma_star",
                     choices=["gamma_star", "k_initial"])
     vf.add_argument("--format", default="csv", choices=["csv", "json"])
@@ -426,8 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["baseline", "maximal", "kseq", "otm"])
     dc.add_argument("--gamma-policy", dest="gamma_policy", default="gamma_star",
                     choices=["gamma_star", "k_initial"])
-    dc.add_argument("--drafting", default="iid", choices=["iid", "tree"])
-    dc.add_argument("--factors", default=None)
+    dc.add_argument("--factors", default=None,
+                    help="prefix-tree branching factors, replacing --num-drafts and --draft-len")
     dc.add_argument("--num-drafts", dest="num_drafts", type=int, default=4)
     dc.add_argument("--draft-len", dest="draft_len", type=int, default=4)
     dc.add_argument("--prompts", type=int, default=8)

@@ -1,11 +1,11 @@
-"""Draft-set construction: i.i.d. sequences and prefix-tree expansion.
+"""Draft-set construction: one prefix-tree builder.
 
-Both constructions produce a forest of token nodes with uniform leaf depth L.
-An i.i.d. set of K drafts is a forest of K single-child chains; a prefix tree
-with expansion factors (k_1..k_L) branches k_i ways at depth i. Draft
-selection consumes the forest directly: at each depth the *nodes* currently
-alive are exactly the i.i.d. small-model draws the token-level coupling
-assumes.
+A draft set is a forest of token nodes with uniform leaf depth L that
+branches k_i ways at depth i. K i.i.d. drafts of length L are the tree with
+factors (K, 1, ..., 1), a forest of K single-child chains, and every leaf
+owns one RNG substream, so both read the same protocol. Draft selection
+consumes the forest directly: at each depth the *nodes* currently alive are
+exactly the i.i.d. small-model draws the token-level coupling assumes.
 
 A draft set is only the forest: the draft law at every prefix is the draft
 model's own row, which selection reads back from `ToyLm.next_dist` and its
@@ -14,10 +14,12 @@ row memo.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .prob_core import RngStream, SpectrError, _pick, sample
+# `sample` is unused here but kept importable: perfbench's tracer patches it by name.
+from .prob_core import RngStream, SpectrError, _pick, sample  # noqa: F401
 from .lm_sim import ToyLm
 
 
@@ -89,61 +91,48 @@ def _chain(tokens: tuple[int, ...]) -> DraftNode:
 
 def sample_iid_drafts(small: ToyLm, context: Sequence[int], K: int, L: int,
                       rng: RngStream) -> DraftSet:
-    """K independent autoregressive rollouts of length L from the draft model.
-
-    Draft j takes its L uniforms from its own substream rng.child(j), in
-    one call, so draft contents do not depend on K or on generation order.
-    """
+    """K independent autoregressive rollouts of length L from the draft model:
+    the prefix tree with factors (K, 1, ..., 1), so draft j reads its L
+    uniforms from rng.child(j) and its contents do not depend on K."""
     if K < 1 or L < 1:
         raise StructuralError("K and L must be >= 1")
-    # The rows read so far, by prefix: drafts share prefixes, so this saves
-    # most `next_dist` calls.
-    rows: dict = {}
-    roots = []
-    base = tuple(int(t) for t in context)
-    for j in range(K):
-        prefix: tuple[int, ...] = ()
-        tokens = []
-        for u in rng.child(j).uniforms(L).tolist():
-            row = rows.get(prefix)
-            if row is None:
-                row = rows[prefix] = small.next_dist(base + prefix)
-            tok = _pick(row, u)
-            tokens.append(tok)
-            prefix = prefix + (tok,)
-        roots.append(_chain(tuple(tokens)))
-    return DraftSet(roots=tuple(roots), length=L)
+    return build_prefix_tree_drafts(small, context, (K,) + (1,) * (L - 1), rng)
 
 
 def build_prefix_tree_drafts(small: ToyLm, context: Sequence[int],
                              factors: Sequence[int], rng: RngStream) -> DraftSet:
-    """Breadth-wise prefix-tree draft set with branching factors (k_1..k_L).
+    """Prefix-tree draft set with branching factors (k_1..k_L).
 
-    Each node at depth i spawns k_{i+1} children whose tokens are i.i.d.
-    draws from the draft model conditioned on the node's sequence; the leaf
-    sequences (prod k_i of them) form the draft set. Each node's token comes
-    from the substream keyed by its path of child indices, so the result is
-    independent of traversal order.
+    Each node at depth i has k_{i+1} children whose tokens are i.i.d. draws
+    from the draft model conditioned on the node's sequence; the prod k_i
+    leaf sequences form the draft set. Leaf j (in construction order) draws
+    rng.child(j).uniforms(L) once, and a node at depth d takes uniform d of
+    its first leaf: one substream per leaf, so the result does not depend
+    on traversal order.
     """
     factors = [int(k) for k in factors]
     if not factors or any(k < 1 for k in factors):
         raise StructuralError("expansion factors must be positive integers")
-    roots = _grow(small, tuple(int(t) for t in context), factors, rng, {}, (), (), 0)
+    # spans[d]: the leaves under one node at depth d - 1 (spans[0] under the whole forest).
+    spans = [math.prod(factors[d:]) for d in range(len(factors) + 1)]
+    uniforms = [rng.child(j).uniforms(len(factors)).tolist() for j in range(spans[0])]
+    roots = _grow(small, tuple(int(t) for t in context), spans, uniforms, {}, (), 0)
     return DraftSet(roots=roots, length=len(factors))
 
 
-def _grow(small: ToyLm, base: tuple, factors: list[int], rng: RngStream, rows: dict,
-          prefix: tuple, path: tuple, depth: int) -> tuple[DraftNode, ...]:
-    """The nodes under `prefix`; `rows` keeps the draft model's rows read so far, by prefix."""
+def _grow(small: ToyLm, base: tuple, spans: list[int], uniforms: list, rows: dict,
+          prefix: tuple, first_leaf: int) -> tuple[DraftNode, ...]:
+    """The nodes under `prefix`, whose leaves start at `first_leaf`; `rows` keeps
+    the draft model's rows read so far, by prefix (nodes may share prefixes)."""
     row = rows.get(prefix)
     if row is None:
         row = rows[prefix] = small.next_dist(base + prefix)
+    d = len(prefix)
     nodes = []
-    for c in range(factors[depth]):
-        tok = sample(row, rng.child(*path, c))
+    for leaf in range(first_leaf, first_leaf + spans[d], spans[d + 1]):
+        tok = _pick(row, uniforms[leaf][d])
         children = ()
-        if depth + 1 < len(factors):
-            children = _grow(small, base, factors, rng, rows, prefix + (tok,),
-                             path + (c,), depth + 1)
+        if d + 2 < len(spans):
+            children = _grow(small, base, spans, uniforms, rows, prefix + (tok,), leaf)
         nodes.append(DraftNode(tok, children))
     return tuple(nodes)

@@ -261,7 +261,9 @@ def spectr_decode(big: ToyLm, small: ToyLm, prompt: Sequence[int], total_tokens:
     Each iteration builds a fresh draft set at the current context, charges
     one serial big-model call, and may overshoot the target by up to L
     tokens. With drafting="tree", `factors` replaces (K, L): the draft count
-    is prod(factors) and the draft length len(factors). Every decode on one
+    is prod(factors) and the draft length len(factors); i.i.d. drafting is
+    the tree (K, 1, ..., 1) and takes no factors. Either way the drafts read
+    one substream of rng.child(iteration, 0) per leaf. Every decode on one
     (big, small) pair shares one `TokenSelector` per method, so gamma*, scan
     parameters and plans are solved once per context for the pair's life;
     the sampled stream is the one a fresh memo gives.
@@ -275,6 +277,8 @@ def spectr_decode(big: ToyLm, small: ToyLm, prompt: Sequence[int], total_tokens:
             raise ValidationError("tree drafting requires expansion factors")
         factors = [int(f) for f in factors]
         K, L = math.prod(factors), len(factors)
+    elif factors is not None:
+        raise ValidationError("expansion factors need tree drafting")
     elif K < 1 or L < 1:
         raise ValidationError("K and L must be >= 1")
     if method.kind == "maximal" and K != 1:

@@ -188,8 +188,8 @@ def kseq_gamma_star(p: ProbVector, q: ProbVector, k: int,
     _check_same_vocab(p, q)
     if k < 1:
         raise ValidationError("k must be >= 1")
-    if delta <= 0.0:
-        raise ValidationError("delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise ValidationError("delta must be positive and finite")
     beta, error = _sorted_beta(p, q)
     b = beta(1.0)
     if abs(b - NEG_TOL) <= error:

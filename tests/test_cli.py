@@ -129,9 +129,19 @@ def test_verify_sequence_scope_passes(capsys):
 
 
 def test_verify_sequence_tree_passes(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--scope", "sequence", "--tree",
+    code, out, _ = run_cli(capsys, "verify", "--scope", "sequence",
                            "--factors", "2,2", "--methods", "kseq")
     assert code == 0
+    row, = csv_cells(out)
+    assert (row["L"], row["K"], row["construction"]) == ("2", "4", "tree")
+
+
+def test_verify_factors_replace_num_drafts_and_draft_len(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--scope", "sequence", "--num-drafts", "0",
+                           "--draft-len", "0", "--factors", "2,1", "--methods", "kseq")
+    assert code == 0
+    row, = csv_cells(out)
+    assert (row["L"], row["K"], row["construction"]) == ("2", "2", "tree")
 
 
 def test_decode_baseline_block_efficiency(capsys):
@@ -264,8 +274,8 @@ def test_decode_rejects_zero_prompts(capsys):
     ("--scope", "sequence", "--num-drafts", "0"),
     ("--scope", "sequence", "--num-drafts", "-1"),
     ("--scope", "sequence", "--draft-len", "0"),
-    ("--scope", "sequence", "--tree", "--factors", "0,2"),
-    ("--scope", "sequence", "--tree", "--factors", ","),
+    ("--scope", "sequence", "--factors", "0,2"),
+    ("--scope", "sequence", "--factors", ","),
     ("--scope", "token", "--k-max", "0"),
 ])
 def test_verify_rejects_sizes_it_cannot_verify(capsys, argv):
@@ -277,7 +287,7 @@ def test_verify_rejects_sizes_it_cannot_verify(capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ("sweep", "--family", "bernoulli", "--b-list", "abc"),
-    ("decode", "--drafting", "tree", "--factors", "2,x"),
+    ("decode", "--factors", "2,x"),
     ("decode", "--prompt-len", "-1"),
     ("decode", "--small-cost", "nan"),
     ("decode", "--big-cost", "inf"),
@@ -291,6 +301,10 @@ def test_verify_rejects_sizes_it_cannot_verify(capsys, argv):
     ("sweep", "--family", "bernoulli", "--b-list", "0.5", "--output", "{tmp}/missing/out.csv"),
     # --trace-dir makes missing directories, but not under a regular file
     ("decode", "--tokens", "4", "--prompts", "1", "--trace-dir", "{tmp}/file.txt/traces"),
+    ("coupling", "--p", "0.5,0.3,0.2", "--q", "0.2,0.3,0.5", "--k", "3", "--method", "kseq",
+     "--delta", "nan"),
+    ("coupling", "--p", "0.5,0.3,0.2", "--q", "0.2,0.3,0.5", "--k", "3", "--method", "kseq",
+     "--delta", "inf"),
 ])
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv):
     (tmp_path / "file.txt").write_text("")

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spectr.draft_gen import (
     DraftSet,
@@ -86,13 +89,13 @@ def test_iid_construction_audit():
 def test_tree_structure_counts():
     lm = ToyLm(6, 1, seed=10)
     drafts = build_prefix_tree_drafts(lm, [0], factors=(2, 3), rng=RngStream(0))
-    assert len(drafts.sequences) == 6
     assert drafts.validate() == 6
-    firsts = [seq[0] for seq in drafts.sequences]
-    # seed 0 gives two distinct roots; each root token heads 3 consecutive leaves
-    assert len(set(firsts)) == 2
-    assert firsts[0] == firsts[1] == firsts[2]
-    assert firsts[3] == firsts[4] == firsts[5]
+    assert len(drafts.roots) == 2
+    assert all(len(root.children) == 3 for root in drafts.roots)
+    assert all(not leaf.children for root in drafts.roots for leaf in root.children)
+    # each root heads its 3 leaves, in construction order
+    assert drafts.sequences == tuple((root.token, leaf.token)
+                                     for root in drafts.roots for leaf in root.children)
 
 
 def test_tree_single_chain():
@@ -110,27 +113,55 @@ def test_tree_leaf_count_three_levels():
 
 
 def test_tree_depth_one_matches_iid_first_tokens():
-    # with factors (K, 1, ..., 1) the root tokens are the same K i.i.d. draws
-    # as the i.i.d. construction's first tokens (identical substreams)
+    # i.i.d. drafts are the prefix tree with factors (K, 1, ..., 1): the same
+    # forest from the same substreams
     lm = ToyLm(6, 1, seed=4)
     iid = sample_iid_drafts(lm, [2], K=3, L=3, rng=RngStream(12))
     tree = build_prefix_tree_drafts(lm, [2], factors=(3, 1, 1), rng=RngStream(12))
     assert [s[0] for s in iid.sequences] == [s[0] for s in tree.sequences]
+    assert tree == iid
+
+
+def assert_nodes_replay(lm, context, factors, seed, drafts):
+    """Every node at depth d is the draft model's draw at its prefix from
+    uniform d of its first leaf's substream, RngStream(seed).child(leaf)."""
+    spans = [math.prod(factors[d + 1:]) for d in range(len(factors))]
+
+    def walk(nodes, prefix, first_leaf):
+        d = len(prefix)
+        assert len(nodes) == factors[d]
+        for c, node in enumerate(nodes):
+            leaf = first_leaf + c * spans[d]
+            replay = RngStream(seed).child(leaf)
+            replay.uniforms(d)
+            assert node.token == sample(lm.next_dist(tuple(context) + prefix), replay)
+            if d + 1 < len(factors):
+                walk(node.children, prefix + (node.token,), leaf)
+            else:
+                assert node.children == ()
+
+    walk(drafts.roots, (), 0)
 
 
 def test_tree_construction_audit():
     lm = ToyLm(5, 1, seed=6)
     context = [1]
     drafts = build_prefix_tree_drafts(lm, context, factors=(2, 2), rng=RngStream(19))
+    assert_nodes_replay(lm, context, (2, 2), 19, drafts)
 
-    def walk(node, prefix, path):
-        expected = sample(lm.next_dist(tuple(context) + prefix), RngStream(19).child(*path))
-        assert node.token == expected
-        for c, child in enumerate(node.children):
-            walk(child, prefix + (node.token,), path + (c,))
 
-    for c, root in enumerate(drafts.roots):
-        walk(root, (), (c,))
+@settings(max_examples=60, deadline=None)
+@given(factors=st.lists(st.integers(1, 8), min_size=1, max_size=3).filter(
+           lambda f: math.prod(f) <= 8),
+       seed=st.integers(0, 2**32), model_seed=st.integers(0, 1000),
+       allow_zeros=st.booleans())
+def test_every_tree_node_replays_its_first_leaf_substream(factors, seed, model_seed,
+                                                          allow_zeros):
+    lm = ToyLm(6, 2, seed=model_seed, allow_zeros=allow_zeros)
+    context = [model_seed % 6, 1]
+    drafts = build_prefix_tree_drafts(lm, context, factors, RngStream(seed))
+    assert drafts.validate() == math.prod(factors)
+    assert_nodes_replay(lm, context, factors, seed, drafts)
 
 
 def test_from_sequences_and_validation():

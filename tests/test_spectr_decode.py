@@ -122,6 +122,13 @@ def test_tree_drafting_decode():
         assert 0 <= rec.accepted_count <= 2
 
 
+def test_iid_drafting_rejects_factors():
+    pair = make_model_pair(6, 1, seed=7, eps=0.3)
+    with pytest.raises(ValidationError):
+        spectr_decode(pair.big, pair.small, (0,), 8, 4, 4, kseq(), RngStream(6),
+                      factors=(2, 2))
+
+
 def test_otm_method_respects_cap():
     pair = make_model_pair(70, 1, seed=1, eps=0.2)
     with pytest.raises(SizeLimitError):
@@ -226,7 +233,7 @@ STREAM_PINS = {
     "tree_kseq_zeros": (dict(vocab_size=64, order=2, seed=1, eps=0.3, allow_zeros=True),
                         dict(K=0, L=0, method=SelectionMethod.kseq(), drafting="tree",
                              factors=(2, 2, 2)),
-                        "8e96f7bd1419f2e7"),
+                        "abf4b1b35d078999"),
     "iid_kseq_zeros": (dict(vocab_size=32, order=2, seed=2, eps=0.5, allow_zeros=True),
                        dict(K=4, L=3, method=SelectionMethod.kseq()),
                        "7fed39a4a7cfc4cd"),

@@ -151,6 +151,13 @@ def test_gamma_star_uniform_closed_form():
     assert kseq_gamma_star(u120, u60, 8) == pytest.approx(2 * (1 - 0.5**8), abs=1e-6)
 
 
+@pytest.mark.parametrize("delta", [0.0, -1e-3, math.nan, math.inf])
+def test_gamma_star_rejects_a_bracket_width_that_is_not_positive_and_finite(delta):
+    p, q = random_pair(31, 5, 0)
+    with pytest.raises(ValidationError):
+        kseq_gamma_star(p, q, 3, delta)
+
+
 def test_gamma_star_degenerate_cases():
     p = ProbVector([0.4, 0.6])
     assert kseq_gamma_star(p, p, 4) == 1.0
