@@ -55,6 +55,12 @@ class BenchConfig:
     @classmethod
     def from_args(cls, subcommand: str, args: argparse.Namespace) -> "BenchConfig":
         skip = {"func", "command", "output", "trace_dir", "plan_out"}
+        # Echo only what the run read: --factors replaces the draft count and
+        # length, and the baseline drafts nothing.
+        if getattr(args, "factors", None) is not None:
+            skip |= {"num_drafts", "draft_len"}
+        if getattr(args, "method", None) == "baseline":
+            skip |= {"num_drafts", "draft_len", "factors", "gamma_policy"}
         pairs = []
         for key in sorted(vars(args)):
             if key in skip:

@@ -116,23 +116,21 @@ def build_prefix_tree_drafts(small: ToyLm, context: Sequence[int],
     # spans[d]: the leaves under one node at depth d - 1 (spans[0] under the whole forest).
     spans = [math.prod(factors[d:]) for d in range(len(factors) + 1)]
     uniforms = [rng.child(j).uniforms(len(factors)).tolist() for j in range(spans[0])]
-    roots = _grow(small, tuple(int(t) for t in context), spans, uniforms, {}, (), 0)
+    roots = _grow(small, tuple(int(t) for t in context), spans, uniforms, (), 0)
     return DraftSet(roots=roots, length=len(factors))
 
 
-def _grow(small: ToyLm, base: tuple, spans: list[int], uniforms: list, rows: dict,
+def _grow(small: ToyLm, base: tuple, spans: list[int], uniforms: list,
           prefix: tuple, first_leaf: int) -> tuple[DraftNode, ...]:
-    """The nodes under `prefix`, whose leaves start at `first_leaf`; `rows` keeps
-    the draft model's rows read so far, by prefix (nodes may share prefixes)."""
-    row = rows.get(prefix)
-    if row is None:
-        row = rows[prefix] = small.next_dist(base + prefix)
+    """The nodes under `prefix`, whose leaves start at `first_leaf`; rows that
+    nodes share come back from the draft model's row memo."""
+    row = small.next_dist(base + prefix)
     d = len(prefix)
     nodes = []
     for leaf in range(first_leaf, first_leaf + spans[d], spans[d + 1]):
         tok = _pick(row, uniforms[leaf][d])
         children = ()
         if d + 2 < len(spans):
-            children = _grow(small, base, spans, uniforms, rows, prefix + (tok,), leaf)
+            children = _grow(small, base, spans, uniforms, prefix + (tok,), leaf)
         nodes.append(DraftNode(tok, children))
     return tuple(nodes)

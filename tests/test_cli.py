@@ -144,6 +144,27 @@ def test_verify_factors_replace_num_drafts_and_draft_len(capsys):
     assert (row["L"], row["K"], row["construction"]) == ("2", "2", "tree")
 
 
+@pytest.mark.parametrize("argv,unread", [
+    (("decode", "--factors", "2,2,2", "--prompts", "2", "--tokens", "8"),
+     {"num_drafts", "draft_len"}),
+    (("verify", "--scope", "sequence", "--factors", "2,2", "--vocab", "3"),
+     {"num_drafts", "draft_len"}),
+    (("decode", "--method", "baseline", "--num-drafts", "-3", "--prompts", "2",
+      "--tokens", "8"),
+     {"num_drafts", "draft_len", "factors", "gamma_policy"}),
+])
+def test_config_echo_names_only_what_the_run_read(capsys, argv, unread):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    echo = out.splitlines()[0].split()
+    assert echo[:3] == ["#", "config:", argv[0]]
+    echoed = {pair.split("=")[0] for pair in echo[3:]}
+    assert "seed" in echoed and not echoed & unread
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert set(json.loads(out)["config"]) == echoed | {"subcommand"}
+
+
 def test_decode_baseline_block_efficiency(capsys):
     code, out, _ = run_cli(capsys, "decode", "--method", "baseline", "--vocab", "8",
                            "--prompts", "3", "--tokens", "16")

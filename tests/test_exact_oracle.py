@@ -7,7 +7,7 @@ from spectr.exact import (
     method_output_distribution,
 )
 from spectr.lm_sim import make_model_pair
-from spectr.prob_core import RngStream
+from spectr.prob_core import RngStream, ValidationError
 from spectr.spectr_decode import SelectionMethod, draft_selection
 
 PAIR = make_model_pair(3, 1, seed=0, eps=0.5)
@@ -80,13 +80,56 @@ def test_monte_carlo_bridge(method, tree):
     assert worst <= 0.012
 
 
-def test_chain_rule_gap_detects_an_invalid_selector():
-    # negative control: a selector that always keeps the first draft is biased
+def _first_draft_law():
+    # a selector that always keeps the first draft: biased towards the draft model
     dist = {}
     for roots, prob in enumerate_draft_forests(PAIR.small, CONTEXT, [2, 1]):
-        seq = tuple()
         node = roots[0]
         seq = (node.token, node.children[0].token)
         dist[seq] = dist.get(seq, 0.0) + prob
-    gap, _ = max_chain_rule_gap(dist, PAIR.big, CONTEXT, 2)
+    return dist
+
+
+def test_chain_rule_gap_detects_an_invalid_selector():
+    # negative control
+    gap, _ = max_chain_rule_gap(_first_draft_law(), PAIR.big, CONTEXT, 2)
     assert gap > 1e-3
+
+
+def _brute_force_worst_cell(dist, big, length):
+    """Every (depth, prefix, token) cell listed, prefixes by first appearance,
+    then the first largest gap."""
+    cells = []
+    for i in range(1, length + 2):
+        alive, extended = {}, {}
+        for seq, w in dist.items():
+            if len(seq) >= i:
+                alive[seq[:i - 1]] = alive.get(seq[:i - 1], 0.0) + w
+                extended[seq[:i]] = extended.get(seq[:i], 0.0) + w
+        for prefix, mass in alive.items():
+            row = big.next_dist(CONTEXT + prefix)
+            for y in range(big.vocab_size):
+                gap = abs(extended.get(prefix + (y,), 0.0) - mass * row[y])
+                cells.append((gap, (i, prefix, y)))
+    return max(cells, key=lambda c: c[0])
+
+
+IDENTICAL = make_model_pair(3, 1, seed=0, eps=0.0)
+
+
+@pytest.mark.parametrize("case", ["negative_control", "identical_models"])
+def test_max_chain_rule_gap_matches_a_brute_force_sweep(case):
+    if case == "negative_control":
+        big, dist = PAIR.big, _first_draft_law()
+    else:
+        # p = q: every gap is at rounding level, and two cells share the
+        # largest, so the sweep must keep the first of them
+        big = IDENTICAL.big
+        dist = method_output_distribution(big, IDENTICAL.small, CONTEXT, [2, 1],
+                                          SelectionMethod.kseq())
+    assert max_chain_rule_gap(dist, big, CONTEXT, 2) == _brute_force_worst_cell(dist, big, 2)
+
+
+def test_max_chain_rule_gap_rejects_an_empty_law():
+    with pytest.raises(ValidationError):
+        max_chain_rule_gap({}, PAIR.big, CONTEXT, 2)
