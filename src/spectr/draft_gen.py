@@ -55,10 +55,14 @@ class DraftSet:
         """The number of drafts (leaves); raises unless every leaf is at depth `length`."""
         if not self.roots:
             raise StructuralError("draft set is empty")
-        seqs = self.sequences
-        if any(len(s) != self.length for s in seqs):
+        nodes = self.roots
+        for _ in range(self.length - 1):
+            if not all(node.children for node in nodes):
+                raise StructuralError("draft sequences have mixed lengths")
+            nodes = [child for node in nodes for child in node.children]
+        if self.length < 1 or any(node.children for node in nodes):
             raise StructuralError("draft sequences have mixed lengths")
-        return len(seqs)
+        return len(nodes)
 
     @classmethod
     def from_sequences(cls, sequences: Sequence[Sequence[int]]) -> "DraftSet":

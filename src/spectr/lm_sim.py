@@ -40,6 +40,7 @@ class ToyLm:
         self.order = order
         self.seed = int(seed)
         self.allow_zeros = allow_zeros
+        self._root = RngStream(self.seed)
         self._rows: dict[tuple[int, ...], ProbVector] = {}
 
     def context_key(self, context: Sequence[int]) -> tuple[int, ...]:
@@ -75,7 +76,7 @@ class ToyLm:
         return row
 
     def _row_values(self, key: tuple[int, ...]) -> np.ndarray:
-        rng = RngStream(self.seed, path=key)
+        rng = self._root.child(*key)
         row = np.exp(ROW_SPREAD * rng.uniforms(self.vocab_size))
         if self.allow_zeros:
             zero = rng.uniforms(self.vocab_size) < ZERO_FRACTION

@@ -1,7 +1,9 @@
 """Probability primitives: categorical distributions, seeded sampling, TV distance.
 
 Every stochastic routine in this package draws uniforms from an explicit
-:class:`RngStream`, so runs are bit-reproducible given a seed. Sampling is
+:class:`RngStream`, so runs are bit-reproducible given a seed. A stream is
+numpy's Philox stream for (seed, path), held as its (key, position) state
+and drawn through one scratch generator per thread. Sampling is
 inverse-CDF over ascending token index with left-closed intervals, which makes
 the algorithms enumerable in tests.
 """
@@ -9,6 +11,8 @@ the algorithms enumerable in tests.
 from __future__ import annotations
 
 import bisect
+import operator
+import threading
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -119,44 +123,131 @@ def _check_same_vocab(p: ProbVector, q: ProbVector) -> None:
         raise DimensionError(f"vocab mismatch: {p.vocab_size} vs {q.vocab_size}")
 
 
-class RngStream:
-    """Counter-based uniform stream (Philox) keyed by a seed and a path of indices.
+# SeedSequence's constants (numpy.random.bit_generator): entropy words are
+# hashed into a 4-word pool, and a Philox key is the pool hashed once more.
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
-    Identical (seed, path) always reproduce the same draw sequence, and
-    `child(i, j, ...)` derives an independent substream, so concurrent
-    consumers never share mutable state.
+
+def _words(values: Iterable, what: str) -> tuple[tuple[int, ...], list[int]]:
+    """Nonnegative integers `values` and their little-endian 32-bit words, as
+    SeedSequence splits its entropy (0 is one word)."""
+    ints, words = [], []
+    for v in values:
+        try:
+            v = operator.index(v)
+        except TypeError:
+            raise ValidationError(f"{what} must be a nonnegative integer, got {v!r}") from None
+        if v < 0:
+            raise ValidationError(f"{what} must be a nonnegative integer, got {v!r}")
+        ints.append(v)
+        words.append(v & _M32)
+        v >>= 32
+        while v:
+            words.append(v & _M32)
+            v >>= 32
+    return tuple(ints), words
+
+
+def _absorb(pool: list[int], h: int, words: list[int]) -> tuple[list[int], int]:
+    """(pool, hash constant) after SeedSequence mixes `words` into every pool word,
+    as it does for each entropy word past the pool's four."""
+    pool = list(pool)
+    for w in words:
+        for i in range(4):
+            v = w ^ h
+            h = h * _MULT_A & _M32
+            v = v * h & _M32
+            x = (_MIX_L * pool[i] - _MIX_R * (v ^ v >> 16)) & _M32
+            pool[i] = x ^ x >> 16
+    return pool, h
+
+
+class _Scratch(threading.local):
+    """Per thread: one Philox generator, built at the thread's first draw, and
+    the stream and position it was last left at."""
+
+    bitgen = gen = owner = None
+    at = 0
+
+
+_SCRATCH = _Scratch()
+
+
+class RngStream:
+    """Counter-based uniform stream keyed by a seed and a path of indices.
+
+    The stream is `Generator(Philox(SeedSequence(seed, spawn_key=path)))`,
+    held as its (key, position) state: SeedSequence's mixed pool, from which
+    the Philox key follows, and `draws`. `child(i, j, ...)` mixes only the
+    new path words into the pool, so substreams cost no SeedSequence. Draws
+    come from one scratch generator per thread, reloaded at (key, draws)
+    whenever another stream used it last; a stream's output depends only on
+    (seed, path) and its position, and identical (seed, path) reproduce the
+    same draws.
     """
 
+    __slots__ = ("seed", "path", "draws", "_pool", "_hash")
+
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
-        if seed < 0:
-            raise ValidationError("seed must be a nonnegative integer")
-        self.seed = int(seed)
-        self.path = tuple(int(i) for i in path)
-        ss = np.random.SeedSequence(self.seed, spawn_key=self.path)
-        self._gen = np.random.Generator(np.random.Philox(ss))
+        (self.seed,), words = _words((seed,), "seed")
+        self.path, path_words = _words(path, "path entry")
+        # The seed's pool; every hashmix step multiplied the hash constant by
+        # _MULT_A: 4 to fill the pool, 12 to cross-mix it, 4 per word past 4.
+        pool = np.random.SeedSequence(self.seed).pool.tolist()
+        h = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, len(words) - 4), 1 << 32) & _M32
+        self._pool, self._hash = _absorb(pool, h, path_words)
         self.draws = 0
+
+    def _generator(self) -> np.random.Generator:
+        """The thread's generator, positioned at this stream's next draw."""
+        s = _SCRATCH
+        if s.owner is not self or s.at != self.draws:
+            # generate_state(2, np.uint64): 4 words, paired little-endian.
+            h, key = _INIT_B, []
+            for v in self._pool:
+                v ^= h
+                h = h * _MULT_B & _M32
+                v = v * h & _M32
+                key.append(v ^ v >> 16)
+            if s.gen is None:
+                s.bitgen = np.random.Philox(0)
+                s.gen = np.random.Generator(s.bitgen)
+            s.bitgen.state = {
+                "bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4,
+                "has_uint32": 0, "uinteger": 0,
+                "state": {"counter": [self.draws >> 2, 0, 0, 0],
+                          "key": [key[0] | key[1] << 32, key[2] | key[3] << 32]}}
+            if self.draws & 3:
+                s.bitgen.random_raw(self.draws & 3)
+            s.owner = self
+        return s.gen
 
     def uniform(self) -> float:
         """One U[0,1) draw."""
-        self.draws += 1
-        return float(self._gen.random())
+        u = self._generator().random()
+        self.draws = _SCRATCH.at = self.draws + 1
+        return float(u)
 
     def uniforms(self, n: int) -> np.ndarray:
         """`n` U[0,1) draws in stream order."""
-        self.draws += n
-        return self._gen.random(n)
+        out = self._generator().random(n)
+        self.draws = _SCRATCH.at = self.draws + n
+        return out
 
     def child(self, *path: int) -> "RngStream":
         """Independent substream keyed by this stream's path extended by `path`.
 
-        Equal to RngStream(seed, path + extension), built from this stream's
-        already-validated seed and path.
+        Equal to RngStream(seed, path + extension): only the extension's
+        words are mixed into this stream's pool.
         """
+        ext, words = _words(path, "path entry")
         stream = RngStream.__new__(RngStream)
-        stream.seed = seed = self.seed
-        stream.path = key = self.path + tuple(map(int, path))
-        stream._gen = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(seed, spawn_key=key)))
+        stream.seed = self.seed
+        stream.path = self.path + ext
+        stream._pool, stream._hash = _absorb(self._pool, self._hash, words)
         stream.draws = 0
         return stream
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectr.draft_gen import (
+    DraftNode,
     DraftSet,
     StructuralError,
     build_prefix_tree_drafts,
@@ -178,3 +179,44 @@ def test_from_sequences_and_validation():
         sample_iid_drafts(ToyLm(4, 1, seed=0), [0], K=0, L=2, rng=RngStream(0))
     with pytest.raises(StructuralError):
         build_prefix_tree_drafts(ToyLm(4, 1, seed=0), [0], factors=(), rng=RngStream(0))
+
+
+def test_validate_rejects_mixed_depth_forests():
+    two = DraftNode(0, (DraftNode(1),))
+    for roots, length in [((two, DraftNode(2)), 2),                  # a short root
+                          ((DraftNode(0, (two, DraftNode(3))),), 3),   # a short inner branch
+                          ((DraftNode(0, (two,)),), 2),                # a leaf below the length
+                          ((two,), 0)]:
+        with pytest.raises(StructuralError):
+            DraftSet(roots=roots, length=length).validate()
+    with pytest.raises(StructuralError):
+        DraftSet(roots=(), length=1).validate()
+    assert DraftSet(roots=(two, DraftNode(2, (DraftNode(3), DraftNode(4)))), length=2).validate() == 3
+
+
+@st.composite
+def forests(draw):
+    """Random forests of depth 1-4, every leaf at one depth about half the time."""
+    length = draw(st.integers(1, 4))
+    uniform = draw(st.booleans())
+
+    def node(depth):
+        if uniform:
+            fan = draw(st.integers(1, 3)) if depth < length else 0
+        else:
+            fan = draw(st.integers(0, 2)) if depth < 5 else 0
+        return DraftNode(draw(st.integers(0, 4)), tuple(node(depth + 1) for _ in range(fan)))
+
+    roots = tuple(node(1) for _ in range(draw(st.integers(1, 3))))
+    return DraftSet(roots=roots, length=draw(st.sampled_from([length, length - 1, length + 1])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(drafts=forests())
+def test_validate_counts_the_leaves_of_well_formed_forests(drafts):
+    sequences = drafts.sequences
+    if all(len(s) == drafts.length for s in sequences):
+        assert drafts.validate() == len(sequences)
+    else:
+        with pytest.raises(StructuralError):
+            drafts.validate()

@@ -99,6 +99,28 @@ def test_rng_determinism_and_substreams():
         RngStream(-1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: RngStream(1.5),
+    lambda: RngStream("3"),
+    lambda: RngStream(1, (-1,)),
+    lambda: RngStream(1, (2.0,)),
+    lambda: RngStream(1).child(-2),
+    lambda: RngStream(1).child(0, 0.5),
+    lambda: RngStream(1).child(np.int64(-1)),
+])
+def test_rng_rejects_seeds_and_path_entries_that_are_not_nonnegative_integers(make):
+    with pytest.raises(ValidationError):
+        make()
+
+
+def test_rng_accepts_numpy_integers():
+    a = RngStream(np.int64(3), (np.uint32(2),)).child(np.int8(1))
+    b = RngStream(3, (2, 1))
+    assert (a.seed, a.path) == (b.seed, b.path) == (3, (2, 1))
+    assert type(a.seed) is int and all(type(i) is int for i in a.path)
+    assert a.uniforms(6).tolist() == b.uniforms(6).tolist()
+
+
 def test_tv_distance_examples():
     p = ProbVector([0.3, 0.7])
     assert tv_distance(p, p) == 0.0

@@ -2,13 +2,16 @@
 
 gamma* from sorted breakpoints against a bisection on `beta_damped`,
 bisect sampling against `searchsorted`, one `uniforms(n)` call against n
-`uniform()` calls, `child` against a fresh stream, and the blended draft
-model against blending memoized rows. The OTM plan against the closed form
+`uniform()` calls, `child` against a fresh stream, every stream against
+numpy's `Generator(Philox(SeedSequence(seed, spawn_key=path)))`, and the
+blended draft model against blending memoized rows. The OTM plan against the closed form
 and a brute-force min-cut, and the chunked upper bound against its subset
 loop.
 """
 
 import itertools
+import sys
+import threading
 
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
@@ -158,6 +161,78 @@ def test_child_equals_fresh_stream(seed, path, extension, used):
     assert (child.seed, child.path, child.draws) == (fresh.seed, fresh.path, 0)
     assert child.uniforms(5).tolist() == fresh.uniforms(5).tolist()
     assert repr(child) == repr(fresh)
+
+
+def numpy_stream(seed, path):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=path)))
+
+
+seeds = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64),
+                  st.integers(2**128, 2**200))
+paths = st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**96)), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@example(seeds=[0], paths=[[]], splits=[0], calls=[(0, 1)])
+@example(seeds=[2**130 + 7], paths=[[2**40, 3]], splits=[1], calls=[(0, 3), (0, None), (0, 5)])
+@given(seeds=st.lists(seeds, min_size=2, max_size=3),
+       paths=st.lists(paths, min_size=3, max_size=3),
+       splits=st.lists(st.integers(0, 12), min_size=3, max_size=3),
+       calls=st.lists(st.tuples(st.integers(0, 2), st.one_of(st.none(), st.integers(0, 9))),
+                      max_size=30))
+def test_streams_equal_numpy_philox_under_interleaved_draws(seeds, paths, splits, calls):
+    """2-3 streams, each built as RngStream(seed, head).child(*tail), draw by
+    uniform() (n is None) and uniforms(n) in an interleaved order, so reloads
+    land at positions that are not multiples of 4."""
+    streams, refs = [], []
+    for seed, path, split in zip(seeds, paths, splits):
+        streams.append(RngStream(seed, tuple(path[:split])).child(*path[split:]))
+        refs.append(numpy_stream(seed, path))
+    for i, n in calls:
+        i %= len(streams)
+        if n is None:
+            assert streams[i].uniform() == refs[i].random()
+        else:
+            assert streams[i].uniforms(n).tolist() == refs[i].random(n).tolist()
+    for stream, ref in zip(streams, refs):
+        assert stream.uniforms(7).tolist() == ref.random(7).tolist()
+
+
+def test_streams_equal_numpy_philox_in_threads_drawing_at_once():
+    """More threads than cores, switching often, each on its own stream."""
+    seeds_paths = [(2**70 + 1, (3, 2**33)), (11, ()), (0, (5,)), (2**40, (1, 2, 3))]
+    barrier = threading.Barrier(len(seeds_paths))
+    got = {}
+
+    def draw(index, seed, path):
+        stream, out = RngStream(seed, path), []
+        barrier.wait()
+        for step in range(2000):
+            out.extend(stream.uniforms(step % 3) if step % 2 else [stream.uniform()])
+        got[index] = out
+
+    threads = [threading.Thread(target=draw, args=(i, *sp)) for i, sp in enumerate(seeds_paths)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    for index, (seed, path) in enumerate(seeds_paths):
+        assert got[index] == numpy_stream(seed, path).random(len(got[index])).tolist()
+
+
+def test_a_stream_handed_between_threads_continues_where_it_stopped():
+    stream, ref = RngStream(5, (1,)), numpy_stream(5, (1,))
+    assert stream.uniform() == ref.random()
+    worker = threading.Thread(target=stream.uniforms, args=(3,))
+    worker.start()
+    worker.join()
+    ref.random(3)
+    assert stream.uniform() == ref.random()
 
 
 @settings(max_examples=20, deadline=None)
