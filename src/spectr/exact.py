@@ -1,10 +1,18 @@
 """Exact distribution computations for validity verification.
 
-At desk scale the sequence-level selection can be verified without sampling:
-enumerate every possible draft forest with its construction probability, walk
-each forest through the decoder's own selection step into one output-sequence
-table per call, and sweep that table once against the big model's chain rule,
-keeping only the worst cell.
+At desk scale the sequence-level selection can be verified without sampling.
+Given the emitted prefix, the live drafts at a depth are i.i.d. draws from
+the draft model's row for that prefix, and only their number carries
+forward, so the oracle walks states (emitted prefix, live count m) depth by
+depth instead of draft forests. Every ordered m-tuple of the row's support
+goes, with its draft probability, through the decoder's own
+`TokenSelector.support` and `selection_step`: a token carried by c live
+drafts moves the weight to (prefix + token, c * next branching factor), a
+token carried by none ends the sequence, and after the last depth the bonus
+row applies. A state whose |supp|^m exceeds the tuple cap (token_coupling's
+default unless given) raises SizeLimitError before any tuple is built. The
+chain-rule check then sweeps the one output table once, keeping only the
+worst cell.
 
 The checked identity is stepwise: for every depth i and emitted prefix,
 
@@ -31,18 +39,51 @@ from . import token_coupling as tc
 
 SeqDist = dict[tuple[int, ...], float]
 
+# The placeholder child of the walk's stand-in nodes: `selection_step` hands
+# on the survivors' children, so their number is the next live count.
+_CHILD = DraftNode(-1)
 
-def _walk(selector: TokenSelector, base: tuple[int, ...], emitted: tuple[int, ...],
-          state: tuple[DraftNode, ...], k_initial: int, weight: float, out: SeqDist) -> None:
-    """Add `weight` times the selection's law from `state` on to `out`, by emitted sequence."""
-    # With no live drafts left, the selector's law is the bonus token's.
-    tokens = tuple(node.token for node in state)
-    for y, w in selector.support(base + emitted, tokens, k_initial):
-        children = selection_step(state, y)
-        if children is None:
-            _bump(out, emitted + (y,), weight * w)
-        else:
-            _walk(selector, base, emitted + (y,), children, k_initial, weight * w, out)
+
+def method_output_distribution(big: ToyLm, small: ToyLm, context: Sequence[int],
+                               branching: Sequence[int], method: SelectionMethod,
+                               cap: int = tc.DEFAULT_TUPLE_CAP) -> SeqDist:
+    """Exact output-sequence law of draft_selection over all draft randomness,
+    walked over (emitted prefix, live count) states; a state with more than
+    `cap` live tuples raises SizeLimitError."""
+    branching = _checked(branching)
+    selector = TokenSelector(big, small, method)  # recomputed on every call
+    base = tuple(int(t) for t in context)
+    k_initial = math.prod(branching)
+    out: SeqDist = {}
+    states = {((), branching[0]): 1.0}
+    fanouts = iter(branching[1:])
+    while states:
+        # After the leaves, survivors hand on no drafts and the bonus row applies.
+        children = (_CHILD,) * next(fanouts, 0)
+        reached: dict[tuple[tuple[int, ...], int], float] = {}
+        for (prefix, live), weight in states.items():
+            ctx = base + prefix
+            row = small.next_dist(ctx)
+            supp = np.flatnonzero(row.probs > PROB_FLOOR).tolist()
+            if len(supp) ** live > cap:
+                raise tc.SizeLimitError(
+                    f"|supp p|^live = {len(supp)}^{live} exceeds the tuple cap {cap}")
+            probs = row.probs.tolist()
+            nodes = [DraftNode(t, children) for t in supp]
+            for drafts in itertools.product(nodes, repeat=live):
+                tokens = tuple(node.token for node in drafts)
+                w = weight * math.prod(probs[t] for t in tokens)
+                for y, wy in selector.support(ctx, tokens, k_initial):
+                    kept = selection_step(drafts, y)
+                    if kept is None:
+                        _bump(out, prefix + (y,), w * wy)
+                    else:
+                        _bump(reached, (prefix + (y,), len(kept)), w * wy)
+        states = reached
+    mass = sum(out.values())
+    if abs(mass - 1.0) > 1e-9:
+        raise tc.ValidationError(f"output law mass {mass!r} != 1")
+    return out
 
 
 def enumerate_draft_forests(small: ToyLm, context: Sequence[int],
@@ -51,13 +92,21 @@ def enumerate_draft_forests(small: ToyLm, context: Sequence[int],
 
     `branching` lists the per-depth expansion factors; i.i.d. drafts of count
     K and length L correspond to (K, 1, ..., 1). Probabilities multiply the
-    draft-model conditionals of every node given its own prefix.
+    draft-model conditionals of every node given its own prefix. There are
+    (|supp|^L)^K forests for K i.i.d. drafts, so this serves only as the
+    independent reference that the state walk is tested against (and
+    perfbench's tracer still counts what it yields, by name).
     """
+    branching = _checked(branching)
+    base = tuple(int(t) for t in context)
+    yield from _group_options(small, base, branching, (), 0)
+
+
+def _checked(branching: Sequence[int]) -> list[int]:
     branching = [int(b) for b in branching]
     if not branching or any(b < 1 for b in branching):
         raise StructuralError("branching factors must be positive integers")
-    base = tuple(int(t) for t in context)
-    yield from _group_options(small, base, branching, (), 0)
+    return branching
 
 
 def _group_options(small: ToyLm, base: tuple, branching: list[int], prefix: tuple,
@@ -71,23 +120,6 @@ def _group_options(small: ToyLm, base: tuple, branching: list[int], prefix: tupl
         single.extend((DraftNode(y, kids), cond[y] * w2) for kids, w2 in groups)
     return [(tuple(node for node, _ in combo), math.prod(wi for _, wi in combo))
             for combo in itertools.product(single, repeat=branching[depth])]
-
-
-def method_output_distribution(big: ToyLm, small: ToyLm, context: Sequence[int],
-                               branching: Sequence[int],
-                               method: SelectionMethod) -> SeqDist:
-    """Exact output-sequence law of draft_selection over all draft randomness."""
-    selector = TokenSelector(big, small, method)  # recomputed on every call
-    base = tuple(int(t) for t in context)
-    k_initial = math.prod(int(b) for b in branching)
-    total: SeqDist = {}
-    mass = 0.0
-    for roots, prob in enumerate_draft_forests(small, context, branching):
-        mass += prob
-        _walk(selector, base, (), roots, k_initial, prob, total)
-    if abs(mass - 1.0) > 1e-9:
-        raise tc.ValidationError(f"forest enumeration mass {mass!r} != 1")
-    return total
 
 
 def max_chain_rule_gap(dist: SeqDist, big: ToyLm, context: Sequence[int],

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .prob_core import ProbVector, RngStream, ValidationError, tv_distance
+from .prob_core import ProbVector, RngStream, ValidationError, _words, tv_distance
 
 # Fraction of entries zeroed per row when allow_zeros is on; exercises the
 # unbounded q/p regime.
@@ -38,9 +38,10 @@ class ToyLm:
             raise ValidationError("order must be >= 0")
         self.vocab_size = vocab_size
         self.order = order
-        self.seed = int(seed)
         self.allow_zeros = allow_zeros
-        self._root = RngStream(self.seed)
+        # RngStream rejects a seed that is not a nonnegative integer.
+        self._root = RngStream(seed)
+        self.seed = self._root.seed
         self._rows: dict[tuple[int, ...], ProbVector] = {}
 
     def context_key(self, context: Sequence[int]) -> tuple[int, ...]:
@@ -142,6 +143,7 @@ def make_model_pair(vocab_size: int, order: int, seed: int, eps: float,
     """
     if not 0.0 <= eps <= 1.0:
         raise ValidationError("eps must lie in [0, 1]")
+    (seed,), _ = _words((seed,), "seed")
     seeds = np.random.SeedSequence(seed).generate_state(2, np.uint64)
     big = ToyLm(vocab_size, order, int(seeds[0]), allow_zeros=allow_zeros)
     perturbation = ToyLm(vocab_size, order, int(seeds[1]), allow_zeros=allow_zeros)

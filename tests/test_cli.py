@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -142,6 +143,31 @@ def test_verify_factors_replace_num_drafts_and_draft_len(capsys):
     assert code == 0
     row, = csv_cells(out)
     assert (row["L"], row["K"], row["construction"]) == ("2", "2", "tree")
+
+
+def test_verify_sequence_scope_past_the_forest_walk(capsys):
+    # (4^3)^4 ≈ 16.7M draft forests; at most 4^4 live tuples at any state
+    code, out, _ = run_cli(capsys, "verify", "--scope", "sequence", "--vocab", "4",
+                           "--num-drafts", "4", "--draft-len", "3")
+    assert code == 0
+    assert [r["status"] for r in csv_cells(out)] == ["PASS", "PASS"]
+
+
+def test_verify_sequence_scope_rejects_a_state_above_the_cap(capsys):
+    # 16^4 live tuples at the root exceed the default cap: refused before any is built
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "verify", "--scope", "sequence", "--vocab", "16",
+                                 "--num-drafts", "4", "--draft-len", "1")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "16^4" in err and "cap 4096" in err
+    assert peak < 5e6
+    code, out, _ = run_cli(capsys, "verify", "--scope", "sequence", "--vocab", "3",
+                           "--factors", "2,2,2", "--methods", "kseq", "--cap", "6561")
+    assert code == 0 and "PASS" in out
 
 
 @pytest.mark.parametrize("argv,unread", [
@@ -298,6 +324,7 @@ def test_decode_rejects_zero_prompts(capsys):
     ("--scope", "sequence", "--factors", "0,2"),
     ("--scope", "sequence", "--factors", ","),
     ("--scope", "token", "--k-max", "0"),
+    ("--scope", "sequence", "--cap", "0"),
 ])
 def test_verify_rejects_sizes_it_cannot_verify(capsys, argv):
     code, out, err = run_cli(capsys, "verify", *argv)

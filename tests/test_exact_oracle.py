@@ -1,4 +1,9 @@
+import itertools
+import math
+import time
+
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from spectr.draft_gen import build_prefix_tree_drafts, sample_iid_drafts
 from spectr.exact import (
@@ -8,7 +13,8 @@ from spectr.exact import (
 )
 from spectr.lm_sim import make_model_pair
 from spectr.prob_core import RngStream, ValidationError
-from spectr.spectr_decode import SelectionMethod, draft_selection
+from spectr.spectr_decode import SelectionMethod, TokenSelector, draft_selection, selection_step
+from spectr.token_coupling import DEFAULT_TUPLE_CAP, SizeLimitError
 
 PAIR = make_model_pair(3, 1, seed=0, eps=0.5)
 CONTEXT = (0,)
@@ -133,3 +139,116 @@ def test_max_chain_rule_gap_matches_a_brute_force_sweep(case):
 def test_max_chain_rule_gap_rejects_an_empty_law():
     with pytest.raises(ValidationError):
         max_chain_rule_gap({}, PAIR.big, CONTEXT, 2)
+
+
+# ---------------------------------------------------------------------------
+# the state walk against the forest-by-forest walk
+# ---------------------------------------------------------------------------
+
+def _walk(selector, base, emitted, state, k_initial, weight, out):
+    """Add `weight` times the selection's law from `state` on to `out`, by emitted sequence."""
+    # With no live drafts left, the selector's law is the bonus token's.
+    tokens = tuple(node.token for node in state)
+    for y, w in selector.support(base + emitted, tokens, k_initial):
+        children = selection_step(state, y)
+        if children is None:
+            out[emitted + (y,)] = out.get(emitted + (y,), 0.0) + weight * w
+        else:
+            _walk(selector, base, emitted + (y,), children, k_initial, weight * w, out)
+
+
+def forest_law(pair, context, branching, method):
+    """The output law walked through every enumerated draft forest: the
+    independent reference for the state walk, at sizes where
+    (|supp|^L)^K forests can still be listed."""
+    selector = TokenSelector(pair.big, pair.small, method)
+    k_initial = math.prod(branching)
+    out = {}
+    for roots, prob in enumerate_draft_forests(pair.small, context, branching):
+        _walk(selector, tuple(context), (), roots, k_initial, prob, out)
+    return out
+
+
+def forest_count(vocab, branching):
+    """Draft forests of the given branching when every token has mass."""
+    groups = 1
+    for b in reversed(branching):
+        groups = (vocab * groups) ** b
+    return groups
+
+
+METHODS = {
+    "maximal": SelectionMethod.maximal(),
+    "kseq": SelectionMethod.kseq(),
+    "kseq_k_initial": SelectionMethod.kseq("k_initial"),
+    "otm_lp": SelectionMethod.otm_lp(),
+}
+
+
+# Every branching of 1-3 depths with at most 4 drafts.
+BRANCHINGS = [list(b) for depth in (1, 2, 3) for b in itertools.product(range(1, 5), repeat=depth)
+              if math.prod(b) <= 4]
+
+
+@st.composite
+def oracle_instances(draw):
+    """(pair, context, branching, method) over 2-4 tokens and at most 4 drafts,
+    small enough for the forest walk."""
+    vocab = draw(st.integers(2, 4))
+    name = draw(st.sampled_from(sorted(METHODS)))
+    branching = draw(st.sampled_from(BRANCHINGS))
+    if name == "maximal":
+        branching = [1] * len(branching)
+    assume(forest_count(vocab, branching) <= 8192)
+    pair = make_model_pair(vocab, 1, draw(st.integers(0, 2**16)),
+                           draw(st.sampled_from([0.1, 0.5, 0.9])),
+                           allow_zeros=draw(st.booleans()))
+    return pair, (draw(st.integers(0, vocab - 1)),), branching, METHODS[name]
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=oracle_instances())
+@example(instance=(make_model_pair(4, 1, 3, 0.5), (0,), [2, 2], METHODS["otm_lp"]))
+@example(instance=(make_model_pair(3, 1, 5, 0.9, allow_zeros=True), (2,), [4, 1],
+                   METHODS["kseq_k_initial"]))
+def test_state_walk_equals_the_forest_walk(instance):
+    pair, context, branching, method = instance
+    dist = method_output_distribution(pair.big, pair.small, context, branching, method)
+    reference = forest_law(pair, context, branching, method)
+    assert set(dist) == set(reference)
+    assert max(abs(dist[seq] - reference[seq]) for seq in dist) <= 1e-12
+
+
+# At V=4 with (4, 1, 1) the forest walk would list (4^3)^4 ≈ 16.7M forests,
+# and at V=3 with (2, 2, 2) (3 * (3 * 3^2)^2)^2 ≈ 4.8M. The state walk took
+# at most 1.3 s on any of these cases on a 2-core container.
+SECONDS_BOUND = 10.0
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("vocab,branching,method,cap", [
+    (4, (4, 1, 1), SelectionMethod.kseq(), DEFAULT_TUPLE_CAP),
+    # all 8 leaves can survive to the last depth: 3^8 = 6561 live tuples,
+    # above the default cap of 4096
+    (3, (2, 2, 2), SelectionMethod.kseq(), 3**8),
+    (4, (4, 1, 1), SelectionMethod.otm_lp(), DEFAULT_TUPLE_CAP),
+])
+def test_state_walk_verifies_sizes_the_forest_walk_cannot(seed, vocab, branching, method, cap):
+    pair = make_model_pair(vocab, 1, seed=seed, eps=0.5)
+    start = time.perf_counter()
+    dist = method_output_distribution(pair.big, pair.small, CONTEXT, branching, method,
+                                      cap=cap)
+    gap, cell = max_chain_rule_gap(dist, pair.big, CONTEXT, len(branching))
+    elapsed = time.perf_counter() - start
+    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
+    assert gap <= 1e-6, cell
+    assert elapsed <= SECONDS_BOUND
+
+
+@pytest.mark.parametrize("vocab,branching", [(16, [4]), (3, [2, 2, 2])])
+def test_a_state_above_the_tuple_cap_is_rejected(vocab, branching):
+    # 16^4 tuples at the root, and 3^8 at the last depth, exceed the default cap
+    pair = make_model_pair(vocab, 1, seed=1, eps=0.5)
+    with pytest.raises(SizeLimitError):
+        method_output_distribution(pair.big, pair.small, CONTEXT, branching,
+                                   SelectionMethod.kseq())

@@ -74,6 +74,24 @@ def test_model_pair_eps_endpoints():
         make_model_pair(6, 1, seed=2, eps=1.5)
 
 
+@pytest.mark.parametrize("seed", [1.5, -1, "1", None])
+def test_seeds_that_are_not_nonnegative_integers_are_rejected(seed):
+    # 1.5 must not silently build seed 1's rows
+    with pytest.raises(ValidationError):
+        ToyLm(4, 1, seed=seed)
+    with pytest.raises(ValidationError):
+        make_model_pair(4, 1, seed=seed, eps=0.3)
+
+
+def test_integer_like_seeds_build_the_int_seed_rows():
+    rows = ToyLm(4, 1, seed=1).next_dist([0]).probs
+    assert ToyLm(4, 1, seed=np.uint64(1)).seed == 1
+    assert np.array_equal(ToyLm(4, 1, seed=np.uint64(1)).next_dist([0]).probs, rows)
+    pair = make_model_pair(4, 1, seed=2, eps=0.3)
+    same = make_model_pair(4, 1, seed=np.int64(2), eps=0.3)
+    assert np.array_equal(same.small.next_dist([1]).probs, pair.small.next_dist([1]).probs)
+
+
 def test_probe_tv_monotone_in_eps():
     values = [mean_probe_tv(make_model_pair(8, 1, seed=7, eps=e))
               for e in (0.0, 0.2, 0.5, 1.0)]
