@@ -279,14 +279,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             branching = [args.num_drafts] + [1] * (args.draft_len - 1)
         else:
             branching = _parse_list(args.factors, int)
-        if args.cap < 1:
-            raise ValidationError("--cap must be >= 1")
         pair = make_model_pair(args.vocab, order=1, seed=args.seed, eps=args.eps)
         context = (0,)
         for name in args.methods.split(","):
             method = _selection_method(name.strip(), args)
             dist = exact.method_output_distribution(
-                pair.big, pair.small, context, branching, method, cap=args.cap)
+                pair.big, pair.small, context, branching, method)
             gap, cell = exact.max_chain_rule_gap(dist, pair.big, context, len(branching))
             status = "PASS" if gap <= SEQUENCE_TOL else "FAIL"
             out.row(args.vocab, len(branching), int(np.prod(branching)),
@@ -425,8 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="prefix-tree branching factors, replacing --num-drafts and --draft-len")
     vf.add_argument("--gamma-policy", dest="gamma_policy", default="gamma_star",
                     choices=["gamma_star", "k_initial"])
-    vf.add_argument("--cap", type=int, default=tc.DEFAULT_TUPLE_CAP,
-                    help="largest |supp|^live the sequence scope enumerates at one state")
     vf.add_argument("--format", default="csv", choices=["csv", "json"])
     vf.add_argument("--output", default=None)
     vf.set_defaults(func=cmd_verify)

@@ -9,10 +9,9 @@ goes, with its draft probability, through the decoder's own
 `TokenSelector.support` and `selection_step`: a token carried by c live
 drafts moves the weight to (prefix + token, c * next branching factor), a
 token carried by none ends the sequence, and after the last depth the bonus
-row applies. A state whose |supp|^m exceeds the tuple cap (token_coupling's
-default unless given) raises SizeLimitError before any tuple is built. The
-chain-rule check then sweeps the one output table once, keeping only the
-worst cell.
+row applies. A state whose |supp|^m exceeds STATE_TUPLE_CAP raises
+SizeLimitError before any tuple is built. The chain-rule check then sweeps
+the one output table once, keeping only the worst cell.
 
 The checked identity is stepwise: for every depth i and emitted prefix,
 
@@ -39,17 +38,21 @@ from . import token_coupling as tc
 
 SeqDist = dict[tuple[int, ...], float]
 
+# Most live tuples the walk lists at one state. A K-SEQ tuple cost about 35 us
+# and 1 KB of selector memo (V = 5 and 8, one core of a 2-core x86 container),
+# so a state at the cap takes about 0.6 s and 16 MB; 3^8 and 5^6 fit, 16^4 not.
+STATE_TUPLE_CAP = 1 << 14
+
 # The placeholder child of the walk's stand-in nodes: `selection_step` hands
 # on the survivors' children, so their number is the next live count.
 _CHILD = DraftNode(-1)
 
 
 def method_output_distribution(big: ToyLm, small: ToyLm, context: Sequence[int],
-                               branching: Sequence[int], method: SelectionMethod,
-                               cap: int = tc.DEFAULT_TUPLE_CAP) -> SeqDist:
+                               branching: Sequence[int], method: SelectionMethod) -> SeqDist:
     """Exact output-sequence law of draft_selection over all draft randomness,
     walked over (emitted prefix, live count) states; a state with more than
-    `cap` live tuples raises SizeLimitError."""
+    STATE_TUPLE_CAP live tuples raises SizeLimitError."""
     branching = _checked(branching)
     selector = TokenSelector(big, small, method)  # recomputed on every call
     base = tuple(int(t) for t in context)
@@ -65,9 +68,9 @@ def method_output_distribution(big: ToyLm, small: ToyLm, context: Sequence[int],
             ctx = base + prefix
             row = small.next_dist(ctx)
             supp = np.flatnonzero(row.probs > PROB_FLOOR).tolist()
-            if len(supp) ** live > cap:
-                raise tc.SizeLimitError(
-                    f"|supp p|^live = {len(supp)}^{live} exceeds the tuple cap {cap}")
+            if len(supp) ** live > STATE_TUPLE_CAP:
+                raise tc.SizeLimitError(f"|supp p|^live = {len(supp)}^{live} exceeds "
+                                        f"the state tuple cap {STATE_TUPLE_CAP}")
             probs = row.probs.tolist()
             nodes = [DraftNode(t, children) for t in supp]
             for drafts in itertools.product(nodes, repeat=live):

@@ -497,9 +497,16 @@ def alpha_upper_bound(p: ProbVector, q: ProbVector, k: int,
         outside = qsum[tuple_sets & (full ^ subsets)[:, None]]
         values[subsets] = inside[subsets] + np.minimum(tuple_mass, outside).sum(axis=1)
     best = values.min()
-    witness = min((tuple(y for y in range(v) if subset >> y & 1)
-                   for subset in np.flatnonzero(values == best).tolist()),
-                  key=lambda members: (len(members), members))
+    # Of the tied bitmasks keep the fewest members, then, token by token from
+    # the lowest, those holding it if any does: the least member tuple.
+    ties = np.flatnonzero(values == best)
+    sizes = sum((ties >> y) & 1 for y in range(v))
+    ties = ties[sizes == sizes.min()]
+    for y in range(v):
+        held = (ties >> y) & 1 == 1
+        if held.any():
+            ties = ties[held]
+    witness = tuple(y for y in range(v) if int(ties[0]) >> y & 1)
     return float(best), witness
 
 

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from spectr.draft_gen import build_prefix_tree_drafts, sample_iid_drafts
 from spectr.exact import (
+    STATE_TUPLE_CAP,
     enumerate_draft_forests,
     max_chain_rule_gap,
     method_output_distribution,
@@ -14,7 +15,7 @@ from spectr.exact import (
 from spectr.lm_sim import make_model_pair
 from spectr.prob_core import RngStream, ValidationError
 from spectr.spectr_decode import SelectionMethod, TokenSelector, draft_selection, selection_step
-from spectr.token_coupling import DEFAULT_TUPLE_CAP, SizeLimitError
+from spectr.token_coupling import SizeLimitError
 
 PAIR = make_model_pair(3, 1, seed=0, eps=0.5)
 CONTEXT = (0,)
@@ -226,18 +227,16 @@ SECONDS_BOUND = 10.0
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("vocab,branching,method,cap", [
-    (4, (4, 1, 1), SelectionMethod.kseq(), DEFAULT_TUPLE_CAP),
-    # all 8 leaves can survive to the last depth: 3^8 = 6561 live tuples,
-    # above the default cap of 4096
-    (3, (2, 2, 2), SelectionMethod.kseq(), 3**8),
-    (4, (4, 1, 1), SelectionMethod.otm_lp(), DEFAULT_TUPLE_CAP),
+@pytest.mark.parametrize("vocab,branching,method", [
+    (4, (4, 1, 1), SelectionMethod.kseq()),
+    # all 8 leaves can survive to the last depth: 3^8 = 6561 live tuples
+    (3, (2, 2, 2), SelectionMethod.kseq()),
+    (4, (4, 1, 1), SelectionMethod.otm_lp()),
 ])
-def test_state_walk_verifies_sizes_the_forest_walk_cannot(seed, vocab, branching, method, cap):
+def test_state_walk_verifies_sizes_the_forest_walk_cannot(seed, vocab, branching, method):
     pair = make_model_pair(vocab, 1, seed=seed, eps=0.5)
     start = time.perf_counter()
-    dist = method_output_distribution(pair.big, pair.small, CONTEXT, branching, method,
-                                      cap=cap)
+    dist = method_output_distribution(pair.big, pair.small, CONTEXT, branching, method)
     gap, cell = max_chain_rule_gap(dist, pair.big, CONTEXT, len(branching))
     elapsed = time.perf_counter() - start
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
@@ -245,10 +244,11 @@ def test_state_walk_verifies_sizes_the_forest_walk_cannot(seed, vocab, branching
     assert elapsed <= SECONDS_BOUND
 
 
-@pytest.mark.parametrize("vocab,branching", [(16, [4]), (3, [2, 2, 2])])
+@pytest.mark.parametrize("vocab,branching", [(16, [4]), (4, [2, 2, 2])])
 def test_a_state_above_the_tuple_cap_is_rejected(vocab, branching):
-    # 16^4 tuples at the root, and 3^8 at the last depth, exceed the default cap
+    # 16^4 tuples at the root, and 4^8 once all 8 leaves survive, exceed the cap
+    assert 3**8 < 5**6 <= STATE_TUPLE_CAP < 4**8 == 16**4
     pair = make_model_pair(vocab, 1, seed=1, eps=0.5)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match=f"cap {STATE_TUPLE_CAP}"):
         method_output_distribution(pair.big, pair.small, CONTEXT, branching,
                                    SelectionMethod.kseq())
