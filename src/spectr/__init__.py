@@ -37,7 +37,7 @@ from .token_coupling import (
     maximal_coupling_select,
     otm_lp_solve,
 )
-from .lm_sim import CostModel, ModelPair, ToyLm, make_model_pair, mean_probe_tv
+from .lm_sim import CostModel, ModelPair, ToyLm, make_model_pair
 from .draft_gen import (
     DraftNode,
     DraftSet,

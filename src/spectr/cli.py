@@ -56,11 +56,17 @@ class BenchConfig:
     def from_args(cls, subcommand: str, args: argparse.Namespace) -> "BenchConfig":
         skip = {"func", "command", "output", "trace_dir", "plan_out"}
         # Echo only what the run read: --factors replaces the draft count and
-        # length, and the baseline drafts nothing.
+        # length, the baseline drafts nothing, and each verify scope reads
+        # only its own options.
         if getattr(args, "factors", None) is not None:
             skip |= {"num_drafts", "draft_len"}
         if getattr(args, "method", None) == "baseline":
-            skip |= {"num_drafts", "draft_len", "factors", "gamma_policy"}
+            skip |= {"num_drafts", "draft_len", "factors"}
+        scope = getattr(args, "scope", None)
+        if scope == "token":
+            skip |= {"vocab", "draft_len", "num_drafts", "eps", "methods", "factors"}
+        elif scope == "sequence":
+            skip |= {"cases", "k_max", "gamma"}
         pairs = []
         for key in sorted(vars(args)):
             if key in skip:
@@ -158,7 +164,7 @@ def cmd_coupling(args: argparse.Namespace) -> int:
         elif name == "kseq":
             gamma = args.gamma
             if gamma is None:
-                gamma = tc._gamma_star_or_k(p, q, k, args.delta)
+                gamma = tc._gamma_star_or_k(p, q, k)
             alpha = tc.kseq_acceptance(p, q, k, gamma)
             reports.append(tc.AcceptanceReport("kseq", alpha, k, {"gamma": gamma}))
         elif name == "otm":
@@ -239,11 +245,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     config = BenchConfig.from_args("verify", args)
-    if args.k_max < 1:
-        raise ValidationError("--k-max must be >= 1")
     failures = []
 
     if args.scope == "token":
+        if args.k_max < 1:
+            raise ValidationError("--k-max must be >= 1")
         if args.cases < 1:
             raise ValidationError("--cases must be >= 1 for the token scope")
         out = _Report(config, ("case", "vocab", "k", "gamma_kind", "max_error", "status"))
@@ -282,7 +288,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         pair = make_model_pair(args.vocab, order=1, seed=args.seed, eps=args.eps)
         context = (0,)
         for name in args.methods.split(","):
-            method = _selection_method(name.strip(), args)
+            method = _selection_method(name.strip())
             dist = exact.method_output_distribution(
                 pair.big, pair.small, context, branching, method)
             gap, cell = exact.max_chain_rule_gap(dist, pair.big, context, len(branching))
@@ -302,11 +308,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _selection_method(name: str, args: argparse.Namespace) -> SelectionMethod:
+def _selection_method(name: str) -> SelectionMethod:
     if name == "maximal":
         return SelectionMethod.maximal()
     if name == "kseq":
-        return SelectionMethod.kseq(gamma_policy=args.gamma_policy)
+        return SelectionMethod.kseq()
     if name in ("otm", "otm_lp"):
         return SelectionMethod.otm_lp()
     raise ValidationError(f"unknown selection method {name!r}")
@@ -337,7 +343,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
         if args.method == "baseline":
             trace = baseline_decode(pair.big, prompt, args.tokens, rng.child(1), cost=cost)
         else:
-            method = _selection_method(args.method, args)
+            method = _selection_method(args.method)
             trace = spectr_decode(pair.big, pair.small, prompt, args.tokens,
                                   args.num_drafts, args.draft_len, method, rng.child(1),
                                   drafting="iid" if factors is None else "tree",
@@ -385,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["maximal", "kseq", "otm", "upper", "all"])
     cp.add_argument("--gamma", type=float, default=None,
                     help="fixed division factor for kseq (default: gamma*)")
-    cp.add_argument("--delta", type=float, default=tc.DEFAULT_GAMMA_DELTA)
     cp.add_argument("--cap", type=int, default=tc.DEFAULT_TUPLE_CAP,
                     help="largest |supp(p)|^k that --plan-out and --method upper enumerate")
     cp.add_argument("--plan-out", dest="plan_out", default=None,
@@ -421,8 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--methods", default="kseq,otm")
     vf.add_argument("--factors", default=None,
                     help="prefix-tree branching factors, replacing --num-drafts and --draft-len")
-    vf.add_argument("--gamma-policy", dest="gamma_policy", default="gamma_star",
-                    choices=["gamma_star", "k_initial"])
     vf.add_argument("--format", default="csv", choices=["csv", "json"])
     vf.add_argument("--output", default=None)
     vf.set_defaults(func=cmd_verify)
@@ -435,8 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     dc.add_argument("--allow-zeros", dest="allow_zeros", action="store_true")
     dc.add_argument("--method", default="kseq",
                     choices=["baseline", "maximal", "kseq", "otm"])
-    dc.add_argument("--gamma-policy", dest="gamma_policy", default="gamma_star",
-                    choices=["gamma_star", "k_initial"])
     dc.add_argument("--factors", default=None,
                     help="prefix-tree branching factors, replacing --num-drafts and --draft-len")
     dc.add_argument("--num-drafts", dest="num_drafts", type=int, default=4)

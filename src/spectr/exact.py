@@ -56,7 +56,6 @@ def method_output_distribution(big: ToyLm, small: ToyLm, context: Sequence[int],
     branching = _checked(branching)
     selector = TokenSelector(big, small, method)  # recomputed on every call
     base = tuple(int(t) for t in context)
-    k_initial = math.prod(branching)
     out: SeqDist = {}
     states = {((), branching[0]): 1.0}
     fanouts = iter(branching[1:])
@@ -76,7 +75,7 @@ def method_output_distribution(big: ToyLm, small: ToyLm, context: Sequence[int],
             for drafts in itertools.product(nodes, repeat=live):
                 tokens = tuple(node.token for node in drafts)
                 w = weight * math.prod(probs[t] for t in tokens)
-                for y, wy in selector.support(ctx, tokens, k_initial):
+                for y, wy in selector.support(ctx, tokens):
                     kept = selection_step(drafts, y)
                     if kept is None:
                         _bump(out, prefix + (y,), w * wy)

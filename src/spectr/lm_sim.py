@@ -9,11 +9,11 @@ bit-for-bit across processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .prob_core import ProbVector, RngStream, ValidationError, _words, tv_distance
+from .prob_core import ProbVector, RngStream, ValidationError, _words
 
 # Fraction of entries zeroed per row when allow_zeros is on; exercises the
 # unbounded q/p regime.
@@ -150,22 +150,3 @@ def make_model_pair(vocab_size: int, order: int, seed: int, eps: float,
     small = _BlendedLm(big, perturbation, eps)
     return ModelPair(big=big, small=small, divergence_eps=eps)
 
-
-def probe_contexts(vocab_size: int, order: int, count: int = 16,
-                   seed: int = 0) -> list[tuple[int, ...]]:
-    """A fixed, seeded set of contexts for comparing model pairs."""
-    rng = RngStream(seed, path=(vocab_size, order))
-    length = max(order, 1)
-    draws = rng.uniforms(count * length)
-    tokens = (draws * vocab_size).astype(int).clip(0, vocab_size - 1)
-    return [tuple(int(t) for t in tokens[i * length:(i + 1) * length]) for i in range(count)]
-
-
-def mean_probe_tv(pair: ModelPair, contexts: Iterable[Sequence[int]] | None = None) -> float:
-    """Average tv(big, small) over a probe set of contexts."""
-    if contexts is None:
-        contexts = probe_contexts(pair.big.vocab_size, pair.big.order)
-    values = [tv_distance(pair.big.next_dist(c), pair.small.next_dist(c)) for c in contexts]
-    if not values:
-        raise ValidationError("probe set is empty")
-    return float(np.mean(values))

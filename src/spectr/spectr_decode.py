@@ -33,31 +33,26 @@ class UndefinedMetricError(SpectrError):
 class SelectionMethod:
     """How the token-level transport plan is chosen at every depth.
 
-    kind "kseq" is the sequential scan, "maximal" the single-draft rule (the
-    scan at its one draft, with gamma = 1 under either policy), "otm_lp" an
-    exact optimal plan, `otm_lp_solve`'s max-flow over distinct-token sets
-    (subject to its default tuple cap). gamma_policy "gamma_star" re-solves
-    gamma* for the live draft count at every depth; "k_initial" reuses the
-    initial draft count as a fixed division factor (raised to the live count
-    if that ever exceeds it, which keeps prefix-tree selection valid).
+    kind "kseq" is the sequential scan at gamma* for the live draft count,
+    re-solved at every depth; "maximal" the single-draft rule (the scan at its
+    one draft, where gamma* = 1); "otm_lp" an exact optimal plan,
+    `otm_lp_solve`'s max-flow over distinct-token sets (subject to its
+    default tuple cap).
     """
 
     kind: str
-    gamma_policy: str = "gamma_star"
 
     def __post_init__(self):
         if self.kind not in ("maximal", "kseq", "otm_lp"):
             raise ValidationError(f"unknown selection method {self.kind!r}")
-        if self.gamma_policy not in ("gamma_star", "k_initial"):
-            raise ValidationError(f"unknown gamma policy {self.gamma_policy!r}")
 
     @classmethod
     def maximal(cls) -> "SelectionMethod":
         return cls(kind="maximal")
 
     @classmethod
-    def kseq(cls, gamma_policy: str = "gamma_star") -> "SelectionMethod":
-        return cls(kind="kseq", gamma_policy=gamma_policy)
+    def kseq(cls) -> "SelectionMethod":
+        return cls(kind="kseq")
 
     @classmethod
     def otm_lp(cls) -> "SelectionMethod":
@@ -107,8 +102,9 @@ class TokenSelector:
     """Token-level selection for one (big, small, method), memoised per context.
 
     `select` draws the token and `conditional` gives its exact law, both from
-    one memo of scan parameters (which carry gamma) and plans keyed by the
-    two models' memo keys of the context and the live-draft count, so the
+    one memo: scan parameters at gamma* and plans under ("kseq" | "plan",
+    ckey, k), laws under ("law", ckey, tokens), where ckey holds the two
+    models' memo keys of the context and k is the live-draft count. So the
     exact oracle checks the decoder's own values. The live drafts are draws
     from the draft model, so their law is small.next_dist(context). With no
     live drafts the token is a fresh big-model sample.
@@ -121,8 +117,7 @@ class TokenSelector:
         self.method = method
         self.memo: dict = {}
 
-    def select(self, context: tuple[int, ...], tokens: list[int], k_initial: int,
-               rng: RngStream) -> int:
+    def select(self, context: tuple[int, ...], tokens: list[int], rng: RngStream) -> int:
         """Draw the token given the live draft tokens in order."""
         big = self._big()
         q = big.next_dist(context)
@@ -133,30 +128,29 @@ class TokenSelector:
         ckey = (big.memo_key(context), self._small().memo_key(context))
         if self.method.kind == "otm_lp":
             return sample(self._plan(p, q, ckey, k).conditional(tuple(tokens)), rng)
-        params = self._kseq(p, q, ckey, k, k_initial)
+        params = self._kseq(p, q, ckey, k)
         return tc.kseq_select(p, q, tokens, params.gamma, rng, params=params)[0]
 
-    def conditional(self, context: tuple[int, ...], tokens: tuple[int, ...],
-                    k_initial: int) -> np.ndarray:
+    def conditional(self, context: tuple[int, ...], tokens: tuple[int, ...]) -> np.ndarray:
         """Law of `select`'s token; read-only."""
-        return self._law(context, tokens, k_initial)[0]
+        return self._law(context, tokens)[0]
 
-    def support(self, context: tuple[int, ...], tokens: tuple[int, ...],
-                k_initial: int) -> list[tuple[int, float]]:
+    def support(self, context: tuple[int, ...],
+                tokens: tuple[int, ...]) -> list[tuple[int, float]]:
         """(token, probability) over the entries of `conditional` above PROB_FLOOR."""
-        return self._law(context, tokens, k_initial)[1]
+        return self._law(context, tokens)[1]
 
-    def _law(self, context, tokens, k_initial):
+    def _law(self, context, tokens):
         ckey = (self._big().memo_key(context), self._small().memo_key(context))
-        out = self.memo.get(("law", ckey, tokens, k_initial))
+        out = self.memo.get(("law", ckey, tokens))
         if out is None:
-            law = self._solve_law(context, ckey, tokens, k_initial)
+            law = self._solve_law(context, ckey, tokens)
             law.setflags(write=False)
-            out = self.memo[("law", ckey, tokens, k_initial)] = (
+            out = self.memo[("law", ckey, tokens)] = (
                 law, [(int(y), float(law[y])) for y in np.flatnonzero(law > PROB_FLOOR)])
         return out
 
-    def _solve_law(self, context, ckey, tokens, k_initial) -> np.ndarray:
+    def _solve_law(self, context, ckey, tokens) -> np.ndarray:
         q = self._big().next_dist(context)
         k = len(tokens)
         if not k:
@@ -164,7 +158,7 @@ class TokenSelector:
         p = self._draft_law(context, k)
         if self.method.kind == "otm_lp":
             return self._plan(p, q, ckey, k).conditional(tokens).probs
-        return self._kseq_conditional(p, q, tokens, self._kseq(p, q, ckey, k, k_initial))
+        return self._kseq_conditional(p, q, tokens, self._kseq(p, q, ckey, k))
 
     def _draft_law(self, context, k) -> ProbVector:
         if self.method.kind == "maximal" and k != 1:
@@ -178,11 +172,10 @@ class TokenSelector:
             out = self.memo[key] = solve()
         return out
 
-    def _kseq(self, p, q, ckey, k, k_initial) -> tc.KseqParams:
-        """The scan's parameters, kept under the fixed gamma, or None for gamma*."""
-        fixed = float(max(k_initial, k)) if self.method.gamma_policy == "k_initial" else None
-        return self._memo(("kseq", ckey, k, fixed), lambda: tc.kseq_params(
-            p, q, k, tc._gamma_star_or_k(p, q, k) if fixed is None else fixed))
+    def _kseq(self, p, q, ckey, k) -> tc.KseqParams:
+        """The scan's parameters at gamma* for the k live drafts."""
+        return self._memo(("kseq", ckey, k),
+                          lambda: tc.kseq_params(p, q, k, tc._gamma_star_or_k(p, q, k)))
 
     def _plan(self, p, q, ckey, k) -> tc.TransportPlan:
         return self._memo(("plan", ckey, k), lambda: tc.otm_lp_solve(p, q, k)[0])
@@ -222,17 +215,17 @@ def draft_selection(context: Sequence[int], drafts: DraftSet, big: ToyLm, small:
     of the survivors become the next depth's drafts. If the selected token
     survives to the final depth, one bonus token is sampled from the big
     model. Returns between 1 and L+1 tokens distributed by the big model's
-    chain rule. The drafts must be draws from `small`. Gamma*, scan
-    parameters and plans come from the pair's shared `TokenSelector`.
+    chain rule. The drafts must be draws from `small`. K-SEQ scans at gamma*
+    for each depth's live draft count; gamma*, scan parameters and plans
+    come from the pair's shared `TokenSelector`.
     """
-    k_initial = drafts.validate()
+    drafts.validate()
     selector = _shared_selector(big, small, method)
     base = tuple(int(t) for t in context)
     state = drafts.roots
     emitted: list[int] = []
     while state is not None:
-        chosen = selector.select(base + tuple(emitted), [node.token for node in state],
-                                 k_initial, rng)
+        chosen = selector.select(base + tuple(emitted), [node.token for node in state], rng)
         emitted.append(chosen)
         state = selection_step(state, chosen)
     return emitted

@@ -49,7 +49,8 @@ UPPER_BOUND_MAX_VOCAB = 16
 _UPPER_BOUND_CHUNK = 1 << 12
 
 MARGINAL_TOL = 1e-7
-DEFAULT_GAMMA_DELTA = 1e-9
+# Width at which the gamma* bisection stops.
+GAMMA_BRACKET = 1e-9
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -174,22 +175,22 @@ def beta_damped(p: ProbVector, q: ProbVector, gamma: float) -> float:
     return float(np.minimum(p.probs, q.probs / gamma).sum())
 
 
-def kseq_gamma_star(p: ProbVector, q: ProbVector, k: int,
-                    delta: float = DEFAULT_GAMMA_DELTA) -> float:
+def kseq_gamma_star(p: ProbVector, q: ProbVector, k: int) -> float:
     """Smallest valid division factor, solving 1 - (1-beta(g))^k = g*beta(g).
 
     Binary search on the monotone f(g) = 1 - (1-beta(g))^k - g*beta(g) over
-    [1, k]; returns the upper end of the final bracket so the result is never
-    below gamma*. Each step reads beta off the sorted breakpoints q/p in
-    O(log |vocab|), after one O(|vocab| log |vocab|) sort. Where that value
-    lies within rounding of deciding the other way, `beta_damped` decides,
-    so the result is exactly that of bisecting on `beta_damped`.
+    [1, k] until the bracket is GAMMA_BRACKET wide, or until its midpoint
+    rounds to one of its ends (at large k, where floats near gamma are spaced
+    wider than the bracket); returns the upper end of the final bracket so
+    the result is never below gamma*. Each step reads beta off the sorted
+    breakpoints q/p in O(log |vocab|), after one O(|vocab| log |vocab|)
+    sort. Where that value lies within rounding of deciding the other way,
+    `beta_damped` decides, so the result is exactly that of bisecting on
+    `beta_damped`.
     """
     _check_same_vocab(p, q)
     if k < 1:
         raise ValidationError("k must be >= 1")
-    if not 0.0 < delta < math.inf:
-        raise ValidationError("delta must be positive and finite")
     beta, error = _sorted_beta(p, q)
     b = beta(1.0)
     if abs(b - NEG_TOL) <= error:
@@ -214,8 +215,10 @@ def kseq_gamma_star(p: ProbVector, q: ProbVector, k: int,
     lo, hi = 1.0, float(k)
     if positive(hi):
         return hi
-    while hi - lo > delta:
+    while hi - lo > GAMMA_BRACKET:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if positive(mid):
             lo = mid
         else:
@@ -223,12 +226,11 @@ def kseq_gamma_star(p: ProbVector, q: ProbVector, k: int,
     return hi
 
 
-def _gamma_star_or_k(p: ProbVector, q: ProbVector, k: int,
-                     delta: float = DEFAULT_GAMMA_DELTA) -> float:
+def _gamma_star_or_k(p: ProbVector, q: ProbVector, k: int) -> float:
     """gamma*, or k on disjoint supports, where every gamma is valid and the
     scan rejects every draft (acceptance 0)."""
     try:
-        return kseq_gamma_star(p, q, k, delta)
+        return kseq_gamma_star(p, q, k)
     except DegenerateSupportError:
         return float(k)
 

@@ -174,7 +174,11 @@ def test_verify_sequence_scope_rejects_a_state_above_the_cap(capsys):
      {"num_drafts", "draft_len"}),
     (("decode", "--method", "baseline", "--num-drafts", "-3", "--prompts", "2",
       "--tokens", "8"),
-     {"num_drafts", "draft_len", "factors", "gamma_policy"}),
+     {"num_drafts", "draft_len", "factors"}),
+    (("verify", "--scope", "token", "--cases", "1"),
+     {"vocab", "draft_len", "num_drafts", "eps", "methods", "factors"}),
+    (("verify", "--scope", "sequence", "--vocab", "3"),
+     {"cases", "k_max", "gamma"}),
 ])
 def test_config_echo_names_only_what_the_run_read(capsys, argv, unread):
     code, out, _ = run_cli(capsys, *argv)
@@ -270,6 +274,18 @@ def test_exit_code_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("decode", "--gamma-policy", "k_initial"),
+    ("coupling", "--p", "0.5,0.3,0.2", "--q", "0.2,0.3,0.5", "--k", "3", "--method", "kseq",
+     "--delta", "1e-9"),
+])
+def test_gamma_is_not_configurable_beyond_an_explicit_override(argv):
+    # K-SEQ picks gamma* at the live draft count, bisected to a fixed bracket
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+
+
 def test_exit_code_domain_error(capsys):
     code, _, err = run_cli(capsys, "coupling", "--p", "0.5,0.6", "--q", "0.5,0.5",
                            "--k", "1", "--method", "maximal")
@@ -345,10 +361,6 @@ def test_verify_rejects_sizes_it_cannot_verify(capsys, argv):
     ("sweep", "--family", "bernoulli", "--b-list", "0.5", "--output", "{tmp}/missing/out.csv"),
     # --trace-dir makes missing directories, but not under a regular file
     ("decode", "--tokens", "4", "--prompts", "1", "--trace-dir", "{tmp}/file.txt/traces"),
-    ("coupling", "--p", "0.5,0.3,0.2", "--q", "0.2,0.3,0.5", "--k", "3", "--method", "kseq",
-     "--delta", "nan"),
-    ("coupling", "--p", "0.5,0.3,0.2", "--q", "0.2,0.3,0.5", "--k", "3", "--method", "kseq",
-     "--delta", "inf"),
 ])
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv):
     (tmp_path / "file.txt").write_text("")

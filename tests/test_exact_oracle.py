@@ -33,7 +33,6 @@ def test_forest_enumeration_mass_is_one():
 @pytest.mark.parametrize("method,branching", [
     (SelectionMethod.maximal(), [1, 1]),
     (SelectionMethod.kseq(), [2, 1]),
-    (SelectionMethod.kseq("k_initial"), [2, 1]),
     (SelectionMethod.otm_lp(), [2, 1]),
     (SelectionMethod.kseq(), [2, 2]),   # prefix tree
     (SelectionMethod.otm_lp(), [2, 2]),
@@ -146,16 +145,16 @@ def test_max_chain_rule_gap_rejects_an_empty_law():
 # the state walk against the forest-by-forest walk
 # ---------------------------------------------------------------------------
 
-def _walk(selector, base, emitted, state, k_initial, weight, out):
+def _walk(selector, base, emitted, state, weight, out):
     """Add `weight` times the selection's law from `state` on to `out`, by emitted sequence."""
     # With no live drafts left, the selector's law is the bonus token's.
     tokens = tuple(node.token for node in state)
-    for y, w in selector.support(base + emitted, tokens, k_initial):
+    for y, w in selector.support(base + emitted, tokens):
         children = selection_step(state, y)
         if children is None:
             out[emitted + (y,)] = out.get(emitted + (y,), 0.0) + weight * w
         else:
-            _walk(selector, base, emitted + (y,), children, k_initial, weight * w, out)
+            _walk(selector, base, emitted + (y,), children, weight * w, out)
 
 
 def forest_law(pair, context, branching, method):
@@ -163,10 +162,9 @@ def forest_law(pair, context, branching, method):
     independent reference for the state walk, at sizes where
     (|supp|^L)^K forests can still be listed."""
     selector = TokenSelector(pair.big, pair.small, method)
-    k_initial = math.prod(branching)
     out = {}
     for roots, prob in enumerate_draft_forests(pair.small, context, branching):
-        _walk(selector, tuple(context), (), roots, k_initial, prob, out)
+        _walk(selector, tuple(context), (), roots, prob, out)
     return out
 
 
@@ -181,7 +179,6 @@ def forest_count(vocab, branching):
 METHODS = {
     "maximal": SelectionMethod.maximal(),
     "kseq": SelectionMethod.kseq(),
-    "kseq_k_initial": SelectionMethod.kseq("k_initial"),
     "otm_lp": SelectionMethod.otm_lp(),
 }
 
@@ -210,8 +207,6 @@ def oracle_instances(draw):
 @settings(max_examples=60, deadline=None)
 @given(instance=oracle_instances())
 @example(instance=(make_model_pair(4, 1, 3, 0.5), (0,), [2, 2], METHODS["otm_lp"]))
-@example(instance=(make_model_pair(3, 1, 5, 0.9, allow_zeros=True), (2,), [4, 1],
-                   METHODS["kseq_k_initial"]))
 def test_state_walk_equals_the_forest_walk(instance):
     pair, context, branching, method = instance
     dist = method_output_distribution(pair.big, pair.small, context, branching, method)

@@ -22,7 +22,7 @@ from spectr.prob_core import ProbVector, RngStream, _pick
 from spectr.spectr_decode import SelectionMethod, spectr_decode
 
 
-def reference_gamma_star(p, q, k, delta=tc.DEFAULT_GAMMA_DELTA):
+def reference_gamma_star(p, q, k, delta=tc.GAMMA_BRACKET):
     """The bisection on beta_damped that kseq_gamma_star must reproduce exactly."""
     if tc.beta_damped(p, q, 1.0) <= tc.NEG_TOL:
         raise tc.DegenerateSupportError("disjoint supports")

@@ -227,9 +227,6 @@ STREAM_PINS = {
     "iid_kseq_gamma_star": (dict(vocab_size=16, order=1, seed=0, eps=0.3),
                             dict(K=8, L=4, method=SelectionMethod.kseq()),
                             "2c5e366200f24dbb"),
-    "iid_kseq_k_initial": (dict(vocab_size=16, order=1, seed=0, eps=0.3),
-                           dict(K=8, L=4, method=SelectionMethod.kseq("k_initial")),
-                           "349c025c33d0cf33"),
     "tree_kseq_zeros": (dict(vocab_size=64, order=2, seed=1, eps=0.3, allow_zeros=True),
                         dict(K=0, L=0, method=SelectionMethod.kseq(), drafting="tree",
                              factors=(2, 2, 2)),

@@ -57,8 +57,7 @@ def test_model_pair_is_freed_by_reference_counting(run):
 
 def test_decode_after_other_prompts_equals_decode_on_a_fresh_pair():
     model = dict(vocab_size=16, order=1, seed=0, eps=0.3)
-    for method in (SelectionMethod.kseq(), SelectionMethod.kseq("k_initial"),
-                   SelectionMethod.otm_lp()):
+    for method in (SelectionMethod.kseq(), SelectionMethod.otm_lp()):
         K = 2 if method.kind == "otm_lp" else 8
         warm = make_model_pair(**model)
         for i in range(6):
@@ -108,30 +107,22 @@ def test_one_selector_per_pair_and_method():
     assert _shared_selector(other.big, other.small, SelectionMethod.kseq()) is not kseq
 
 
-@pytest.mark.parametrize("method,gamma", [
-    (SelectionMethod.kseq(), None),
-    (SelectionMethod.kseq("k_initial"), 3.0),
-    (SelectionMethod.maximal(), None),
-    (SelectionMethod("maximal", "k_initial"), 1.0),
-])
-def test_one_scan_entry_per_context_and_live_count(method, gamma):
+@pytest.mark.parametrize("method", [SelectionMethod.kseq(), SelectionMethod.maximal()])
+def test_one_scan_entry_per_context_and_live_count(method):
     pair = make_model_pair(4, 1, seed=2, eps=0.4)
     selector = TokenSelector(pair.big, pair.small, method)
     tokens = [1] if method.kind == "maximal" else [0, 1, 1]
-    k_initial = len(tokens)
     for seed in range(3):
-        selector.select((2,), tokens, k_initial, RngStream(seed))
-    selector.conditional((2,), tuple(tokens), k_initial)
+        selector.select((2,), tokens, RngStream(seed))
+    selector.conditional((2,), tuple(tokens))
     ckey = (pair.big.memo_key((2,)), pair.small.memo_key((2,)))
-    assert [key for key in selector.memo if key[0] != "law"] == [
-        ("kseq", ckey, len(tokens), gamma)]
-    params = selector.memo[("kseq", ckey, len(tokens), gamma)]
+    assert [key for key in selector.memo if key[0] != "law"] == [("kseq", ckey, len(tokens))]
+    params = selector.memo[("kseq", ckey, len(tokens))]
     p, q = pair.small.next_dist((2,)), pair.big.next_dist((2,))
-    want = tc.kseq_gamma_star(p, q, len(tokens)) if gamma is None else gamma
-    expected = tc.kseq_params(p, q, len(tokens), want)
+    expected = tc.kseq_params(p, q, len(tokens), tc.kseq_gamma_star(p, q, len(tokens)))
     assert (params.gamma, params.p_acc) == (expected.gamma, expected.p_acc)
     assert (params.residual.probs == expected.residual.probs).all()
-    # at one draft both policies scan at gamma = 1
+    # at one draft the scan runs at gamma* = 1
     if method.kind == "maximal":
         assert params.gamma == 1.0
 
@@ -139,12 +130,12 @@ def test_one_scan_entry_per_context_and_live_count(method, gamma):
 def test_oracle_conditional_reads_the_decoder_entries():
     pair = make_model_pair(4, 1, seed=2, eps=0.4)
     selector = TokenSelector(pair.big, pair.small, SelectionMethod.kseq())
-    selector.select((2,), [0, 1, 1], 3, RngStream(0))
+    selector.select((2,), [0, 1, 1], RngStream(0))
     solved = dict(selector.memo)
-    law = selector.conditional((2,), (0, 1, 1), 3)
+    law = selector.conditional((2,), (0, 1, 1))
     assert not law.flags.writeable
     assert abs(law.sum() - 1.0) <= 1e-12
     # the law reused gamma and the scan parameters the draw stored
     assert {key for key in selector.memo if key[0] != "law"} == set(solved)
-    assert selector.support((2,), (0, 1, 1), 3) == [
+    assert selector.support((2,), (0, 1, 1)) == [
         (y, float(law[y])) for y in range(4) if law[y] > PROB_FLOOR]
