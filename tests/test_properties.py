@@ -22,7 +22,7 @@ from spectr.prob_core import ProbVector, RngStream, _pick
 from spectr.spectr_decode import SelectionMethod, spectr_decode
 
 
-def reference_gamma_star(p, q, k, delta=tc.GAMMA_BRACKET):
+def reference_gamma_star(p, q, k):
     """The bisection on beta_damped that kseq_gamma_star must reproduce exactly."""
     if tc.beta_damped(p, q, 1.0) <= tc.NEG_TOL:
         raise tc.DegenerateSupportError("disjoint supports")
@@ -36,7 +36,7 @@ def reference_gamma_star(p, q, k, delta=tc.GAMMA_BRACKET):
     lo, hi = 1.0, float(k)
     if f(hi) > 0.0:
         return hi
-    while hi - lo > delta:
+    while hi - lo > tc.GAMMA_BRACKET:
         mid = 0.5 * (lo + hi)
         if f(mid) > 0.0:
             lo = mid
