@@ -1,8 +1,10 @@
 import json
+import time
 import tracemalloc
 
 import pytest
 
+from spectr import token_coupling as tc
 from spectr.cli import main
 from spectr.prob_core import ProbVector
 
@@ -278,12 +280,37 @@ def test_exit_code_usage_error():
     ("decode", "--gamma-policy", "k_initial"),
     ("coupling", "--p", "0.5,0.3,0.2", "--q", "0.2,0.3,0.5", "--k", "3", "--method", "kseq",
      "--delta", "1e-9"),
+    ("verify", "--scope", "sequence", "--gamma-policy", "k_initial"),
 ])
 def test_gamma_is_not_configurable_beyond_an_explicit_override(argv):
     # K-SEQ picks gamma* at the live draft count, bisected to a fixed bracket
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
+
+
+def test_coupling_gamma_override_scans_at_the_given_gamma(capsys):
+    # the explicit override stays: K-SEQ is valid for any gamma >= gamma*
+    code, out, _ = run_cli(capsys, "coupling", "--p", "0.5,0.3,0.2", "--q", "0.2,0.3,0.5",
+                           "--k", "3", "--method", "kseq", "--gamma", "3")
+    assert code == 0
+    row = csv_cells(out)[0]
+    assert row["detail"] == "gamma=3"
+    p, q = ProbVector([0.5, 0.3, 0.2]), ProbVector([0.2, 0.3, 0.5])
+    assert float(row["alpha"]) == pytest.approx(tc.kseq_acceptance(p, q, 3, 3.0), abs=1e-9)
+
+
+def test_coupling_gamma_star_ends_at_a_huge_draft_count(capsys):
+    # gamma* near 1e8 lies where adjacent floats are wider apart than the
+    # 1e-9 bracket; the bisection still ends (well under a second)
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "coupling", "--p", "0.999999999999,0.000000000001",
+                           "--q", "0.000000000001,0.999999999999", "--k", "100000000",
+                           "--method", "kseq")
+    assert time.perf_counter() - start < 10.0
+    assert code == 0
+    gamma = float(csv_cells(out)[0]["detail"].split("=")[1])
+    assert 1.0 <= gamma <= 1e8
 
 
 def test_exit_code_domain_error(capsys):

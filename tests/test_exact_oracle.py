@@ -35,6 +35,8 @@ def test_forest_enumeration_mass_is_one():
     (SelectionMethod.kseq(), [2, 1]),
     (SelectionMethod.otm_lp(), [2, 1]),
     (SelectionMethod.kseq(), [2, 2]),   # prefix tree
+    (SelectionMethod.kseq(), [4, 1]),   # gamma* rescanned as drafts die
+    (SelectionMethod.kseq(), [3, 2]),
     (SelectionMethod.otm_lp(), [2, 2]),
 ])
 def test_stepwise_chain_rule_holds(method, branching):

@@ -242,6 +242,13 @@ STREAM_PINS = {
     "iid_otm_lp": (dict(vocab_size=4, order=1, seed=4, eps=0.4),
                    dict(K=2, L=2, method=SelectionMethod.otm_lp()),
                    "b9092906962d99e5"),
+    "iid_kseq_two_drafts": (dict(vocab_size=8, order=1, seed=5, eps=0.5),
+                            dict(K=2, L=6, method=SelectionMethod.kseq()),
+                            "355714ac9462ca8b"),
+    "tree_kseq_uneven": (dict(vocab_size=16, order=1, seed=6, eps=0.3),
+                         dict(K=0, L=0, method=SelectionMethod.kseq(), drafting="tree",
+                              factors=(3, 1, 2)),
+                         "015627e871b20d66"),
 }
 
 
