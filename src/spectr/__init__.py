@@ -30,6 +30,7 @@ from .token_coupling import (
     alpha_uniform_closed_form,
     alpha_upper_bound,
     kseq_acceptance,
+    kseq_conditional,
     kseq_gamma_star,
     kseq_output_marginal,
     kseq_params,

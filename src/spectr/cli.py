@@ -147,8 +147,6 @@ def _parse_list(text: str, kind: type) -> list:
 # ---------------------------------------------------------------------------
 
 def cmd_coupling(args: argparse.Namespace) -> int:
-    if args.cap < 1:
-        raise ValidationError("--cap must be >= 1")
     p = _parse_dist(args.p)
     q = _parse_dist(args.q)
     k = args.k
@@ -170,10 +168,10 @@ def cmd_coupling(args: argparse.Namespace) -> int:
         elif name == "otm":
             reports.append(tc.AcceptanceReport("otm_lp", tc.alpha_star(p, q, k), k, {}))
             if args.plan_out:
-                plan, _ = tc.otm_lp_solve(p, q, k, cap=args.cap)
+                plan, _ = tc.otm_lp_solve(p, q, k)
                 _write_plan(plan, args.plan_out, config)
         elif name == "upper":
-            alpha, subset = tc.alpha_upper_bound(p, q, k, cap=args.cap)
+            alpha, subset = tc.alpha_upper_bound(p, q, k)
             witness = "-".join(str(i) for i in subset) if subset else "empty"
             reports.append(tc.AcceptanceReport("upper_bound", alpha, k, {"subset": witness}))
         else:
@@ -391,8 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["maximal", "kseq", "otm", "upper", "all"])
     cp.add_argument("--gamma", type=float, default=None,
                     help="fixed division factor for kseq (default: gamma*)")
-    cp.add_argument("--cap", type=int, default=tc.DEFAULT_TUPLE_CAP,
-                    help="largest |supp(p)|^k that --plan-out and --method upper enumerate")
     cp.add_argument("--plan-out", dest="plan_out", default=None,
                     help="write an optimal transport plan as CSV")
     cp.add_argument("--format", default="csv", choices=["csv", "json"])

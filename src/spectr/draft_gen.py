@@ -9,7 +9,7 @@ exactly the i.i.d. small-model draws the token-level coupling assumes.
 
 A draft set is only the forest: the draft law at every prefix is the draft
 model's own row, which selection reads back from `ToyLm.next_dist` and its
-row memo.
+row memo. A set above DRAFT_DEPTH_CAP or DRAFT_NODE_CAP raises SizeLimitError.
 """
 
 from __future__ import annotations
@@ -21,6 +21,12 @@ from typing import Sequence
 # `sample` is unused here but kept importable: perfbench's tracer patches it by name.
 from .prob_core import RngStream, SpectrError, _pick, sample  # noqa: F401
 from .lm_sim import ToyLm
+from .token_coupling import SizeLimitError
+
+# Largest draft set: 16,384 nodes took 0.7-2.5 s and 3 MB (V = 16, one x86 core),
+# and `_grow` recurses once per depth, well inside Python's recursion limit.
+DRAFT_NODE_CAP = 1 << 14
+DRAFT_DEPTH_CAP = 256
 
 
 class StructuralError(SpectrError):
@@ -100,6 +106,8 @@ def sample_iid_drafts(small: ToyLm, context: Sequence[int], K: int, L: int,
     uniforms from rng.child(j) and its contents do not depend on K."""
     if K < 1 or L < 1:
         raise StructuralError("K and L must be >= 1")
+    if L > DRAFT_DEPTH_CAP:  # before the L factors are built
+        raise SizeLimitError(f"draft length {L} exceeds the depth cap {DRAFT_DEPTH_CAP}")
     return build_prefix_tree_drafts(small, context, (K,) + (1,) * (L - 1), rng)
 
 
@@ -112,13 +120,18 @@ def build_prefix_tree_drafts(small: ToyLm, context: Sequence[int],
     leaf sequences form the draft set. Leaf j (in construction order) draws
     rng.child(j).uniforms(L) once, and a node at depth d takes uniform d of
     its first leaf: one substream per leaf, so the result does not depend
-    on traversal order.
+    on traversal order. Raises SizeLimitError above either cap.
     """
     factors = [int(k) for k in factors]
     if not factors or any(k < 1 for k in factors):
         raise StructuralError("expansion factors must be positive integers")
+    if len(factors) > DRAFT_DEPTH_CAP:
+        raise SizeLimitError(f"draft length {len(factors)} exceeds the depth cap {DRAFT_DEPTH_CAP}")
     # spans[d]: the leaves under one node at depth d - 1 (spans[0] under the whole forest).
     spans = [math.prod(factors[d:]) for d in range(len(factors) + 1)]
+    nodes = sum(spans[0] // span for span in spans[1:])
+    if nodes > DRAFT_NODE_CAP:
+        raise SizeLimitError(f"a draft set of {nodes} nodes exceeds the node cap {DRAFT_NODE_CAP}")
     uniforms = [rng.child(j).uniforms(len(factors)).tolist() for j in range(spans[0])]
     roots = _grow(small, tuple(int(t) for t in context), spans, uniforms, (), 0)
     return DraftSet(roots=roots, length=len(factors))

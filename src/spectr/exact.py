@@ -6,12 +6,14 @@ the draft model's row for that prefix, and only their number carries
 forward, so the oracle walks states (emitted prefix, live count m) depth by
 depth instead of draft forests. Every ordered m-tuple of the row's support
 goes, with its draft probability, through the decoder's own
-`TokenSelector.support` and `selection_step`: a token carried by c live
+`TokenSelector.support` (`kseq_conditional`, or the plan's law of the
+tuple's distinct-token set) and `selection_step`: a token carried by c live
 drafts moves the weight to (prefix + token, c * next branching factor), a
 token carried by none ends the sequence, and after the last depth the bonus
-row applies. A state whose |supp|^m exceeds STATE_TUPLE_CAP raises
-SizeLimitError before any tuple is built. The chain-rule check then sweeps
-the one output table once, keeping only the worst cell.
+row applies. A state whose |supp|^m exceeds STATE_TUPLE_CAP, or that would
+take the walk's running total past WALK_TUPLE_CAP, raises SizeLimitError
+before its tuples are built. The chain-rule check then sweeps the one
+output table once, keeping only the worst cell.
 
 The checked identity is stepwise: for every depth i and emitted prefix,
 
@@ -42,6 +44,9 @@ SeqDist = dict[tuple[int, ...], float]
 # and 1 KB of selector memo (V = 5 and 8, one core of a 2-core x86 container),
 # so a state at the cap takes about 0.6 s and 16 MB; 3^8 and 5^6 fit, 16^4 not.
 STATE_TUPLE_CAP = 1 << 14
+# Most live tuples one walk lists in all: V = 3 with factors (2, 2, 2), the largest
+# walk tested, lists 66,726; V = 3 with one draft passes the cap from L = 11.
+WALK_TUPLE_CAP = 1 << 18
 
 # The placeholder child of the walk's stand-in nodes: `selection_step` hands
 # on the survivors' children, so their number is the next live count.
@@ -51,14 +56,15 @@ _CHILD = DraftNode(-1)
 def method_output_distribution(big: ToyLm, small: ToyLm, context: Sequence[int],
                                branching: Sequence[int], method: SelectionMethod) -> SeqDist:
     """Exact output-sequence law of draft_selection over all draft randomness,
-    walked over (emitted prefix, live count) states; a state with more than
-    STATE_TUPLE_CAP live tuples raises SizeLimitError."""
+    walked over (emitted prefix, live count) states; a state above STATE_TUPLE_CAP
+    live tuples, or a walk above WALK_TUPLE_CAP in all, raises SizeLimitError."""
     branching = _checked(branching)
     selector = TokenSelector(big, small, method)  # recomputed on every call
     base = tuple(int(t) for t in context)
     out: SeqDist = {}
     states = {((), branching[0]): 1.0}
     fanouts = iter(branching[1:])
+    listed = 0
     while states:
         # After the leaves, survivors hand on no drafts and the bonus row applies.
         children = (_CHILD,) * next(fanouts, 0)
@@ -70,6 +76,10 @@ def method_output_distribution(big: ToyLm, small: ToyLm, context: Sequence[int],
             if len(supp) ** live > STATE_TUPLE_CAP:
                 raise tc.SizeLimitError(f"|supp p|^live = {len(supp)}^{live} exceeds "
                                         f"the state tuple cap {STATE_TUPLE_CAP}")
+            listed += len(supp) ** live
+            if listed > WALK_TUPLE_CAP:
+                raise tc.SizeLimitError(f"the walk would list {listed} live tuples, above "
+                                        f"the walk tuple cap {WALK_TUPLE_CAP}")
             probs = row.probs.tolist()
             nodes = [DraftNode(t, children) for t in supp]
             for drafts in itertools.product(nodes, repeat=live):

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .prob_core import ProbVector, RngStream, SpectrError, ValidationError, sample
+from .prob_core import RngStream, SpectrError, ValidationError, sample
 from .lm_sim import CostModel, ToyLm
 from .draft_gen import DraftNode, DraftSet, sample_iid_drafts, build_prefix_tree_drafts
 from . import token_coupling as tc
@@ -37,7 +37,7 @@ class SelectionMethod:
     re-solved at every depth; "maximal" the single-draft rule (the scan at its
     one draft, where gamma* = 1); "otm_lp" an exact optimal plan,
     `otm_lp_solve`'s max-flow over distinct-token sets (subject to its
-    default tuple cap).
+    fixed tuple cap).
     """
 
     kind: str
@@ -101,13 +101,13 @@ class DecodeTrace:
 class TokenSelector:
     """Token-level selection for one (big, small, method), memoised per context.
 
-    `select` draws the token and `conditional` gives its exact law, both from
-    one memo: scan parameters at gamma* and plans under ("kseq" | "plan",
-    ckey, k), laws under ("law", ckey, tokens), where ckey holds the two
-    models' memo keys of the context and k is the live-draft count. So the
-    exact oracle checks the decoder's own values. The live drafts are draws
-    from the draft model, so their law is small.next_dist(context). With no
-    live drafts the token is a fresh big-model sample.
+    It only memoises one rule per context and live-draft count k, `KseqParams`
+    at gamma* under ("kseq", ckey, k) or a `TransportPlan` under ("plan",
+    ckey, k), and laws under ("law", ckey, tokens), ckey holding the models'
+    memo keys of the context. `select` draws by `kseq_select` or the plan and
+    `conditional` reads `kseq_conditional` or the same plan, so the exact
+    oracle checks the decoder's own rule. Drafts are draws from the draft
+    model, whose row is their law; with none the token is a big-model sample.
     Models are held by weak reference: a shared memo keeps neither alive.
     """
 
@@ -119,17 +119,12 @@ class TokenSelector:
 
     def select(self, context: tuple[int, ...], tokens: list[int], rng: RngStream) -> int:
         """Draw the token given the live draft tokens in order."""
-        big = self._big()
-        q = big.next_dist(context)
         if not tokens:
-            return sample(q, rng)
-        k = len(tokens)
-        p = self._draft_law(context, k)
-        ckey = (big.memo_key(context), self._small().memo_key(context))
+            return sample(self._big().next_dist(context), rng)
+        p, q, rule = self._rule(context, len(tokens))
         if self.method.kind == "otm_lp":
-            return sample(self._plan(p, q, ckey, k).conditional(tuple(tokens)), rng)
-        params = self._kseq(p, q, ckey, k)
-        return tc.kseq_select(p, q, tokens, params.gamma, rng, params=params)[0]
+            return sample(rule.conditional(tuple(tokens)), rng)
+        return tc.kseq_select(p, q, tokens, rule.gamma, rng, params=rule)[0]
 
     def conditional(self, context: tuple[int, ...], tokens: tuple[int, ...]) -> np.ndarray:
         """Law of `select`'s token; read-only."""
@@ -140,56 +135,34 @@ class TokenSelector:
         """(token, probability) over the entries of `conditional` above PROB_FLOOR."""
         return self._law(context, tokens)[1]
 
-    def _law(self, context, tokens):
-        ckey = (self._big().memo_key(context), self._small().memo_key(context))
-        out = self.memo.get(("law", ckey, tokens))
-        if out is None:
-            law = self._solve_law(context, ckey, tokens)
-            law.setflags(write=False)
-            out = self.memo[("law", ckey, tokens)] = (
-                law, [(int(y), float(law[y])) for y in np.flatnonzero(law > PROB_FLOOR)])
-        return out
-
-    def _solve_law(self, context, ckey, tokens) -> np.ndarray:
-        q = self._big().next_dist(context)
-        k = len(tokens)
-        if not k:
-            return q.probs
-        p = self._draft_law(context, k)
-        if self.method.kind == "otm_lp":
-            return self._plan(p, q, ckey, k).conditional(tokens).probs
-        return self._kseq_conditional(p, q, tokens, self._kseq(p, q, ckey, k))
-
-    def _draft_law(self, context, k) -> ProbVector:
+    def _rule(self, context, k):
+        """(p, q, the memoised rule for k live drafts)."""
         if self.method.kind == "maximal" and k != 1:
             raise ValidationError("maximal selection is only valid with a single draft")
-        return self._small().next_dist(context)
+        big, small = self._big(), self._small()
+        q, p = big.next_dist(context), small.next_dist(context)
+        otm = self.method.kind == "otm_lp"
+        key = ("plan" if otm else "kseq", (big.memo_key(context), small.memo_key(context)), k)
+        rule = self.memo.get(key)
+        if rule is None:
+            rule = self.memo[key] = (
+                tc.otm_lp_solve(p, q, k)[0] if otm
+                else tc.kseq_params(p, q, k, tc._gamma_star_or_k(p, q, k)))
+        return p, q, rule
 
-    def _memo(self, key, solve):
-        """solve(), kept under `key`."""
+    def _law(self, context, tokens):
+        key = ("law", (self._big().memo_key(context), self._small().memo_key(context)), tokens)
         out = self.memo.get(key)
         if out is None:
-            out = self.memo[key] = solve()
-        return out
-
-    def _kseq(self, p, q, ckey, k) -> tc.KseqParams:
-        """The scan's parameters at gamma* for the k live drafts."""
-        return self._memo(("kseq", ckey, k),
-                          lambda: tc.kseq_params(p, q, k, tc._gamma_star_or_k(p, q, k)))
-
-    def _plan(self, p, q, ckey, k) -> tc.TransportPlan:
-        return self._memo(("plan", ckey, k), lambda: tc.otm_lp_solve(p, q, k)[0])
-
-    @staticmethod
-    def _kseq_conditional(p: ProbVector, q: ProbVector, tokens: Sequence[int],
-                          params: tc.KseqParams) -> np.ndarray:
-        out = np.zeros(p.vocab_size)
-        survive = 1.0
-        for x in tokens:
-            accept = min(1.0, q[x] / (params.gamma * p[x]))
-            out[x] += survive * accept
-            survive *= (1.0 - accept)
-        out += survive * params.residual.probs
+            if not tokens:
+                law = self._big().next_dist(context).probs
+            else:
+                p, q, rule = self._rule(context, len(tokens))
+                law = (rule.conditional(tokens).probs if self.method.kind == "otm_lp"
+                       else tc.kseq_conditional(p, q, tokens, rule))
+            law.setflags(write=False)
+            support = np.flatnonzero(law > PROB_FLOOR).tolist()
+            out = self.memo[key] = (law, [(y, float(law[y])) for y in support])
         return out
 
 

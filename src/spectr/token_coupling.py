@@ -8,13 +8,13 @@ chance that it comes from the draft set:
 * ``kseq_select``: sequential scan over k drafts, damped by a division
   factor gamma; valid for any gamma >= gamma*, near-linear to compute. At
   one draft and gamma = 1 it is ``maximal_coupling_select``, the classic
-  single-draft accept/resample rule.
+  single-draft accept/resample rule. ``kseq_conditional`` is its exact law.
 * ``alpha_star``: the exact optimal acceptance, by min-cut in closed form,
   1 - max(0, max_A p(A)^k - q(A)) over prefixes A of the tokens sorted by
   q/p; O(|vocab| log |vocab|) at any k.
 * ``otm_lp_solve``: an optimal transport plan itself, pi(draft-tuple, output)
-  with membership cost, as a max-flow from distinct-token sets to tokens;
-  it lists every draft tuple, so it is capped.
+  with membership cost, as a max-flow from distinct-token sets to tokens,
+  stored as one output law per set; it lists every draft tuple, so it is capped.
 * ``alpha_upper_bound`` and the closed forms: analytic anchors used to
   cross-check both algorithms.
 """
@@ -25,7 +25,6 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -72,61 +71,57 @@ class SizeLimitError(SpectrError):
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Explicit joint distribution over (draft tuple, output token) pairs.
+    """Joint distribution over (draft tuple, output token) pairs.
 
-    Row marginals reproduce the i.i.d. draft law p^k, column marginals
-    reproduce q. Only strictly positive masses are stored; draft tuples are
-    ordered lexicographically in serialized form.
+    `sets` maps each sorted distinct-token set S of supp(p)^k to its mass
+    P(S) and the one output law of every tuple whose distinct set is S, so a
+    tuple t's row is p^k(t) times that law; column marginals reproduce q.
     """
 
     k: int
-    vocab_size: int
-    entries: Mapping[tuple[tuple[int, ...], int], float]
+    p: ProbVector
+    sets: Mapping[tuple[int, ...], tuple[float, ProbVector]]
 
     def acceptance(self) -> float:
         """Probability mass on pairs whose output token appears in the tuple."""
-        return sum(m for (t, y), m in self.entries.items() if y in t)
+        return sum(mass * float(law.probs[list(s)].sum()) for s, (mass, law) in self.sets.items())
 
     def conditional(self, draft_tuple: tuple[int, ...]) -> ProbVector:
-        """Output distribution given an observed draft tuple."""
-        row = self._rows.get(tuple(draft_tuple))
-        total = 0.0 if row is None else row.sum()
-        if total <= 0.0:
+        """Output distribution given an observed draft tuple: its set's law."""
+        entry = self.sets.get(tuple(sorted(set(draft_tuple))))
+        if entry is None or len(draft_tuple) != self.k:
             raise InvalidDraftError(f"draft tuple {draft_tuple} has zero probability under the plan")
-        return ProbVector(row / total)
+        return entry[1]
 
-    @cached_property
-    def _rows(self) -> dict[tuple[int, ...], np.ndarray]:
-        """Joint masses indexed by draft tuple, built on the first lookup."""
-        rows: dict[tuple[int, ...], np.ndarray] = {}
-        for (t, y), m in self.entries.items():
-            row = rows.get(t)
-            if row is None:
-                row = rows[t] = np.zeros(self.vocab_size)
-            row[y] += m
-        return rows
+    @property
+    def entries(self) -> dict[tuple[tuple[int, ...], int], float]:
+        """Every (draft tuple, output token) pair with positive mass, for export."""
+        probs = self.p.probs.tolist()
+        laws = {s: [(y, w) for y, w in enumerate(law.probs.tolist()) if w > 0.0]
+                for s, (_, law) in self.sets.items()}
+        out = {}
+        for t in itertools.product(self.p.support().tolist(), repeat=self.k):
+            m = math.prod(probs[i] for i in t)
+            for y, w in laws.get(tuple(sorted(set(t))), ()):
+                if m * w > 0.0:
+                    out[(t, y)] = m * w
+        return out
 
     def csv_rows(self) -> list[tuple[str, int, float]]:
         """(hyphen-joined draft tuple, output token, mass), lexicographic."""
-        keys = sorted(self.entries)
-        return [("-".join(str(i) for i in t), y, self.entries[(t, y)]) for t, y in keys]
+        entries = self.entries
+        return [("-".join(str(i) for i in t), y, entries[(t, y)]) for t, y in sorted(entries)]
 
     def validate(self, p: ProbVector, q: ProbVector, tol: float = MARGINAL_TOL) -> None:
-        rows: dict[tuple[int, ...], float] = {}
-        cols = np.zeros(self.vocab_size)
-        for (t, y), m in self.entries.items():
-            if m < -NEG_TOL:
-                raise ValidationError(f"negative plan mass {m!r} at {(t, y)}")
-            rows[t] = rows.get(t, 0.0) + m
-            cols[y] += m
+        """Set masses sum to 1 and columns match q; every law is a ProbVector,
+        so each tuple's row is p^k(t) by construction."""
+        if not np.array_equal(p.probs, self.p.probs):
+            raise ValidationError("plan was built for another draft law")
+        if abs(math.fsum(mass for mass, _ in self.sets.values()) - 1.0) > tol:
+            raise ValidationError("plan set masses do not sum to 1")
+        cols = sum(mass * law.probs for mass, law in self.sets.values())
         if np.abs(cols - q.probs).max() > tol:
             raise ValidationError("plan column marginals do not match q")
-        supp = [int(i) for i in p.support()]
-        probs = p.probs.tolist()
-        for t in itertools.product(supp, repeat=self.k):
-            expected = math.prod(probs[i] for i in t)
-            if abs(rows.get(t, 0.0) - expected) > tol:
-                raise ValidationError(f"plan row marginal at {t} is {rows.get(t, 0.0)}, want {expected}")
 
 
 @dataclass(frozen=True)
@@ -297,6 +292,13 @@ def kseq_params(p: ProbVector, q: ProbVector, k: int, gamma: float) -> KseqParam
     return KseqParams(gamma=gamma, beta=b, p_acc=p_acc, residual=ProbVector(raw / raw.sum()))
 
 
+def _acceptance(p: ProbVector, q: ProbVector, x: TokenId, gamma: float) -> float:
+    """The scan's chance of accepting a draft of token x, min(1, q/(gamma*p))."""
+    if p[x] <= 0.0:
+        raise InvalidDraftError(f"draft token {x} has zero probability under p")
+    return min(1.0, q[x] / (gamma * p[x]))
+
+
 def kseq_select(p: ProbVector, q: ProbVector, drafts: Sequence[TokenId], gamma: float,
                 rng: RngStream, params: KseqParams | None = None,
                 ) -> tuple[TokenId, Optional[int]]:
@@ -310,12 +312,21 @@ def kseq_select(p: ProbVector, q: ProbVector, drafts: Sequence[TokenId], gamma: 
     if params is None:
         params = kseq_params(p, q, len(drafts), gamma)
     for i, x in enumerate(drafts):
-        if p[x] <= 0.0:
-            raise InvalidDraftError(f"draft token {x} has zero probability under p")
-        accept = min(1.0, q[x] / (gamma * p[x]))
-        if rng.uniform() <= accept:
+        if rng.uniform() <= _acceptance(p, q, x, gamma):
             return x, i
     return sample(params.residual, rng), None
+
+
+def kseq_conditional(p: ProbVector, q: ProbVector, drafts: Sequence[TokenId],
+                     params: KseqParams) -> np.ndarray:
+    """Exact law of `kseq_select`'s token for these drafts, scanned in order at params.gamma."""
+    out = np.zeros(p.vocab_size)
+    survive = 1.0
+    for x in drafts:
+        accept = _acceptance(p, q, x, params.gamma)
+        out[x] += survive * accept
+        survive *= 1.0 - accept
+    return out + survive * params.residual.probs
 
 
 def kseq_output_marginal(p: ProbVector, q: ProbVector, k: int, gamma: float) -> ProbVector:
@@ -365,8 +376,7 @@ def alpha_star(p: ProbVector, q: ProbVector, k: int) -> float:
     return min(max(1.0 - max(excess, 0.0), 0.0), 1.0)
 
 
-def otm_lp_solve(p: ProbVector, q: ProbVector, k: int,
-                 cap: int = DEFAULT_TUPLE_CAP) -> tuple[TransportPlan, float]:
+def otm_lp_solve(p: ProbVector, q: ProbVector, k: int) -> tuple[TransportPlan, float]:
     """An optimal transport plan with membership cost, and its acceptance.
 
     The plan pi(x^k, y) charges 1 whenever y is not among the tuple's
@@ -376,21 +386,19 @@ def otm_lp_solve(p: ProbVector, q: ProbVector, k: int,
     unsent is coupled with the mass it leaves unfilled in proportion; after
     a max-flow no y in an unsent S is unfilled, so this accepts nothing.
     Every tuple takes its set's conditional (proportional disaggregation),
-    which keeps the plan optimal. The plan lists every tuple of supp(p)^k,
-    hence the cap. Returns (plan, the plan's own acceptance), which equals
-    alpha_star(p, q, k) up to rounding; the two are computed apart, so each
-    checks the other.
+    which keeps the plan optimal, so the plan stores one law per set.
+    Planning lists every tuple of supp(p)^k, hence the cap. Returns (plan,
+    the plan's own acceptance), which equals alpha_star(p, q, k) up to
+    rounding; the two are computed apart, so each checks the other.
     """
     _check_same_vocab(p, q)
     if k < 1:
         raise ValidationError("k must be >= 1")
-    tuples = _tuple_space(p, k, cap)
     probs = p.probs.tolist()
-    tuple_mass = [math.prod(probs[i] for i in t) for t in tuples]
-    tuple_set = [tuple(sorted(set(t))) for t in tuples]
     set_mass: dict[tuple[int, ...], float] = {}
-    for s, m in zip(tuple_set, tuple_mass):
-        set_mass[s] = set_mass.get(s, 0.0) + m
+    for t in _tuple_space(p, k, DEFAULT_TUPLE_CAP):
+        s = tuple(sorted(set(t)))
+        set_mass[s] = set_mass.get(s, 0.0) + math.prod(probs[i] for i in t)
 
     # Residual capacities; sets are tuples, tokens ints.
     ys = [int(y) for y in q.support()]
@@ -402,18 +410,17 @@ def otm_lp_solve(p: ProbVector, q: ProbVector, k: int,
     left = math.fsum(res[y]["sink"] for y in ys)
     # Where rounding leaves unsent mass but no unfilled mass, q takes it.
     share = {y: res[y]["sink"] / left if left > 0.0 else q[y] for y in ys}
-    conditional = {}
-    for s in set_mass:
-        row = {y: res[y][s] for y in s if y in res and res[y][s] > 0.0}
-        unsent = res["source"][s]
-        for y, w in share.items():
-            if unsent * w > 0.0:
-                row[y] = row.get(y, 0.0) + unsent * w
-        total = math.fsum(row.values())
-        conditional[s] = {y: w / total for y, w in row.items()}
-    entries = {(t, y): m * w for t, s, m in zip(tuples, tuple_set, tuple_mass)
-               for y, w in conditional[s].items() if m * w > 0.0}
-    plan = TransportPlan(k=k, vocab_size=p.vocab_size, entries=entries)
+    sets = {}
+    for s, mass in set_mass.items():
+        # S's unsent mass spread by `share`, plus what the flow sent from S.
+        row = [res["source"][s] * share.get(y, 0.0) for y in range(p.vocab_size)]
+        for y in s:
+            if y in res:
+                row[y] += res[y][s]
+        total = math.fsum(row)
+        if total > 0.0:
+            sets[s] = (mass, ProbVector(np.array(row) / total))
+    plan = TransportPlan(k=k, p=p, sets=sets)
     plan.validate(p, q)
     return plan, min(max(plan.acceptance(), 0.0), 1.0)
 
@@ -462,9 +469,7 @@ def _push(res: dict, level: dict, dead: set, u, sink, limit: float) -> float:
     return 0.0
 
 
-def alpha_upper_bound(p: ProbVector, q: ProbVector, k: int,
-                      cap: int = DEFAULT_TUPLE_CAP,
-                      ) -> tuple[float, tuple[int, ...]]:
+def alpha_upper_bound(p: ProbVector, q: ProbVector, k: int) -> tuple[float, tuple[int, ...]]:
     """Information-theoretic ceiling on the optimal acceptance probability.
 
     Minimizes, over subsets S of the vocabulary,
@@ -482,7 +487,7 @@ def alpha_upper_bound(p: ProbVector, q: ProbVector, k: int,
     v = p.vocab_size
     if v > UPPER_BOUND_MAX_VOCAB:
         raise SizeLimitError(f"|vocab| = {v} exceeds subset-enumeration cap {UPPER_BOUND_MAX_VOCAB}")
-    tuples = _tuple_space(p, k, cap)
+    tuples = _tuple_space(p, k, DEFAULT_TUPLE_CAP)
     tuple_mass = np.array([float(np.prod([p[i] for i in t])) for t in tuples])
     tuple_sets = np.array([_mask(t) for t in tuples], dtype=np.int64)
 

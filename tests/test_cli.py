@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 import tracemalloc
@@ -57,6 +58,26 @@ def test_coupling_plan_export(capsys, tmp_path):
     assert lines[1] == "draft_tuple,output_token,mass"
     masses = [float(l.split(",")[2]) for l in lines[2:]]
     assert sum(masses) == pytest.approx(1.0, abs=1e-9)
+
+
+# sha256 prefixes of every line after `# config:` in `coupling --method otm
+# --plan-out`, taken when the plan still stored one row per draft tuple
+PLAN_CSV_PINS = [
+    ("0.5,0.3,0.2", "0.2,0.3,0.5", "3", "ed7228708c9960fc"),
+    ("0.4,0.3,0.2,0.1,0", "0.1,0.1,0.2,0.3,0.3", "2", "0b73ddfe0cc68dbb"),
+    ("0.75,0.25", "0.25,0.75", "2", "42c4ee043d2fa608"),
+]
+
+
+@pytest.mark.parametrize("p,q,k,digest", PLAN_CSV_PINS)
+def test_coupling_plan_csv_is_pinned(capsys, tmp_path, p, q, k, digest):
+    plan_path = tmp_path / "plan.csv"
+    code, _, _ = run_cli(capsys, "coupling", "--p", p, "--q", q, "--k", k, "--method", "otm",
+                         "--plan-out", str(plan_path))
+    assert code == 0
+    config, body = plan_path.read_text().split("\n", 1)
+    assert config.startswith("# config: coupling ")
+    assert hashlib.sha256(body.encode()).hexdigest()[:16] == digest
 
 
 def test_coupling_reads_distribution_from_file(capsys, tmp_path):
@@ -167,6 +188,35 @@ def test_verify_sequence_scope_rejects_a_state_above_the_cap(capsys):
     assert code == 3
     assert "16^4" in err and "cap 16384" in err
     assert peak < 5e6
+
+
+@pytest.mark.parametrize("argv", [
+    ("decode", "--num-drafts", "10000000", "--prompts", "1", "--tokens", "1"),
+    ("decode", "--num-drafts", "1", "--draft-len", "2000", "--prompts", "1", "--tokens", "1"),
+])
+def test_decode_refuses_a_draft_set_above_its_caps(capsys, argv):
+    # 4e7 nodes, or a depth of 2000 that would overflow the recursive build
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert out == "" and err.startswith("error: ") and "cap" in err
+    assert elapsed < 2.0 and peak < 5e6
+
+
+def test_verify_sequence_scope_refuses_a_walk_above_the_cap(capsys):
+    # one draft at V=3 lists 3^d tuples at depth d: the walk stops at depth 11
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--scope", "sequence", "--num-drafts", "1",
+                             "--draft-len", "2000")
+    assert time.perf_counter() - start < 15.0
+    assert code == 3
+    assert out == "" and err.startswith("error: ") and "walk tuple cap" in err
 
 
 @pytest.mark.parametrize("argv,unread", [
@@ -289,6 +339,14 @@ def test_gamma_is_not_configurable_beyond_an_explicit_override(argv):
     assert exc.value.code == 2
 
 
+def test_tuple_cap_is_not_configurable():
+    # plans and the upper bound always enumerate at most DEFAULT_TUPLE_CAP tuples
+    with pytest.raises(SystemExit) as exc:
+        main(["coupling", "--p", "0.5,0.3,0.2", "--q", "0.2,0.3,0.5", "--k", "3",
+              "--method", "otm", "--cap", "4096"])
+    assert exc.value.code == 2
+
+
 def test_coupling_gamma_override_scans_at_the_given_gamma(capsys):
     # the explicit override stays: K-SEQ is valid for any gamma >= gamma*
     code, out, _ = run_cli(capsys, "coupling", "--p", "0.5,0.3,0.2", "--q", "0.2,0.3,0.5",
@@ -381,8 +439,6 @@ def test_verify_rejects_sizes_it_cannot_verify(capsys, argv):
     ("sweep", "--family", "uniform", "--d", "4", "--r-list", "0"),
     ("sweep", "--family", "bernoulli", "--b-list", "0.5", "--k-max", "0"),
     ("coupling", "--p", "", "--q", "0.3,0.7"),
-    ("coupling", "--p", "0.5,0.5", "--q", "0.3,0.7", "--k", "2", "--method", "upper",
-     "--cap", "0"),
     ("coupling", "--p", "0.5,0.5", "--q", "0.3,0.7", "--method", "otm",
      "--plan-out", "{tmp}/missing/plan.csv"),
     ("sweep", "--family", "bernoulli", "--b-list", "0.5", "--output", "{tmp}/missing/out.csv"),

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectr.draft_gen import (
+    DRAFT_DEPTH_CAP,
+    DRAFT_NODE_CAP,
     DraftNode,
     DraftSet,
     StructuralError,
@@ -13,6 +15,7 @@ from spectr.draft_gen import (
 )
 from spectr.lm_sim import ToyLm
 from spectr.prob_core import ProbVector, RngStream, sample
+from spectr.token_coupling import SizeLimitError
 
 
 class PointMassLm:
@@ -179,6 +182,29 @@ def test_from_sequences_and_validation():
         sample_iid_drafts(ToyLm(4, 1, seed=0), [0], K=0, L=2, rng=RngStream(0))
     with pytest.raises(StructuralError):
         build_prefix_tree_drafts(ToyLm(4, 1, seed=0), [0], factors=(), rng=RngStream(0))
+
+
+class _NoDraws:
+    """Stub stream that fails on any use: a refused set draws nothing."""
+
+    def child(self, *ext):
+        raise AssertionError("drew from the stream")
+
+
+def test_draft_sets_above_the_caps_are_refused_before_any_draw():
+    lm = ToyLm(4, 1, seed=0)
+    with pytest.raises(SizeLimitError, match=f"node cap {DRAFT_NODE_CAP}"):
+        sample_iid_drafts(lm, [0], K=DRAFT_NODE_CAP // 4 + 1, L=4, rng=_NoDraws())
+    with pytest.raises(SizeLimitError, match=f"node cap {DRAFT_NODE_CAP}"):
+        build_prefix_tree_drafts(lm, [0], factors=(DRAFT_NODE_CAP // 2, 2), rng=_NoDraws())
+    with pytest.raises(SizeLimitError, match=f"depth cap {DRAFT_DEPTH_CAP}"):
+        sample_iid_drafts(lm, [0], K=1, L=DRAFT_DEPTH_CAP + 1, rng=_NoDraws())
+    with pytest.raises(SizeLimitError, match=f"depth cap {DRAFT_DEPTH_CAP}"):
+        build_prefix_tree_drafts(lm, [0], factors=(1,) * (DRAFT_DEPTH_CAP + 1), rng=_NoDraws())
+    # sets at the caps are built
+    assert sample_iid_drafts(lm, [0], K=1, L=DRAFT_DEPTH_CAP, rng=RngStream(0)).validate() == 1
+    tree = build_prefix_tree_drafts(lm, [0], factors=(DRAFT_NODE_CAP // 2, 1), rng=RngStream(0))
+    assert tree.validate() == DRAFT_NODE_CAP // 2
 
 
 def test_validate_rejects_mixed_depth_forests():

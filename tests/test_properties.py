@@ -316,12 +316,21 @@ def test_otm_plan_is_optimal_and_set_proportional(instance):
     assert abs(brute_force_min_cut(p, q, k) - want) <= 1e-12
     # the conditional given a draft tuple depends on its distinct set alone
     by_set = {}
+    laws = {}
     for t in itertools.product([int(i) for i in p.support()], repeat=k):
         if float(np.prod([p[i] for i in t])) == 0.0:
             continue
         cond = plan.conditional(t).probs
         first = by_set.setdefault(frozenset(t), cond)
         assert np.abs(cond - first).max() <= 1e-12
+        # tuples with one distinct set get one law
+        assert laws.setdefault(frozenset(t), plan.conditional(t)) is plan.conditional(t)
+    entries = plan.entries
+    assert abs(plan.acceptance() - sum(m for (t, y), m in entries.items() if y in t)) <= 1e-12
+    cols = np.zeros(p.vocab_size)
+    for (_, y), m in entries.items():
+        cols[y] += m
+    assert np.abs(cols - q.probs).max() <= tc.MARGINAL_TOL
 
 
 @settings(max_examples=150, deadline=None)

@@ -21,6 +21,7 @@ from spectr.token_coupling import (
     alpha_upper_bound,
     beta_damped,
     kseq_acceptance,
+    kseq_conditional,
     kseq_gamma_star,
     kseq_output_marginal,
     kseq_params,
@@ -52,8 +53,12 @@ def test_maximal_accepts_everything_when_p_equals_q():
 
 
 def test_maximal_zero_probability_draft_rejected():
+    p, q = ProbVector([1.0, 0.0]), ProbVector([0.5, 0.5])
     with pytest.raises(InvalidDraftError):
-        maximal_coupling_select(ProbVector([1.0, 0.0]), ProbVector([0.5, 0.5]), 1, RngStream(0))
+        maximal_coupling_select(p, q, 1, RngStream(0))
+    # the scan's exact law rejects the same draft, by the same per-draft check
+    with pytest.raises(InvalidDraftError):
+        kseq_conditional(p, q, [0, 1], kseq_params(p, q, 2, 2.0))
 
 
 def test_maximal_bernoulli_one_vs_half_accepts_half_the_time():
@@ -365,7 +370,7 @@ def test_kseq_select_rejects_all_when_p_acc_rounds_to_one():
     assert params.p_acc == 1.0
     assert np.allclose(params.residual.probs, q.probs, atol=1e-12)
     # the exact oracle gives the all-reject mass, about 6e-14, to that residual
-    cond = TokenSelector._kseq_conditional(p, q, (0, 0, 0), params)
+    cond = kseq_conditional(p, q, (0, 0, 0), params)
     assert abs(cond.sum() - 1.0) <= 1e-15
     for given in (params, None):
         token, idx = kseq_select(p, q, [0, 0, 0], gamma, _RejectingRng(), params=given)
