@@ -280,6 +280,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
                                 ("--draft-len", args.draft_len)):
                 if value < 1:
                     raise ValidationError(f"{flag} must be >= 1")
+            # Rows are strictly positive, so every depth lists at least one live tuple.
+            if args.draft_len > exact.WALK_TUPLE_CAP:
+                raise tc.SizeLimitError(f"a walk of {args.draft_len} depths exceeds "
+                                        f"the walk tuple cap {exact.WALK_TUPLE_CAP}")
             branching = [args.num_drafts] + [1] * (args.draft_len - 1)
         else:
             branching = _parse_list(args.factors, int)

@@ -7,9 +7,11 @@ owns one RNG substream, so both read the same protocol. Draft selection
 consumes the forest directly: at each depth the *nodes* currently alive are
 exactly the i.i.d. small-model draws the token-level coupling assumes.
 
-A draft set is only the forest: the draft law at every prefix is the draft
-model's own row, which selection reads back from `ToyLm.next_dist` and its
-row memo. A set above DRAFT_DEPTH_CAP or DRAFT_NODE_CAP raises SizeLimitError.
+A draft set is only the forest (`roots`, `length`, `validate`): the draft law
+at every prefix is the draft model's own row, which selection reads back from
+`ToyLm.next_dist` and its row memo. `checked_factors` is the one branching
+check, which the exact oracle shares. A set above DRAFT_DEPTH_CAP or
+DRAFT_NODE_CAP raises SizeLimitError.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ DRAFT_DEPTH_CAP = 256
 
 
 class StructuralError(SpectrError):
-    """Draft set is malformed: empty, or sequences of mixed length."""
+    """Draft set is malformed: empty, leaves at mixed depths, or bad factors."""
 
 
 @dataclass(frozen=True)
@@ -41,21 +43,11 @@ class DraftNode:
 
 @dataclass(frozen=True)
 class DraftSet:
-    """Candidate continuations of a context, drawn from the draft model.
-
-    `roots` is the construction forest; `sequences` lists its leaves'
-    root-to-leaf token paths in construction order.
-    """
+    """Candidate continuations of a context, drawn from the draft model:
+    the construction forest `roots`, every leaf at depth `length`."""
 
     roots: tuple[DraftNode, ...]
     length: int
-
-    @property
-    def sequences(self) -> tuple[tuple[int, ...], ...]:
-        out: list[tuple[int, ...]] = []
-        for root in self.roots:
-            _leaf_paths(root, (), out)
-        return tuple(out)
 
     def validate(self) -> int:
         """The number of drafts (leaves); raises unless every leaf is at depth `length`."""
@@ -64,39 +56,19 @@ class DraftSet:
         nodes = self.roots
         for _ in range(self.length - 1):
             if not all(node.children for node in nodes):
-                raise StructuralError("draft sequences have mixed lengths")
+                raise StructuralError("draft leaves lie at mixed depths")
             nodes = [child for node in nodes for child in node.children]
         if self.length < 1 or any(node.children for node in nodes):
-            raise StructuralError("draft sequences have mixed lengths")
+            raise StructuralError("draft leaves lie at mixed depths")
         return len(nodes)
 
-    @classmethod
-    def from_sequences(cls, sequences: Sequence[Sequence[int]]) -> "DraftSet":
-        """Wrap explicit equal-length sequences as an i.i.d.-style chain forest."""
-        if not sequences:
-            raise StructuralError("draft set is empty")
-        lengths = {len(s) for s in sequences}
-        if len(lengths) != 1:
-            raise StructuralError("draft sequences have mixed lengths")
-        if 0 in lengths:
-            raise StructuralError("draft sequences must have at least one token")
-        roots = tuple(_chain(tuple(int(t) for t in s)) for s in sequences)
-        return cls(roots=roots, length=lengths.pop())
 
-
-def _leaf_paths(node: DraftNode, prefix: tuple[int, ...], out: list) -> None:
-    path = prefix + (node.token,)
-    if not node.children:
-        out.append(path)
-    for child in node.children:
-        _leaf_paths(child, path, out)
-
-
-def _chain(tokens: tuple[int, ...]) -> DraftNode:
-    node = DraftNode(tokens[-1])
-    for t in reversed(tokens[:-1]):
-        node = DraftNode(t, (node,))
-    return node
+def checked_factors(factors: Sequence[int]) -> list[int]:
+    """`factors` as a list of ints; raises unless it is non-empty and all positive."""
+    factors = [int(k) for k in factors]
+    if not factors or any(k < 1 for k in factors):
+        raise StructuralError("branching factors must be positive integers")
+    return factors
 
 
 def sample_iid_drafts(small: ToyLm, context: Sequence[int], K: int, L: int,
@@ -117,14 +89,12 @@ def build_prefix_tree_drafts(small: ToyLm, context: Sequence[int],
 
     Each node at depth i has k_{i+1} children whose tokens are i.i.d. draws
     from the draft model conditioned on the node's sequence; the prod k_i
-    leaf sequences form the draft set. Leaf j (in construction order) draws
+    leaf paths form the draft set. Leaf j (in construction order) draws
     rng.child(j).uniforms(L) once, and a node at depth d takes uniform d of
     its first leaf: one substream per leaf, so the result does not depend
     on traversal order. Raises SizeLimitError above either cap.
     """
-    factors = [int(k) for k in factors]
-    if not factors or any(k < 1 for k in factors):
-        raise StructuralError("expansion factors must be positive integers")
+    factors = checked_factors(factors)
     if len(factors) > DRAFT_DEPTH_CAP:
         raise SizeLimitError(f"draft length {len(factors)} exceeds the depth cap {DRAFT_DEPTH_CAP}")
     # spans[d]: the leaves under one node at depth d - 1 (spans[0] under the whole forest).

@@ -7,13 +7,14 @@ forward, so the oracle walks states (emitted prefix, live count m) depth by
 depth instead of draft forests. Every ordered m-tuple of the row's support
 goes, with its draft probability, through the decoder's own
 `TokenSelector.support` (`kseq_conditional`, or the plan's law of the
-tuple's distinct-token set) and `selection_step`: a token carried by c live
-drafts moves the weight to (prefix + token, c * next branching factor), a
-token carried by none ends the sequence, and after the last depth the bonus
-row applies. A state whose |supp|^m exceeds STATE_TUPLE_CAP, or that would
-take the walk's running total past WALK_TUPLE_CAP, raises SizeLimitError
-before its tuples are built. The chain-rule check then sweeps the one
-output table once, keeping only the worst cell.
+tuple's distinct-token set) and its index filter `selection_step`, with no
+draft node built: a token carried by c live drafts moves the weight to
+(prefix + token, c * next branching factor), a token carried by none ends
+the sequence, and after the last depth the bonus row applies. A state
+whose |supp|^m exceeds STATE_TUPLE_CAP, or that would take the walk's
+running total past WALK_TUPLE_CAP, raises SizeLimitError before its
+tuples are built. The chain-rule check then sweeps the one output table
+once, keeping only the worst cell.
 
 The checked identity is stepwise: for every depth i and emitted prefix,
 
@@ -34,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .lm_sim import ToyLm
-from .draft_gen import DraftNode, StructuralError
+from .draft_gen import DraftNode, checked_factors
 from .spectr_decode import PROB_FLOOR, SelectionMethod, TokenSelector, selection_step
 from . import token_coupling as tc
 
@@ -48,17 +49,13 @@ STATE_TUPLE_CAP = 1 << 14
 # walk tested, lists 66,726; V = 3 with one draft passes the cap from L = 11.
 WALK_TUPLE_CAP = 1 << 18
 
-# The placeholder child of the walk's stand-in nodes: `selection_step` hands
-# on the survivors' children, so their number is the next live count.
-_CHILD = DraftNode(-1)
-
 
 def method_output_distribution(big: ToyLm, small: ToyLm, context: Sequence[int],
                                branching: Sequence[int], method: SelectionMethod) -> SeqDist:
     """Exact output-sequence law of draft_selection over all draft randomness,
     walked over (emitted prefix, live count) states; a state above STATE_TUPLE_CAP
     live tuples, or a walk above WALK_TUPLE_CAP in all, raises SizeLimitError."""
-    branching = _checked(branching)
+    branching = checked_factors(branching)
     selector = TokenSelector(big, small, method)  # recomputed on every call
     base = tuple(int(t) for t in context)
     out: SeqDist = {}
@@ -67,13 +64,13 @@ def method_output_distribution(big: ToyLm, small: ToyLm, context: Sequence[int],
     listed = 0
     while states:
         # After the leaves, survivors hand on no drafts and the bonus row applies.
-        children = (_CHILD,) * next(fanouts, 0)
+        fanout = next(fanouts, 0)
         reached: dict[tuple[tuple[int, ...], int], float] = {}
         for (prefix, live), weight in states.items():
             ctx = base + prefix
             row = small.next_dist(ctx)
             supp = np.flatnonzero(row.probs > PROB_FLOOR).tolist()
-            if len(supp) ** live > STATE_TUPLE_CAP:
+            if tc.power_exceeds(len(supp), live, STATE_TUPLE_CAP):
                 raise tc.SizeLimitError(f"|supp p|^live = {len(supp)}^{live} exceeds "
                                         f"the state tuple cap {STATE_TUPLE_CAP}")
             listed += len(supp) ** live
@@ -81,16 +78,14 @@ def method_output_distribution(big: ToyLm, small: ToyLm, context: Sequence[int],
                 raise tc.SizeLimitError(f"the walk would list {listed} live tuples, above "
                                         f"the walk tuple cap {WALK_TUPLE_CAP}")
             probs = row.probs.tolist()
-            nodes = [DraftNode(t, children) for t in supp]
-            for drafts in itertools.product(nodes, repeat=live):
-                tokens = tuple(node.token for node in drafts)
+            for tokens in itertools.product(supp, repeat=live):
                 w = weight * math.prod(probs[t] for t in tokens)
                 for y, wy in selector.support(ctx, tokens):
-                    kept = selection_step(drafts, y)
+                    kept = selection_step(tokens, y)
                     if kept is None:
                         _bump(out, prefix + (y,), w * wy)
                     else:
-                        _bump(reached, (prefix + (y,), len(kept)), w * wy)
+                        _bump(reached, (prefix + (y,), len(kept) * fanout), w * wy)
         states = reached
     mass = sum(out.values())
     if abs(mass - 1.0) > 1e-9:
@@ -109,16 +104,9 @@ def enumerate_draft_forests(small: ToyLm, context: Sequence[int],
     independent reference that the state walk is tested against (and
     perfbench's tracer still counts what it yields, by name).
     """
-    branching = _checked(branching)
+    branching = checked_factors(branching)
     base = tuple(int(t) for t in context)
     yield from _group_options(small, base, branching, (), 0)
-
-
-def _checked(branching: Sequence[int]) -> list[int]:
-    branching = [int(b) for b in branching]
-    if not branching or any(b < 1 for b in branching):
-        raise StructuralError("branching factors must be positive integers")
-    return branching
 
 
 def _group_options(small: ToyLm, base: tuple, branching: list[int], prefix: tuple,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .prob_core import RngStream, SpectrError, ValidationError, sample
 from .lm_sim import CostModel, ToyLm
-from .draft_gen import DraftNode, DraftSet, sample_iid_drafts, build_prefix_tree_drafts
+from .draft_gen import DraftSet, sample_iid_drafts, build_prefix_tree_drafts
 from . import token_coupling as tc
 
 
@@ -195,21 +195,23 @@ def draft_selection(context: Sequence[int], drafts: DraftSet, big: ToyLm, small:
     drafts.validate()
     selector = _shared_selector(big, small, method)
     base = tuple(int(t) for t in context)
-    state = drafts.roots
+    nodes = drafts.roots
     emitted: list[int] = []
-    while state is not None:
-        chosen = selector.select(base + tuple(emitted), [node.token for node in state], rng)
+    while True:
+        tokens = [node.token for node in nodes]
+        chosen = selector.select(base + tuple(emitted), tokens, rng)
         emitted.append(chosen)
-        state = selection_step(state, chosen)
-    return emitted
+        kept = selection_step(tokens, chosen)
+        if kept is None:
+            return emitted
+        nodes = [child for i in kept for child in nodes[i].children]
 
 
-def selection_step(state: Sequence[DraftNode], chosen: int) -> tuple[DraftNode, ...] | None:
-    """The children of the nodes carrying `chosen`, or None when none does and
-    the selection stops; after leaves, the empty tuple asks for the bonus token.
-    `draft_selection` and the exact oracle both walk by this step."""
-    survivors = [node for node in state if node.token == chosen]
-    return tuple(child for node in survivors for child in node.children) if survivors else None
+def selection_step(tokens: Sequence[int], chosen: int) -> list[int] | None:
+    """The positions of the live drafts carrying `chosen`, or None when none does and the
+    selection stops. `draft_selection` follows the kept drafts' children (none after the
+    leaves: the bonus token comes next) and the exact oracle counts them."""
+    return [i for i, token in enumerate(tokens) if token == chosen] or None
 
 
 def _iteration_time(draft_length: int, cost: CostModel) -> float:

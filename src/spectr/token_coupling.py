@@ -348,9 +348,15 @@ def kseq_acceptance(p: ProbVector, q: ProbVector, k: int, gamma: float) -> float
     return kseq_params(p, q, k, gamma).p_acc
 
 
+def power_exceeds(base: int, exp: int, cap: int) -> bool:
+    """Whether base**exp > cap >= 1, found without computing base**exp: exp is
+    compared with the largest exponent the cap allows."""
+    return base > 1 and exp > max(e for e in range(cap.bit_length()) if base ** e <= cap)
+
+
 def _tuple_space(p: ProbVector, k: int, cap: int) -> list[tuple[int, ...]]:
     supp = [int(i) for i in p.support()]
-    if len(supp) ** k > cap:
+    if power_exceeds(len(supp), k, cap):
         raise SizeLimitError(
             f"|supp p|^k = {len(supp)}^{k} exceeds the tuple cap {cap}")
     return list(itertools.product(supp, repeat=k))

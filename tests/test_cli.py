@@ -219,6 +219,28 @@ def test_verify_sequence_scope_refuses_a_walk_above_the_cap(capsys):
     assert out == "" and err.startswith("error: ") and "walk tuple cap" in err
 
 
+@pytest.mark.parametrize("argv,seconds", [
+    # |supp|^k = 3^30000000 and 3^10000000 are refused without being computed
+    (("coupling", "--p", "0.5,0.3,0.2", "--q", "0.2,0.3,0.5", "--k", "30000000",
+      "--method", "upper"), 1.0),
+    (("verify", "--scope", "sequence", "--num-drafts", "10000000", "--draft-len", "1"), 1.0),
+    # every depth lists a tuple, so the depth alone exceeds the walk cap
+    (("verify", "--scope", "sequence", "--num-drafts", "1", "--draft-len", "20000000"), 2.0),
+])
+def test_oversized_tuple_spaces_are_refused_at_once(capsys, argv, seconds):
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert out == "" and err.startswith("error: ") and "cap" in err
+    assert elapsed < seconds and peak < 5e6
+
+
 @pytest.mark.parametrize("argv,unread", [
     (("decode", "--factors", "2,2,2", "--prompts", "2", "--tokens", "8"),
      {"num_drafts", "draft_len"}),

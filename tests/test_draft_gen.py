@@ -18,6 +18,22 @@ from spectr.prob_core import ProbVector, RngStream, sample
 from spectr.token_coupling import SizeLimitError
 
 
+def leaf_paths(drafts):
+    """The root-to-leaf token paths of a draft set, in construction order."""
+    out = []
+
+    def walk(node, prefix):
+        path = prefix + (node.token,)
+        if not node.children:
+            out.append(path)
+        for child in node.children:
+            walk(child, path)
+
+    for root in drafts.roots:
+        walk(root, ())
+    return tuple(out)
+
+
 class PointMassLm:
     """Stub model whose every row is a point mass on (last token + 1) mod vocab."""
 
@@ -37,7 +53,7 @@ class PointMassLm:
 def test_point_mass_model_gives_identical_deterministic_drafts():
     lm = PointMassLm(5)
     drafts = sample_iid_drafts(lm, [2], K=4, L=3, rng=RngStream(0))
-    assert drafts.sequences == ((3, 4, 0),) * 4
+    assert leaf_paths(drafts) == ((3, 4, 0),) * 4
 
 
 def test_k1_reduction_equals_plain_rollout():
@@ -52,14 +68,14 @@ def test_k1_reduction_equals_plain_rollout():
         tok = sample(lm.next_dist(ctx), stream)
         rollout.append(tok)
         ctx.append(tok)
-    assert list(drafts.sequences[0]) == rollout
+    assert list(leaf_paths(drafts)[0]) == rollout
 
 
 def test_iid_draft_contents_do_not_depend_on_k():
     lm = ToyLm(6, 1, seed=4)
     two = sample_iid_drafts(lm, [0], K=2, L=4, rng=RngStream(9))
     five = sample_iid_drafts(lm, [0], K=5, L=4, rng=RngStream(9))
-    assert five.sequences[:2] == two.sequences
+    assert leaf_paths(five)[:2] == leaf_paths(two)
 
 
 def test_iid_first_token_frequencies():
@@ -70,7 +86,7 @@ def test_iid_first_token_frequencies():
     rng = RngStream(31)
     for i in range(trials):
         drafts = sample_iid_drafts(lm, [0], K=1, L=1, rng=rng.child(i))
-        counts[drafts.sequences[0][0]] += 1
+        counts[leaf_paths(drafts)[0][0]] += 1
     assert np.abs(counts / trials - target).max() <= 0.01
 
 
@@ -81,7 +97,7 @@ def test_iid_construction_audit():
     context = [3]
     rng = RngStream(77)
     drafts = sample_iid_drafts(lm, context, K=3, L=4, rng=rng)
-    for j, seq in enumerate(drafts.sequences):
+    for j, seq in enumerate(leaf_paths(drafts)):
         replay = RngStream(77).child(j)
         prefix = tuple(context)
         for tok in seq:
@@ -98,22 +114,22 @@ def test_tree_structure_counts():
     assert all(len(root.children) == 3 for root in drafts.roots)
     assert all(not leaf.children for root in drafts.roots for leaf in root.children)
     # each root heads its 3 leaves, in construction order
-    assert drafts.sequences == tuple((root.token, leaf.token)
-                                     for root in drafts.roots for leaf in root.children)
+    assert leaf_paths(drafts) == tuple((root.token, leaf.token)
+                                       for root in drafts.roots for leaf in root.children)
 
 
 def test_tree_single_chain():
     lm = ToyLm(6, 1, seed=10)
     drafts = build_prefix_tree_drafts(lm, [0], factors=(1, 1), rng=RngStream(5))
-    assert len(drafts.sequences) == 1
-    assert len(drafts.sequences[0]) == 2
+    assert len(leaf_paths(drafts)) == 1
+    assert len(leaf_paths(drafts)[0]) == 2
 
 
 def test_tree_leaf_count_three_levels():
     lm = ToyLm(4, 1, seed=1)
     drafts = build_prefix_tree_drafts(lm, [0], factors=(2, 2, 2), rng=RngStream(3))
-    assert len(drafts.sequences) == 8
-    assert all(len(s) == 3 for s in drafts.sequences)
+    assert len(leaf_paths(drafts)) == 8
+    assert all(len(s) == 3 for s in leaf_paths(drafts))
 
 
 def test_tree_depth_one_matches_iid_first_tokens():
@@ -122,7 +138,7 @@ def test_tree_depth_one_matches_iid_first_tokens():
     lm = ToyLm(6, 1, seed=4)
     iid = sample_iid_drafts(lm, [2], K=3, L=3, rng=RngStream(12))
     tree = build_prefix_tree_drafts(lm, [2], factors=(3, 1, 1), rng=RngStream(12))
-    assert [s[0] for s in iid.sequences] == [s[0] for s in tree.sequences]
+    assert [s[0] for s in leaf_paths(iid)] == [s[0] for s in leaf_paths(tree)]
     assert tree == iid
 
 
@@ -168,16 +184,7 @@ def test_every_tree_node_replays_its_first_leaf_substream(factors, seed, model_s
     assert_nodes_replay(lm, context, factors, seed, drafts)
 
 
-def test_from_sequences_and_validation():
-    ds = DraftSet.from_sequences([(1, 2), (1, 3)])
-    assert ds.sequences == ((1, 2), (1, 3))
-    ds.validate()
-    with pytest.raises(StructuralError):
-        DraftSet.from_sequences([])
-    with pytest.raises(StructuralError):
-        DraftSet.from_sequences([(1, 2), (1,)])
-    with pytest.raises(StructuralError):
-        DraftSet.from_sequences([()])
+def test_builders_reject_no_drafts_and_no_factors():
     with pytest.raises(StructuralError):
         sample_iid_drafts(ToyLm(4, 1, seed=0), [0], K=0, L=2, rng=RngStream(0))
     with pytest.raises(StructuralError):
@@ -240,7 +247,7 @@ def forests(draw):
 @settings(max_examples=200, deadline=None)
 @given(drafts=forests())
 def test_validate_counts_the_leaves_of_well_formed_forests(drafts):
-    sequences = drafts.sequences
+    sequences = leaf_paths(drafts)
     if all(len(s) == drafts.length for s in sequences):
         assert drafts.validate() == len(sequences)
     else:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import time
@@ -5,7 +6,7 @@ import time
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from spectr.draft_gen import build_prefix_tree_drafts, sample_iid_drafts
+from spectr.draft_gen import StructuralError, build_prefix_tree_drafts, sample_iid_drafts
 from spectr.exact import (
     STATE_TUPLE_CAP,
     enumerate_draft_forests,
@@ -44,6 +45,30 @@ def test_stepwise_chain_rule_holds(method, branching):
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
     gap, cell = max_chain_rule_gap(dist, PAIR.big, CONTEXT, len(branching))
     assert gap <= 1e-6, (method.kind, branching, cell)
+
+
+# sha256 prefixes of repr(sorted(table.items())) for make_model_pair(V, 1, seed=0,
+# eps=0.5) at context (0,), taken when the walk still ran on stand-in nodes
+TABLE_PINS = [
+    (3, (2, 2, 2), SelectionMethod.kseq(), "9849a81b8dcc2a2a"),
+    (4, (2, 2), SelectionMethod.otm_lp(), "8ea5b00da774b8f4"),
+]
+
+
+@pytest.mark.parametrize("vocab,branching,method,digest", TABLE_PINS)
+def test_oracle_table_is_pinned(vocab, branching, method, digest):
+    pair = make_model_pair(vocab, 1, seed=0, eps=0.5)
+    dist = method_output_distribution(pair.big, pair.small, CONTEXT, branching, method)
+    assert hashlib.sha256(repr(sorted(dist.items())).encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("branching", [[], [2, 0], [-1]])
+def test_both_entry_points_reject_bad_branching(branching):
+    with pytest.raises(StructuralError, match="positive integers"):
+        method_output_distribution(PAIR.big, PAIR.small, CONTEXT, branching,
+                                   SelectionMethod.kseq())
+    with pytest.raises(StructuralError, match="positive integers"):
+        list(enumerate_draft_forests(PAIR.small, CONTEXT, branching))
 
 
 def test_first_token_marginal_is_big_model():
@@ -152,10 +177,11 @@ def _walk(selector, base, emitted, state, weight, out):
     # With no live drafts left, the selector's law is the bonus token's.
     tokens = tuple(node.token for node in state)
     for y, w in selector.support(base + emitted, tokens):
-        children = selection_step(state, y)
-        if children is None:
+        kept = selection_step(tokens, y)
+        if kept is None:
             out[emitted + (y,)] = out.get(emitted + (y,), 0.0) + weight * w
         else:
+            children = [child for i in kept for child in state[i].children]
             _walk(selector, base, emitted + (y,), children, weight * w, out)
 
 

@@ -20,6 +20,7 @@ from spectr.spectr_decode import (
     trace_time,
 )
 from spectr.token_coupling import SizeLimitError, maximal_coupling_select
+from test_draft_gen import leaf_paths
 
 # Pinned at first build: simulated speedup for vocab=16/order=1/seed=0/eps=0.3,
 # K=8, L=4, kseq, run seed 11, with small-call cost 0.18 per draft step
@@ -49,7 +50,7 @@ def test_single_draft_single_token_reduces_to_maximal_coupling():
     p = pair.small.next_dist(context)
     q = pair.big.next_dist(context)
     replay = RngStream(4).child(1)
-    token, accepted = maximal_coupling_select(p, q, drafts.sequences[0][0], replay)
+    token, accepted = maximal_coupling_select(p, q, leaf_paths(drafts)[0][0], replay)
     want = [token]
     if accepted:
         want.append(sample(pair.big.next_dist(context + (token,)), replay))
@@ -146,11 +147,15 @@ def test_otm_method_decodes_small_instances():
 def test_selection_step_keeps_the_children_of_the_nodes_carrying_the_token():
     a, b, c = DraftNode(3), DraftNode(4), DraftNode(3)
     forest = (DraftNode(1, (a, b)), DraftNode(2), DraftNode(1, (c,)))
-    assert selection_step(forest, 1) == (a, b, c)
-    assert selection_step(forest, 0) is None
+    tokens = [node.token for node in forest]
+    kept = selection_step(tokens, 1)
+    assert kept == [0, 2]
+    assert tuple(child for i in kept for child in forest[i].children) == (a, b, c)
+    assert selection_step(tokens, 0) is None
     # survivors that are leaves leave no drafts: the bonus token comes next
-    assert selection_step(forest, 2) == ()
-    assert selection_step((), 5) is None
+    assert selection_step(tokens, 2) == [1]
+    assert forest[1].children == ()
+    assert selection_step([], 5) is None
 
 
 def test_maximal_requires_single_draft():

@@ -28,6 +28,7 @@ from spectr.token_coupling import (
     kseq_select,
     maximal_coupling_select,
     otm_lp_solve,
+    power_exceeds,
 )
 
 U4 = ProbVector.uniform(4)
@@ -538,6 +539,16 @@ def test_alpha_upper_bound_caps():
         alpha_upper_bound(ProbVector.uniform(17), ProbVector.uniform(17), 1)
     with pytest.raises(SizeLimitError):
         alpha_upper_bound(ProbVector.uniform(16), ProbVector.uniform(16), 4)  # 16^4 > 4096
+
+
+def test_power_exceeds_agrees_with_the_power():
+    for cap in (1, 2, 4095, 4096, 4097, 1 << 14):
+        for base in range(0, 18):
+            for exp in range(0, 16):
+                assert power_exceeds(base, exp, cap) == (base ** exp > cap), (base, exp, cap)
+    # a support of one token never exceeds a cap, whatever the exponent
+    assert not power_exceeds(1, 10**12, 1)
+    assert power_exceeds(3, 10**12, 4096)
 
 
 def test_bernoulli_closed_form_values():
