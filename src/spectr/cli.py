@@ -44,6 +44,13 @@ EXIT_CAP = 3
 TOKEN_TOL = 1e-9
 SEQUENCE_TOL = 1e-6
 
+# Input caps, each refused with exit 3 before any work (one x86 core): a decode
+# at the default 8 prompts x 64 tokens with a 16,384-token prompt takes 0.7 s,
+# since every iteration copies the context; a sweep takes about 0.1 ms per row
+# and holds every row until it prints, so 16,384 rows take about 1.7 s.
+PROMPT_LEN_CAP = 1 << 14
+SWEEP_ROW_CAP = 1 << 14
+
 
 @dataclass(frozen=True)
 class BenchConfig:
@@ -220,6 +227,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 raise ValidationError(f"d/r = {support!r} must be a positive integer")
             cells.append((r, ProbVector.uniform(args.d),
                           ProbVector.uniform(args.d, support=int(round(support)))))
+    rows = len(cells) * args.k_max * (3 if args.with_lp else 2)
+    if rows > SWEEP_ROW_CAP:
+        raise tc.SizeLimitError(f"a sweep of {rows} rows exceeds the row cap {SWEEP_ROW_CAP}")
 
     for value, p, q in cells:
         param = f"{value:g}"
@@ -329,6 +339,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
         raise ValidationError("--prompts must be >= 1")
     if args.prompt_len < 0:
         raise ValidationError("--prompt-len must be >= 0")
+    if args.prompt_len > PROMPT_LEN_CAP:
+        raise tc.SizeLimitError(f"a prompt of {args.prompt_len} tokens exceeds "
+                                f"the prompt length cap {PROMPT_LEN_CAP}")
     config = BenchConfig.from_args("decode", args)
     pair = make_model_pair(args.vocab, args.order, args.seed, args.eps,
                            allow_zeros=args.allow_zeros)

@@ -2,10 +2,11 @@
 
 A draft set is a forest of token nodes with uniform leaf depth L that
 branches k_i ways at depth i. K i.i.d. drafts of length L are the tree with
-factors (K, 1, ..., 1), a forest of K single-child chains, and every leaf
-owns one RNG substream, so both read the same protocol. Draft selection
-consumes the forest directly: at each depth the *nodes* currently alive are
-exactly the i.i.d. small-model draws the token-level coupling assumes.
+factors (K, 1, ..., 1), a forest of K single-child chains. A set draws all
+its uniforms in one call and reads them leaf-major, L per leaf, so both read
+the same protocol. Draft selection consumes the forest directly: at each
+depth the *nodes* currently alive are exactly the i.i.d. small-model draws
+the token-level coupling assumes.
 
 A draft set is only the forest (`roots`, `length`, `validate`): the draft law
 at every prefix is the draft model's own row, which selection reads back from
@@ -74,8 +75,8 @@ def checked_factors(factors: Sequence[int]) -> list[int]:
 def sample_iid_drafts(small: ToyLm, context: Sequence[int], K: int, L: int,
                       rng: RngStream) -> DraftSet:
     """K independent autoregressive rollouts of length L from the draft model:
-    the prefix tree with factors (K, 1, ..., 1), so draft j reads its L
-    uniforms from rng.child(j) and its contents do not depend on K."""
+    the prefix tree with factors (K, 1, ..., 1), so draft j reads uniforms
+    [jL, (j+1)L) of rng and its contents do not depend on K."""
     if K < 1 or L < 1:
         raise StructuralError("K and L must be >= 1")
     if L > DRAFT_DEPTH_CAP:  # before the L factors are built
@@ -89,10 +90,11 @@ def build_prefix_tree_drafts(small: ToyLm, context: Sequence[int],
 
     Each node at depth i has k_{i+1} children whose tokens are i.i.d. draws
     from the draft model conditioned on the node's sequence; the prod k_i
-    leaf paths form the draft set. Leaf j (in construction order) draws
-    rng.child(j).uniforms(L) once, and a node at depth d takes uniform d of
-    its first leaf: one substream per leaf, so the result does not depend
-    on traversal order. Raises SizeLimitError above either cap.
+    leaf paths form the draft set. The set draws rng.uniforms(leaves * L)
+    in one call, before which either cap raises SizeLimitError. Leaf j (in
+    construction order) owns uniforms [jL, (j+1)L), and a node at depth d
+    takes uniform d of its first leaf, so the result does not depend on
+    traversal order and a leaf's contents do not depend on later leaves.
     """
     factors = checked_factors(factors)
     if len(factors) > DRAFT_DEPTH_CAP:
@@ -102,7 +104,7 @@ def build_prefix_tree_drafts(small: ToyLm, context: Sequence[int],
     nodes = sum(spans[0] // span for span in spans[1:])
     if nodes > DRAFT_NODE_CAP:
         raise SizeLimitError(f"a draft set of {nodes} nodes exceeds the node cap {DRAFT_NODE_CAP}")
-    uniforms = [rng.child(j).uniforms(len(factors)).tolist() for j in range(spans[0])]
+    uniforms = rng.uniforms(spans[0] * len(factors)).reshape(spans[0], len(factors)).tolist()
     roots = _grow(small, tuple(int(t) for t in context), spans, uniforms, (), 0)
     return DraftSet(roots=roots, length=len(factors))
 

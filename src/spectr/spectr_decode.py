@@ -230,11 +230,11 @@ def spectr_decode(big: ToyLm, small: ToyLm, prompt: Sequence[int], total_tokens:
     one serial big-model call, and may overshoot the target by up to L
     tokens. With drafting="tree", `factors` replaces (K, L): the draft count
     is prod(factors) and the draft length len(factors); i.i.d. drafting is
-    the tree (K, 1, ..., 1) and takes no factors. Either way the drafts read
-    one substream of rng.child(iteration, 0) per leaf. Every decode on one
-    (big, small) pair shares one `TokenSelector` per method, so gamma*, scan
-    parameters and plans are solved once per context for the pair's life;
-    the sampled stream is the one a fresh memo gives.
+    the tree (K, 1, ..., 1) and takes no factors. Either way the drafts take
+    one uniforms(K * L) draw from rng.child(iteration, 0), L per leaf. Every
+    decode on one (big, small) pair shares one `TokenSelector` per method, so
+    gamma*, scan parameters and plans are solved once per context for the
+    pair's life; the sampled stream is the one a fresh memo gives.
     """
     if total_tokens < 1:
         raise ValidationError("total_tokens must be >= 1")

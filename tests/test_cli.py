@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from spectr import token_coupling as tc
+from spectr import cli, token_coupling as tc
 from spectr.cli import main
 from spectr.prob_core import ProbVector
 
@@ -284,9 +284,10 @@ def test_decode_identical_models_ceiling(capsys):
 
 
 def test_decode_k_sweep_trend_and_goldens(capsys):
-    # pinned at first build: seeded eps=0.3 sweep over K, monotone mean BE
-    golden = {1: "3.99325396825", 2: "4.18030753968",
-              4: "4.30580357143", 8: "4.3943452381"}
+    # seeded eps=0.3 sweep over K, monotone mean BE; re-pinned when each draft
+    # set moved to one leaf-major draw
+    golden = {1: "3.97755456349", 2: "4.2615327381",
+              4: "4.34052579365", 8: "4.48921130952"}
     means = {}
     for K in golden:
         code, out, _ = run_cli(capsys, "decode", "--method", "kseq", "--vocab", "16",
@@ -340,6 +341,55 @@ def test_exit_code_cap_exceeded(capsys, tmp_path):
                            "--k", "2", "--method", "otm")
     assert code == 0
     assert float(csv_cells(out)[0]["alpha"]) == pytest.approx(1.0, abs=1e-12)
+
+
+class _NoStream:
+    """Stand-in for RngStream that fails when built: a refused run draws nothing."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("built a stream")
+
+
+def test_decode_refuses_a_prompt_above_the_cap_before_any_draw(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "RngStream", _NoStream)
+    for length in (cli.PROMPT_LEN_CAP + 1, 10**9):
+        code, out, err = run_cli(capsys, "decode", "--prompt-len", str(length))
+        assert code == 3
+        assert out == ""
+        assert f"prompt length cap {cli.PROMPT_LEN_CAP}" in err
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "decode", "--prompt-len", str(cli.PROMPT_LEN_CAP),
+                           "--prompts", "1", "--tokens", "1")
+    assert code == 0
+    assert len(csv_cells(out)) == 1
+
+
+def test_sweep_refuses_a_report_above_the_row_cap_before_any_row(capsys, monkeypatch):
+    def no_row(*args):
+        raise AssertionError("computed a row")
+
+    for name in ("alpha_bernoulli_closed_form", "alpha_uniform_closed_form",
+                 "kseq_acceptance", "_gamma_star_or_k", "alpha_star"):
+        monkeypatch.setattr(tc, name, no_row)
+    cap = cli.SWEEP_ROW_CAP
+    start = time.perf_counter()
+    for argv in [("--family", "bernoulli", "--b-list", "0.5", "--k-max", str(cap // 2 + 1)),
+                 ("--family", "bernoulli", "--b-list", "0.25,0.5", "--k-max", str(cap // 4 + 1)),
+                 ("--family", "uniform", "--d", "4", "--r-list", "2", "--with-lp",
+                  "--k-max", str(cap // 3 + 1)),
+                 ("--family", "bernoulli", "--b-list", "0.5", "--k-max", str(10**15))]:
+        code, out, err = run_cli(capsys, "sweep", *argv)
+        assert code == 3
+        assert out == ""
+        assert f"row cap {cap}" in err
+    assert time.perf_counter() - start < 1.0
+    # a report of exactly the cap is computed, row by row
+    for name in ("alpha_bernoulli_closed_form", "kseq_acceptance", "_gamma_star_or_k"):
+        monkeypatch.setattr(tc, name, lambda *args: 0.5)
+    code, out, _ = run_cli(capsys, "sweep", "--family", "bernoulli", "--b-list", "0.25,0.5",
+                           "--k-max", str(cap // 4))
+    assert code == 0
+    assert len(csv_cells(out)) == cap
 
 
 def test_exit_code_usage_error():

@@ -60,8 +60,8 @@ def test_k1_reduction_equals_plain_rollout():
     lm = ToyLm(6, 1, seed=4)
     rng = RngStream(21)
     drafts = sample_iid_drafts(lm, [1], K=1, L=5, rng=rng)
-    # a plain autoregressive rollout consuming the same substream
-    stream = RngStream(21).child(0)
+    # a plain autoregressive rollout consuming the builder's own stream from position 0
+    stream = RngStream(21)
     ctx = [1]
     rollout = []
     for _ in range(5):
@@ -92,13 +92,14 @@ def test_iid_first_token_frequencies():
 
 def test_iid_construction_audit():
     # every token must have been drawn from the conditional of its own prefix,
-    # via the substream of its draft index
+    # via positions [jL, (j+1)L) of the builder's stream for draft j
     lm = ToyLm(5, 1, seed=8)
     context = [3]
     rng = RngStream(77)
     drafts = sample_iid_drafts(lm, context, K=3, L=4, rng=rng)
     for j, seq in enumerate(leaf_paths(drafts)):
-        replay = RngStream(77).child(j)
+        replay = RngStream(77)
+        replay.uniforms(j * 4)
         prefix = tuple(context)
         for tok in seq:
             expected = sample(lm.next_dist(prefix), replay)
@@ -144,7 +145,7 @@ def test_tree_depth_one_matches_iid_first_tokens():
 
 def assert_nodes_replay(lm, context, factors, seed, drafts):
     """Every node at depth d is the draft model's draw at its prefix from
-    uniform d of its first leaf's substream, RngStream(seed).child(leaf)."""
+    uniform d of its first leaf's row: position leaf * L + d of RngStream(seed)."""
     spans = [math.prod(factors[d + 1:]) for d in range(len(factors))]
 
     def walk(nodes, prefix, first_leaf):
@@ -152,8 +153,8 @@ def assert_nodes_replay(lm, context, factors, seed, drafts):
         assert len(nodes) == factors[d]
         for c, node in enumerate(nodes):
             leaf = first_leaf + c * spans[d]
-            replay = RngStream(seed).child(leaf)
-            replay.uniforms(d)
+            replay = RngStream(seed)
+            replay.uniforms(leaf * len(factors) + d)
             assert node.token == sample(lm.next_dist(tuple(context) + prefix), replay)
             if d + 1 < len(factors):
                 walk(node.children, prefix + (node.token,), leaf)
@@ -194,8 +195,39 @@ def test_builders_reject_no_drafts_and_no_factors():
 class _NoDraws:
     """Stub stream that fails on any use: a refused set draws nothing."""
 
-    def child(self, *ext):
+    def _fail(self, *args):
         raise AssertionError("drew from the stream")
+
+    child = uniform = uniforms = _fail
+
+
+class _CountingStream:
+    """A real stream that records every call made on it."""
+
+    def __init__(self, seed):
+        self.stream = RngStream(seed)
+        self.calls = []
+
+    def uniform(self):
+        self.calls.append(("uniform",))
+        return self.stream.uniform()
+
+    def uniforms(self, n):
+        self.calls.append(("uniforms", n))
+        return self.stream.uniforms(n)
+
+    def child(self, *ext):
+        self.calls.append(("child",) + ext)
+        return self.stream.child(*ext)
+
+
+@pytest.mark.parametrize("factors", [(1,), (8, 1, 1, 1), (2, 2, 2), (3, 1, 2), (4, 3)])
+def test_a_draft_set_makes_one_draw_call(factors):
+    lm = ToyLm(6, 1, seed=2)
+    counting = _CountingStream(5)
+    drafts = build_prefix_tree_drafts(lm, [0], factors, counting)
+    assert counting.calls == [("uniforms", math.prod(factors) * len(factors))]
+    assert drafts == build_prefix_tree_drafts(lm, [0], factors, RngStream(5))
 
 
 def test_draft_sets_above_the_caps_are_refused_before_any_draw():
