@@ -50,6 +50,17 @@ SEQUENCE_TOL = 1e-6
 # and holds every row until it prints, so 16,384 rows take about 1.7 s.
 PROMPT_LEN_CAP = 1 << 14
 SWEEP_ROW_CAP = 1 << 14
+# Largest vocabulary decode and verify build model rows over, and sweep its
+# uniform pair over. Models keep every row they build, and verify's output
+# table holds |V|^(depth + 1) sequences: at V = 256, 512, 1,024 and 2,048 a
+# one-draft, one-deep verify peaked at 58, 134, 439 and 1,624 MB
+# ru_maxrss, and a default decode at 60 MB for V = 1,024 (176 at 4,096).
+VOCAB_CAP = 1 << 10
+
+
+def _check_vocab(flag: str, size: int) -> None:
+    if size > VOCAB_CAP:
+        raise tc.SizeLimitError(f"{flag} {size} exceeds the vocabulary cap {VOCAB_CAP}")
 
 
 @dataclass(frozen=True)
@@ -218,6 +229,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         if args.r_list is None:
             raise ValidationError("uniform sweep requires --r-list")
+        _check_vocab("--d", args.d)
         cells = []
         for r in _parse_list(args.r_list, float):
             if not r >= 1.0:
@@ -297,6 +309,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             branching = [args.num_drafts] + [1] * (args.draft_len - 1)
         else:
             branching = _parse_list(args.factors, int)
+        _check_vocab("--vocab", args.vocab)
         pair = make_model_pair(args.vocab, order=1, seed=args.seed, eps=args.eps)
         context = (0,)
         for name in args.methods.split(","):
@@ -342,6 +355,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     if args.prompt_len > PROMPT_LEN_CAP:
         raise tc.SizeLimitError(f"a prompt of {args.prompt_len} tokens exceeds "
                                 f"the prompt length cap {PROMPT_LEN_CAP}")
+    _check_vocab("--vocab", args.vocab)
     config = BenchConfig.from_args("decode", args)
     pair = make_model_pair(args.vocab, args.order, args.seed, args.eps,
                            allow_zeros=args.allow_zeros)

@@ -77,10 +77,12 @@ class ToyLm:
         return row
 
     def _row_values(self, key: tuple[int, ...]) -> np.ndarray:
-        rng = self._root.child(*key)
-        row = np.exp(ROW_SPREAD * rng.uniforms(self.vocab_size))
+        # One draw: V uniforms for the values, then (with zeros) V for the mask.
+        v = self.vocab_size
+        u = self._root.child(*key).uniforms(2 * v if self.allow_zeros else v)
+        row = np.exp(ROW_SPREAD * u[:v])
         if self.allow_zeros:
-            zero = rng.uniforms(self.vocab_size) < ZERO_FRACTION
+            zero = u[v:] < ZERO_FRACTION
             if zero.all():
                 zero[int(np.argmax(row))] = False
             row[zero] = 0.0

@@ -11,6 +11,7 @@ the algorithms enumerable in tests.
 from __future__ import annotations
 
 import bisect
+import math
 import operator
 import threading
 from dataclasses import dataclass
@@ -42,22 +43,30 @@ class DimensionError(SpectrError, ValueError):
 
 @dataclass(frozen=True)
 class ProbVector:
-    """A finite categorical distribution over token indices 0..vocab_size-1."""
+    """A finite categorical distribution over token indices 0..vocab_size-1.
+
+    `probs` is a read-only float64 copy of the input: the caller's array is
+    neither aliased nor frozen. Checking it costs one copy, one sum and one
+    min (a sum that is not finite is how a NaN or an infinity shows), plus a
+    clamp and a second sum only when some entry is negative.
+    """
 
     probs: np.ndarray
 
     def __init__(self, probs: Iterable[float]):
-        arr = np.asarray(list(probs) if not isinstance(probs, np.ndarray) else probs,
-                         dtype=np.float64)
+        arr = np.array(list(probs) if not isinstance(probs, np.ndarray) else probs,
+                       dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError(f"probability vector must be non-empty 1-D, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        total = float(np.add.reduce(arr))
+        if not math.isfinite(total) and not np.isfinite(arr).all():
             raise ValidationError("probability vector contains non-finite entries")
-        low = arr.min()
+        low = np.minimum.reduce(arr)
         if low < -NEG_TOL:
             raise ValidationError(f"negative probability {low!r} below clamp tolerance {-NEG_TOL}")
-        arr = np.where(arr < 0.0, 0.0, arr)
-        total = float(arr.sum())
+        if low < 0.0:
+            arr[arr < 0.0] = 0.0
+            total = float(np.add.reduce(arr))
         if abs(total - 1.0) > SUM_TOL:
             raise ValidationError(f"probabilities sum to {total!r}, off by more than {SUM_TOL}")
         arr.setflags(write=False)

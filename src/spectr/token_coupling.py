@@ -178,47 +178,51 @@ def kseq_gamma_star(p: ProbVector, q: ProbVector, k: int) -> float:
     rounds to one of its ends (at large k, where floats near gamma are spaced
     wider than the bracket); returns the upper end of the final bracket so
     the result is never below gamma*. Each step reads beta off the sorted
-    breakpoints q/p in O(log |vocab|), after one O(|vocab| log |vocab|)
-    sort. Where that value lies within rounding of deciding the other way,
-    `beta_damped` decides, so the result is exactly that of bisecting on
-    `beta_damped`.
+    breakpoints q/p in [1, k) in O(log m), after `_sorted_beta`'s O(|vocab|)
+    pass and O(m log m) sort of those m breakpoints. Where that value lies
+    within rounding of deciding the other way, `beta_damped` decides, so the
+    result is exactly that of bisecting on `beta_damped`.
     """
     _check_same_vocab(p, q)
     if k < 1:
         raise ValidationError("k must be >= 1")
-    beta, error = _sorted_beta(p, q)
-    b = beta(1.0)
+    ratios, p_above, q_below, error = _sorted_beta(p, q, k)
+    # Every tabled ratio is >= 1, so beta(1) is the two sums' ends.
+    b = p_above[0] + q_below[0]
     if abs(b - NEG_TOL) <= error:
         b = beta_damped(p, q, 1.0)
     if b <= NEG_TOL:
         raise DegenerateSupportError("p and q have disjoint support; gamma* undefined")
-
-    def f(b: float, gamma: float) -> float:
-        return 1.0 - (1.0 - b) ** k - gamma * b
-
     # |df/db| <= 2k on [0, 1]; the rest covers rounding in evaluating f twice.
     margin = 2.0 * k * error + 16.0 * k * _EPS
-
-    def positive(gamma: float) -> bool:
-        value = f(beta(gamma), gamma)
-        if abs(value) <= margin:
-            value = f(beta_damped(p, q, gamma), gamma)
-        return value > 0.0
-
-    if not positive(1.0):
-        return 1.0
+    bisect_left = bisect.bisect_left
+    # Probe 1, then k, then the midpoints of [lo, hi]; one loop body, so a
+    # step costs no call.
     lo, hi = 1.0, float(k)
-    if positive(hi):
-        return hi
-    while hi - lo > GAMMA_BRACKET:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if positive(mid):
-            lo = mid
+    gamma = lo
+    while True:
+        j = bisect_left(ratios, gamma)
+        b = p_above[j] + q_below[j] / gamma
+        value = 1.0 - (1.0 - b) ** k - gamma * b
+        if abs(value) <= margin:
+            b = beta_damped(p, q, gamma)
+            value = 1.0 - (1.0 - b) ** k - gamma * b
+        if value > 0.0:
+            if gamma == hi:
+                return hi
+            lo = gamma
+        elif gamma == 1.0:
+            return 1.0
         else:
-            hi = mid
-    return hi
+            hi = gamma
+        if gamma == 1.0:
+            gamma = hi
+            continue
+        if hi - lo <= GAMMA_BRACKET:
+            return hi
+        gamma = 0.5 * (lo + hi)
+        if gamma in (lo, hi):
+            return hi
 
 
 def _gamma_star_or_k(p: ProbVector, q: ProbVector, k: int) -> float:
@@ -230,9 +234,17 @@ def _gamma_star_or_k(p: ProbVector, q: ProbVector, k: int) -> float:
         return float(k)
 
 
-def _sorted_beta(p: ProbVector, q: ProbVector):
-    """beta(g) = sum_{q/p >= g} p + (sum_{q/p < g} q) / g over supp(p), and
-    a bound on its distance from `beta_damped`.
+def _sorted_beta(p: ProbVector, q: ProbVector, k: int):
+    """Tables from which beta(g) = sum_{q/p >= g} p + (sum_{q/p < g} q) / g
+    over supp(p) is read at any g in [1, k], and a bound on its distance from
+    `beta_damped`: with j = bisect_left(ratios, g), beta(g) is
+    p_above[j] + q_below[j] / g.
+
+    A ratio q/p below 1 lies below every such g and a ratio >= k at or above
+    it, so those tokens enter only as the sum of q that starts q_below and
+    the sum of p that ends p_above. Only the m ratios in [1, k) are sorted
+    (numpy's default sort; the order within a tie moves only roundings), so
+    the tables cost O(|vocab|) plus O(m log m).
 
     Each of the two sums takes at most n = |supp(p)| roundings of partial
     sums of mass at most about 1 (zero terms add exactly), and a breakpoint
@@ -240,22 +252,26 @@ def _sorted_beta(p: ProbVector, q: ProbVector):
     two values differ by well under (n + 2) * eps; the bound is four times
     that.
     """
-    supp = np.flatnonzero(p.probs)
+    supp = p.probs.nonzero()[0]
     ps, qs = p.probs[supp], q.probs[supp]
     ratios = qs / ps
-    order = ratios.argsort(kind="stable")
-    ratios = ratios[order].tolist()
-    # p_above[j] sums p over sorted entries j.., q_below[j] sums q over ..j-1.
-    p_above = ps[order][::-1].cumsum()[::-1].tolist()
-    p_above.append(0.0)
-    q_below = [0.0]
-    q_below.extend(qs[order].cumsum().tolist())
-
-    def beta(gamma: float) -> float:
-        j = bisect.bisect_left(ratios, gamma)
-        return p_above[j] + q_below[j] / gamma
-
-    return beta, 4.0 * (supp.size + 8) * _EPS
+    below, above = ratios < 1.0, ratios >= k
+    middle = ~(below | above)
+    breakpoints = ratios[middle]
+    order = breakpoints.argsort()
+    # Row 0 cumulates p from every ratio >= k down the middle, row 1 q from
+    # every ratio < 1 up it: p_above[j] sums p over the middle's sorted
+    # entries j.. and the ratios >= k, q_below[j] q over the ratios < 1 and
+    # the middle's ..j-1.
+    sums = np.empty((2, order.size + 1))
+    sums[0, 0] = np.add.reduce(ps[above])
+    sums[0, 1:] = ps[middle][order][::-1]
+    sums[1, 0] = np.add.reduce(qs[below])
+    sums[1, 1:] = qs[middle][order]
+    p_above, q_below = sums.cumsum(axis=1).tolist()
+    p_above.reverse()
+    return (breakpoints[order].tolist(), p_above, q_below,
+            4.0 * (supp.size + 8) * _EPS)
 
 
 def kseq_params(p: ProbVector, q: ProbVector, k: int, gamma: float) -> KseqParams:

@@ -392,6 +392,43 @@ def test_sweep_refuses_a_report_above_the_row_cap_before_any_row(capsys, monkeyp
     assert len(csv_cells(out)) == cap
 
 
+def _no_vector(*args, **kwargs):
+    raise AssertionError("built a probability vector")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("decode", "--prompts", "1", "--tokens", "1", "--vocab"), "--vocab"),
+    (("verify", "--scope", "sequence", "--num-drafts", "1", "--draft-len", "1", "--vocab"),
+     "--vocab"),
+    (("sweep", "--family", "uniform", "--r-list", "1", "--k-max", "1", "--d"), "--d"),
+])
+def test_vocabularies_above_the_cap_are_refused_before_any_row(capsys, monkeypatch, argv, flag):
+    monkeypatch.setattr(ProbVector, "__init__", _no_vector)
+    for size in (cli.VOCAB_CAP + 1, 10**12):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code, out, err = run_cli(capsys, *argv, str(size))
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert out == ""
+        assert f"{flag} {size} exceeds the vocabulary cap {cli.VOCAB_CAP}" in err
+        assert elapsed < 1.0 and peak < 5e6
+    monkeypatch.undo()
+    if argv[0] == "verify":
+        # at the default two drafts, V = VOCAB_CAP passes this cap and meets
+        # the state tuple cap (V^2 tuples), which is refused at once
+        code, out, err = run_cli(capsys, *argv[:3], "--vocab", str(cli.VOCAB_CAP))
+        assert code == 3 and "state tuple cap" in err
+    else:
+        code, out, _ = run_cli(capsys, *argv, str(cli.VOCAB_CAP))
+        assert code == 0
+        assert len(csv_cells(out)) == (1 if argv[0] == "decode" else 2)
+
+
 def test_exit_code_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["coupling", "--p", "0.5,0.5", "--q", "0.5,0.5", "--method", "bogus"])

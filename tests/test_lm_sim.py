@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,16 @@ PROBE_TV_GOLDEN = 0.10223916912991213
 # The 16 seeded probe contexts the golden was first taken over (vocab 8, order 1).
 PROBE_CONTEXTS = [(2,), (3,), (4,), (4,), (5,), (0,), (7,), (5,),
                   (7,), (5,), (3,), (0,), (4,), (0,), (0,), (3,)]
+
+
+# sha256 of the next_dist rows' bytes over ROW_KEYS of
+# make_model_pair(256, 2, 0, 0.3, allow_zeros=True), taken when each row drew
+# its values and its zero mask in two uniforms(V) calls.
+ROW_KEYS = [(i * 13 % 256, i * 101 % 256) for i in range(20)]
+ROW_GOLDEN = {
+    "big": "936ebbe7a9289ce3aa3d085e63ddead8eeb17b2bfa3f1e06e6cf8b400a3bc0d4",
+    "small": "23d16e5761cc02e2d613e52f019a0e75558563b7d45566b8b4a91fedaa408341",
+}
 
 
 def mean_probe_tv(pair):
@@ -61,6 +73,15 @@ def test_allow_zeros_produces_zero_entries():
     rows = [lm.next_dist([t]) for t in range(12)]
     assert any(r.probs.min() == 0.0 for r in rows)
     assert all(r.probs.sum() == pytest.approx(1.0, abs=1e-9) for r in rows)
+
+
+@pytest.mark.parametrize("name", sorted(ROW_GOLDEN))
+def test_rows_are_pinned(name):
+    lm = getattr(make_model_pair(256, 2, 0, 0.3, allow_zeros=True), name)
+    digest = hashlib.sha256()
+    for key in ROW_KEYS:
+        digest.update(lm.next_dist(key).probs.tobytes())
+    assert digest.hexdigest() == ROW_GOLDEN[name]
 
 
 def test_model_pair_eps_endpoints():

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spectr.prob_core import (
+    NEG_TOL,
+    SUM_TOL,
     DimensionError,
     ProbVector,
     RngStream,
@@ -26,6 +29,83 @@ def test_probvector_validation():
     # entries in [-1e-12, 0) are rounding noise and get clamped
     pv = ProbVector([1.0 + 5e-13, -5e-13])
     assert pv[1] == 0.0
+
+
+def reference_probs(probs):
+    """The validator ProbVector kept before it checked rows in two reductions:
+    every check on its own pass, the clamp by np.where."""
+    arr = np.asarray(list(probs) if not isinstance(probs, np.ndarray) else probs,
+                     dtype=np.float64)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValidationError(f"probability vector must be non-empty 1-D, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("probability vector contains non-finite entries")
+    low = arr.min()
+    if low < -NEG_TOL:
+        raise ValidationError(f"negative probability {low!r} below clamp tolerance {-NEG_TOL}")
+    arr = np.where(arr < 0.0, 0.0, arr)
+    total = float(arr.sum())
+    if abs(total - 1.0) > SUM_TOL:
+        raise ValidationError(f"probabilities sum to {total!r}, off by more than {SUM_TOL}")
+    return arr
+
+
+# Entries a row may carry: a probability, an exact (signed) zero, rounding
+# noise in [-NEG_TOL, 0), a genuine negative, a non-finite value, or a finite
+# value whose sum overflows.
+SPECIAL_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1e308, -NEG_TOL]),
+    st.floats(-NEG_TOL, 0.0, exclude_max=True),
+    st.floats(-1.0, -NEG_TOL, exclude_max=True),
+)
+
+
+@st.composite
+def candidate_rows(draw):
+    """Inputs near the contract's edges, as an ndarray or a list."""
+    kind = draw(st.sampled_from(["row", "row", "row", "2d", "empty"]))
+    if kind == "empty":
+        values = np.zeros(0)
+    elif kind == "2d":
+        values = np.full((draw(st.integers(1, 3)), 2), 0.5)
+    else:
+        n = draw(st.integers(1, 40))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        values = rng.dirichlet(np.ones(n))
+        # off by 0, by well under, about, or well over SUM_TOL
+        values = values * (1.0 + draw(st.sampled_from([0.0, 3e-10, -3e-10, 2e-9, -2e-9, 0.1])))
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            values[i] = draw(SPECIAL_ENTRIES)
+    return values if draw(st.booleans()) else values.tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=candidate_rows())
+@example(values=[np.inf, -np.inf, 0.5])
+@example(values=[1e308, 1e308])
+@example(values=[1e308, 1e308, -0.5])
+@example(values=[0.5, 0.5 + 5e-13, -5e-13])
+@example(values=[-0.0, 1.0])
+@example(values=[-0.0, 1.0 + 5e-13, -5e-13])
+def test_probvector_matches_the_reference_validator(values):
+    before = np.array(values, dtype=np.float64)
+    # Rows of 1e308s overflow their sum, and +inf with -inf sums to NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            want = reference_probs(values)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as got:
+                ProbVector(values)
+            assert str(got.value) == str(exc)
+            return
+        pv = ProbVector(values)
+    assert pv.probs.dtype == np.float64
+    assert pv.probs.tobytes() == want.tobytes()
+    assert not pv.probs.flags.writeable
+    if isinstance(values, np.ndarray):
+        assert not np.shares_memory(values, pv.probs)
+        assert values.flags.writeable
+        assert values.tobytes() == before.tobytes()
 
 
 def test_probvector_parse_format_roundtrip():

@@ -100,15 +100,32 @@ def _gamma_or_error(fn, p, q, k):
         return "disjoint"
 
 
-@settings(max_examples=300, deadline=None)
-@given(pair=st.one_of(distribution_pairs(), small_pairs()), k=st.integers(1, 16))
-def test_gamma_star_equals_bisection_on_beta_damped(pair, k):
-    p, q = pair
+def assert_gamma_star_is_the_bisection(p, q, k):
     got = _gamma_or_error(tc.kseq_gamma_star, p, q, k)
     want = _gamma_or_error(reference_gamma_star, p, q, k)
     assert got == want
     if got != "disjoint":
         assert tc.kseq_params(p, q, k, got).p_acc <= got * tc.beta_damped(p, q, got) + 1e-12
+
+
+# Ratios q/p of exactly 1 and exactly k sit on the edges of the sorted middle
+# [1, k): the first is its lowest breakpoint, the second is summed once with
+# the ratios above k.
+@settings(max_examples=300, deadline=None)
+@given(pair=st.one_of(distribution_pairs(), small_pairs()), k=st.integers(1, 16))
+@example(pair=(ProbVector([0.5, 0.25, 0.25]), ProbVector([0.5, 0.5, 0.0])), k=2)
+@example(pair=(ProbVector([0.25, 0.25, 0.5]), ProbVector([0.25, 0.75, 0.0])), k=3)
+@example(pair=(ProbVector([0.25, 0.125, 0.625]), ProbVector([0.25, 0.5, 0.25])), k=4)
+@example(pair=(ProbVector([0.5, 0.5]), ProbVector([0.5, 0.5])), k=1)
+@example(pair=(ProbVector([0.5, 0.25, 0.25]), ProbVector([0.5, 0.5, 0.0])), k=1)
+def test_gamma_star_equals_bisection_on_beta_damped(pair, k):
+    assert_gamma_star_is_the_bisection(*pair, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=distribution_pairs(max_vocab=4096), k=st.integers(1, 16))
+def test_gamma_star_equals_bisection_on_beta_damped_at_large_vocabularies(pair, k):
+    assert_gamma_star_is_the_bisection(*pair, k)
 
 
 @st.composite
