@@ -45,9 +45,10 @@ TOKEN_TOL = 1e-9
 SEQUENCE_TOL = 1e-6
 
 # Input caps, each refused with exit 3 before any work (one x86 core): a decode
-# at the default 8 prompts x 64 tokens with a 16,384-token prompt takes 0.7 s,
-# since every iteration copies the context; a sweep takes about 0.1 ms per row
-# and holds every row until it prints, so 16,384 rows take about 1.7 s.
+# at the default 8 prompts x 64 tokens with a 16,384-token prompt takes 0.12 s,
+# most of it drawing the prompts, since the decoders carry only the last `order`
+# tokens; a sweep takes about 0.1 ms per row and holds every row until it
+# prints, so 16,384 rows take about 1.7 s.
 PROMPT_LEN_CAP = 1 << 14
 SWEEP_ROW_CAP = 1 << 14
 # Largest vocabulary decode and verify build model rows over, and sweep its

@@ -1,39 +1,46 @@
-"""Draft-set construction: one prefix-tree builder.
+"""Draft-set construction: one prefix-tree draw, read lazily.
 
-A draft set is a forest of token nodes with uniform leaf depth L that
-branches k_i ways at depth i. K i.i.d. drafts of length L are the tree with
-factors (K, 1, ..., 1), a forest of K single-child chains. A set draws all
-its uniforms in one call and reads them leaf-major, L per leaf, so both read
-the same protocol. Draft selection consumes the forest directly: at each
-depth the *nodes* currently alive are exactly the i.i.d. small-model draws
-the token-level coupling assumes.
+A draft set with branching factors (k_1..k_L) is a forest of token nodes with
+uniform leaf depth L that branches k_i ways at depth i. K i.i.d. drafts of
+length L are the factors (K, 1, ..., 1), a forest of K single-child chains.
+A set draws all its uniforms in one call and reads them leaf-major, L per
+leaf: a node at depth d is the draft model's pick at its own prefix from
+uniform d of its first leaf.
 
-A draft set is only the forest (`roots`, `length`, `validate`): the draft law
-at every prefix is the draft model's own row, which selection reads back from
-`ToyLm.next_dist` and its row memo. `checked_factors` is the one branching
-check, which the exact oracle shares. A set above DRAFT_DEPTH_CAP or
-DRAFT_NODE_CAP raises SizeLimitError.
+A `DraftSet` is that draw, not the forest: the draft model, the context, the
+factors and the uniforms. Selection reads it depth by depth. Every live draft
+carries the prefix just emitted, so their tokens are picks from the one
+draft-model row at that prefix (`tokens`), the row the selector reads as the
+draft law, and no node off the emitted path is picked. `roots`, the whole
+forest, is built from the same picks on first access and cached.
+`checked_factors` is the one branching check, which the exact oracle shares.
+A set above DRAFT_DEPTH_CAP or DRAFT_NODE_CAP raises SizeLimitError before it
+draws.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 # `sample` is unused here but kept importable: perfbench's tracer patches it by name.
 from .prob_core import RngStream, SpectrError, _pick, sample  # noqa: F401
-from .lm_sim import ToyLm
+from .lm_sim import ToyLm, window
 from .token_coupling import SizeLimitError
 
-# Largest draft set: 16,384 nodes took 0.7-2.5 s and 3 MB (V = 16, one x86 core),
-# and `_grow` recurses once per depth, well inside Python's recursion limit.
+# Largest draft set: the whole forest of 16,384 nodes, as `roots` builds it, took
+# 0.7-2.5 s and 3 MB (V = 16, one x86 core), and `roots` recurses once per
+# depth, well inside Python's recursion limit.
 DRAFT_NODE_CAP = 1 << 14
 DRAFT_DEPTH_CAP = 256
 
 
 class StructuralError(SpectrError):
-    """Draft set is malformed: empty, leaves at mixed depths, or bad factors."""
+    """Draft set is malformed: bad factors, or a draw of the wrong shape."""
 
 
 @dataclass(frozen=True)
@@ -44,24 +51,59 @@ class DraftNode:
 
 @dataclass(frozen=True)
 class DraftSet:
-    """Candidate continuations of a context, drawn from the draft model:
-    the construction forest `roots`, every leaf at depth `length`."""
+    """Candidate continuations of `context`, drawn from the draft `model`:
+    `uniforms[leaf][d]` picks the depth-d token of every node whose first
+    leaf is `leaf`, and every leaf lies at depth `length`."""
 
-    roots: tuple[DraftNode, ...]
-    length: int
+    model: ToyLm
+    context: tuple[int, ...]
+    factors: tuple[int, ...]
+    uniforms: tuple[tuple[float, ...], ...]
+
+    @property
+    def length(self) -> int:
+        return len(self.factors)
 
     def validate(self) -> int:
-        """The number of drafts (leaves); raises unless every leaf is at depth `length`."""
-        if not self.roots:
-            raise StructuralError("draft set is empty")
-        nodes = self.roots
-        for _ in range(self.length - 1):
-            if not all(node.children for node in nodes):
-                raise StructuralError("draft leaves lie at mixed depths")
-            nodes = [child for node in nodes for child in node.children]
-        if self.length < 1 or any(node.children for node in nodes):
-            raise StructuralError("draft leaves lie at mixed depths")
-        return len(nodes)
+        """The number of drafts (leaves); raises unless the factors are positive
+        and the draw holds `length` uniforms for every leaf."""
+        leaves = math.prod(checked_factors(self.factors))
+        if len(self.uniforms) != leaves or any(len(u) != self.length for u in self.uniforms):
+            raise StructuralError(f"the draw is not {leaves} leaves of {self.length} uniforms")
+        return leaves
+
+    @cached_property
+    def _spans(self) -> list[int]:
+        # _spans[d]: the leaves under one node at depth d - 1 (_spans[0] under the whole set).
+        return [math.prod(self.factors[d:]) for d in range(self.length + 1)]
+
+    def branch(self, leaf: int, depth: int) -> range:
+        """The first leaves of the depth-`depth` nodes under the node above them
+        whose first leaf is `leaf` (the roots are branch(0, 0)); none below the leaves."""
+        if depth >= self.length:
+            return range(0)
+        return range(leaf, leaf + self._spans[depth], self._spans[depth + 1])
+
+    def tokens(self, prefix: tuple[int, ...], leaves: Sequence[int]) -> list[int]:
+        """The tokens of the depth-len(prefix) nodes under `prefix` whose first
+        leaves are `leaves`: picks from the draft model's one row there."""
+        if not leaves:
+            return []
+        row = self.model.next_dist(self.context + prefix)
+        d = len(prefix)
+        return [_pick(row, self.uniforms[leaf][d]) for leaf in leaves]
+
+    @cached_property
+    def roots(self) -> tuple[DraftNode, ...]:
+        """The whole forest, built from the same picks on first access;
+        selection never reads it."""
+        self.validate()
+        return self._grow((), 0)
+
+    def _grow(self, prefix: tuple, first_leaf: int) -> tuple[DraftNode, ...]:
+        leaves = self.branch(first_leaf, len(prefix))
+        return tuple(DraftNode(tok, self._grow(prefix + (tok,), leaf))
+                     for leaf, tok in zip(leaves, self.tokens(prefix, leaves)))
 
 
 def checked_factors(factors: Sequence[int]) -> list[int]:
@@ -91,35 +133,20 @@ def build_prefix_tree_drafts(small: ToyLm, context: Sequence[int],
     Each node at depth i has k_{i+1} children whose tokens are i.i.d. draws
     from the draft model conditioned on the node's sequence; the prod k_i
     leaf paths form the draft set. The set draws rng.uniforms(leaves * L)
-    in one call, before which either cap raises SizeLimitError. Leaf j (in
-    construction order) owns uniforms [jL, (j+1)L), and a node at depth d
-    takes uniform d of its first leaf, so the result does not depend on
-    traversal order and a leaf's contents do not depend on later leaves.
+    in one call, before which either cap raises SizeLimitError, and picks no
+    token until it is read. Leaf j (in construction order) owns uniforms
+    [jL, (j+1)L), and a node at depth d takes uniform d of its first leaf, so
+    the result does not depend on traversal order and a leaf's contents do
+    not depend on later leaves. The set keeps the last `small.order` tokens
+    of the context.
     """
     factors = checked_factors(factors)
     if len(factors) > DRAFT_DEPTH_CAP:
         raise SizeLimitError(f"draft length {len(factors)} exceeds the depth cap {DRAFT_DEPTH_CAP}")
-    # spans[d]: the leaves under one node at depth d - 1 (spans[0] under the whole forest).
-    spans = [math.prod(factors[d:]) for d in range(len(factors) + 1)]
-    nodes = sum(spans[0] // span for span in spans[1:])
+    leaves = math.prod(factors)
+    nodes = sum(itertools.accumulate(factors, operator.mul))
     if nodes > DRAFT_NODE_CAP:
         raise SizeLimitError(f"a draft set of {nodes} nodes exceeds the node cap {DRAFT_NODE_CAP}")
-    uniforms = rng.uniforms(spans[0] * len(factors)).reshape(spans[0], len(factors)).tolist()
-    roots = _grow(small, tuple(int(t) for t in context), spans, uniforms, (), 0)
-    return DraftSet(roots=roots, length=len(factors))
-
-
-def _grow(small: ToyLm, base: tuple, spans: list[int], uniforms: list,
-          prefix: tuple, first_leaf: int) -> tuple[DraftNode, ...]:
-    """The nodes under `prefix`, whose leaves start at `first_leaf`; rows that
-    nodes share come back from the draft model's row memo."""
-    row = small.next_dist(base + prefix)
-    d = len(prefix)
-    nodes = []
-    for leaf in range(first_leaf, first_leaf + spans[d], spans[d + 1]):
-        tok = _pick(row, uniforms[leaf][d])
-        children = ()
-        if d + 2 < len(spans):
-            children = _grow(small, base, spans, uniforms, prefix + (tok,), leaf)
-        nodes.append(DraftNode(tok, children))
-    return tuple(nodes)
+    uniforms = rng.uniforms(leaves * len(factors)).reshape(leaves, len(factors)).tolist()
+    return DraftSet(model=small, context=window(context, small.order), factors=tuple(factors),
+                    uniforms=tuple(map(tuple, uniforms)))

@@ -23,6 +23,12 @@ ZERO_FRACTION = 0.25
 ROW_SPREAD = 3.0
 
 
+def window(context: Sequence[int], order: int) -> tuple[int, ...]:
+    """The last `order` tokens of the context as ints: all that an order-`order`
+    model reads of it, and () at order 0 (where `context[-0:]` is all of it)."""
+    return tuple(int(t) for t in context[-order:]) if order else ()
+
+
 class ToyLm:
     """Seeded table-based autoregressive model.
 
@@ -46,7 +52,7 @@ class ToyLm:
 
     def context_key(self, context: Sequence[int]) -> tuple[int, ...]:
         """The suffix of the context that actually conditions the next token."""
-        key = tuple(int(t) for t in context[-self.order:]) if self.order else ()
+        key = window(context, self.order)
         for t in key:
             if not 0 <= t < self.vocab_size:
                 raise ValidationError(f"token {t} out of range for vocab {self.vocab_size}")

@@ -1,8 +1,10 @@
 """Sequence-level draft selection and the end-to-end decoders.
 
-`draft_selection` converts a draft forest into 1..L+1 tokens whose law is the
-big model's chain rule; `spectr_decode` iterates it, `baseline_decode` is the
-serial reference, and block efficiency / simulated speedup summarize traces.
+`draft_selection` converts a draft set into 1..L+1 tokens whose law is the
+big model's chain rule, picking only the draft tokens it reads along the
+emitted path; `spectr_decode` iterates it, `baseline_decode` is the serial
+reference, and block efficiency / simulated speedup summarize traces. The
+decoders carry only the last `order` tokens of a context, all a model reads.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from .prob_core import RngStream, SpectrError, ValidationError, sample
-from .lm_sim import CostModel, ToyLm
+from .lm_sim import CostModel, ToyLm, window
+# spectr_decode calls both builders through these module-level names: perfbench's
+# tracer patches them here by name to count and time drafting.
 from .draft_gen import DraftSet, sample_iid_drafts, build_prefix_tree_drafts
 from . import token_coupling as tc
 
@@ -180,31 +184,37 @@ def _shared_selector(big: ToyLm, small: ToyLm, method: SelectionMethod) -> Token
 
 def draft_selection(context: Sequence[int], drafts: DraftSet, big: ToyLm, small: ToyLm,
                     method: SelectionMethod, rng: RngStream) -> list[int]:
-    """Recursively select a valid continuation from a draft forest.
+    """Select a valid continuation from a draft set, depth by depth.
 
-    At each depth a token-level transport plan from the draft conditional
-    (tensorized over the live node count) to the big-model conditional picks
-    the next token; nodes whose token disagrees are dropped, and the children
-    of the survivors become the next depth's drafts. If the selected token
-    survives to the final depth, one bonus token is sampled from the big
-    model. Returns between 1 and L+1 tokens distributed by the big model's
-    chain rule. The drafts must be draws from `small`. K-SEQ scans at gamma*
-    for each depth's live draft count; gamma*, scan parameters and plans
-    come from the pair's shared `TokenSelector`.
+    At each depth every live draft carries the prefix emitted so far, so the
+    live drafts are i.i.d. draws from the draft model's one row there: the set
+    picks their tokens from it (`DraftSet.tokens`), and no draft off the
+    emitted path is picked or has its row built. A token-level transport plan
+    from the draft conditional (tensorized over the live count) to the
+    big-model conditional picks the next token; drafts whose token disagrees
+    are dropped, and the children of the survivors become the next depth's
+    drafts. If the selected token survives to the final depth, one bonus
+    token is sampled from the big model. Returns between 1 and L+1 tokens
+    distributed by the big model's chain rule. The drafts must be draws from
+    `small`, and only the last max(big.order, small.order) tokens of the
+    context are read. K-SEQ scans at gamma* for each depth's live draft
+    count; gamma*, scan parameters and plans come from the pair's shared
+    `TokenSelector`.
     """
     drafts.validate()
     selector = _shared_selector(big, small, method)
-    base = tuple(int(t) for t in context)
-    nodes = drafts.roots
+    base = window(context, max(big.order, small.order))
+    leaves = drafts.branch(0, 0)
     emitted: list[int] = []
     while True:
-        tokens = [node.token for node in nodes]
-        chosen = selector.select(base + tuple(emitted), tokens, rng)
+        prefix = tuple(emitted)
+        tokens = drafts.tokens(prefix, leaves)
+        chosen = selector.select(base + prefix, tokens, rng)
         emitted.append(chosen)
         kept = selection_step(tokens, chosen)
         if kept is None:
             return emitted
-        nodes = [child for i in kept for child in nodes[i].children]
+        leaves = [child for i in kept for child in drafts.branch(leaves[i], len(emitted))]
 
 
 def selection_step(tokens: Sequence[int], chosen: int) -> list[int] | None:
@@ -234,7 +244,9 @@ def spectr_decode(big: ToyLm, small: ToyLm, prompt: Sequence[int], total_tokens:
     one uniforms(K * L) draw from rng.child(iteration, 0), L per leaf. Every
     decode on one (big, small) pair shares one `TokenSelector` per method, so
     gamma*, scan parameters and plans are solved once per context for the
-    pair's life; the sampled stream is the one a fresh memo gives.
+    pair's life; the sampled stream is the one a fresh memo gives. The
+    context carried between iterations is the last max(big.order,
+    small.order) tokens, so a long prompt costs nothing per iteration.
     """
     if total_tokens < 1:
         raise ValidationError("total_tokens must be >= 1")
@@ -252,19 +264,20 @@ def spectr_decode(big: ToyLm, small: ToyLm, prompt: Sequence[int], total_tokens:
     if method.kind == "maximal" and K != 1:
         raise ValidationError("maximal selection requires K = 1")
 
-    base = tuple(int(t) for t in prompt)
+    order = max(big.order, small.order)
+    ctx = window(prompt, order)
     emitted: list[int] = []
     records: list[IterationRecord] = []
     time_units = 0.0
     iteration = 0
     while len(emitted) < total_tokens:
-        ctx = base + tuple(emitted)
         if drafting == "tree":
             drafts = build_prefix_tree_drafts(small, ctx, factors, rng.child(iteration, 0))
         else:
             drafts = sample_iid_drafts(small, ctx, K, L, rng.child(iteration, 0))
         new = draft_selection(ctx, drafts, big, small, method, rng.child(iteration, 1))
         emitted.extend(new)
+        ctx = window(ctx + tuple(new), order)
         records.append(IterationRecord(
             drafts_used=K, draft_length=L,
             accepted_count=len(new) - 1,
@@ -281,10 +294,11 @@ def baseline_decode(big: ToyLm, prompt: Sequence[int], total_tokens: int,
     """Plain autoregressive decoding: one serial big-model call per token."""
     if total_tokens < 1:
         raise ValidationError("total_tokens must be >= 1")
-    base = tuple(int(t) for t in prompt)
+    ctx = window(prompt, big.order)
     emitted: list[int] = []
     for _ in range(total_tokens):
-        emitted.append(sample(big.next_dist(base + tuple(emitted)), rng))
+        emitted.append(sample(big.next_dist(ctx), rng))
+        ctx = window(ctx + (emitted[-1],), big.order)
     return DecodeTrace(method="baseline", emitted_tokens=tuple(emitted),
                        serial_big_calls=total_tokens, per_iteration=(),
                        simulated_time=total_tokens * cost.big_call_cost)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from spectr.draft_gen import (
     DRAFT_DEPTH_CAP,
     DRAFT_NODE_CAP,
-    DraftNode,
     DraftSet,
     StructuralError,
     build_prefix_tree_drafts,
@@ -241,47 +240,62 @@ def test_draft_sets_above_the_caps_are_refused_before_any_draw():
     with pytest.raises(SizeLimitError, match=f"depth cap {DRAFT_DEPTH_CAP}"):
         build_prefix_tree_drafts(lm, [0], factors=(1,) * (DRAFT_DEPTH_CAP + 1), rng=_NoDraws())
     # sets at the caps are built
-    assert sample_iid_drafts(lm, [0], K=1, L=DRAFT_DEPTH_CAP, rng=RngStream(0)).validate() == 1
+    deep = sample_iid_drafts(lm, [0], K=1, L=DRAFT_DEPTH_CAP, rng=RngStream(0))
+    assert deep.validate() == 1
+    assert len(deep.roots) == 1  # the forest at the depth cap recurses within the limit
     tree = build_prefix_tree_drafts(lm, [0], factors=(DRAFT_NODE_CAP // 2, 1), rng=RngStream(0))
     assert tree.validate() == DRAFT_NODE_CAP // 2
 
 
-def test_validate_rejects_mixed_depth_forests():
-    two = DraftNode(0, (DraftNode(1),))
-    for roots, length in [((two, DraftNode(2)), 2),                  # a short root
-                          ((DraftNode(0, (two, DraftNode(3))),), 3),   # a short inner branch
-                          ((DraftNode(0, (two,)),), 2),                # a leaf below the length
-                          ((two,), 0)]:
+def _hand_built(lm, factors, shape):
+    """A DraftSet made directly, with a draw of (leaves, length) uniforms."""
+    leaves, length = shape
+    uniforms = tuple(tuple(0.5 for _ in range(length)) for _ in range(leaves))
+    return DraftSet(model=lm, context=(0,), factors=tuple(factors), uniforms=uniforms)
+
+
+def test_validate_rejects_bad_factors_and_misshapen_draws():
+    lm = ToyLm(4, 1, seed=0)
+    for factors, shape in [((), (1, 0)),           # no factors
+                           ((2, 0), (0, 2)),       # a zero factor
+                           ((2, -1), (2, 2)),      # a negative factor
+                           ((2, 2), (3, 2)),       # a leaf too many
+                           ((2, 2), (4, 1)),       # a uniform too few per leaf
+                           ((3,), (3, 2))]:        # a uniform too many per leaf
+        drafts = _hand_built(lm, factors, shape)
         with pytest.raises(StructuralError):
-            DraftSet(roots=roots, length=length).validate()
-    with pytest.raises(StructuralError):
-        DraftSet(roots=(), length=1).validate()
-    assert DraftSet(roots=(two, DraftNode(2, (DraftNode(3), DraftNode(4)))), length=2).validate() == 3
-
-
-@st.composite
-def forests(draw):
-    """Random forests of depth 1-4, every leaf at one depth about half the time."""
-    length = draw(st.integers(1, 4))
-    uniform = draw(st.booleans())
-
-    def node(depth):
-        if uniform:
-            fan = draw(st.integers(1, 3)) if depth < length else 0
-        else:
-            fan = draw(st.integers(0, 2)) if depth < 5 else 0
-        return DraftNode(draw(st.integers(0, 4)), tuple(node(depth + 1) for _ in range(fan)))
-
-    roots = tuple(node(1) for _ in range(draw(st.integers(1, 3))))
-    return DraftSet(roots=roots, length=draw(st.sampled_from([length, length - 1, length + 1])))
+            drafts.validate()
+        with pytest.raises(StructuralError):
+            drafts.roots
+    assert lm._rows == {}  # a refused set picks no token
+    assert _hand_built(lm, (2, 3), (6, 2)).validate() == 6
 
 
 @settings(max_examples=200, deadline=None)
-@given(drafts=forests())
-def test_validate_counts_the_leaves_of_well_formed_forests(drafts):
-    sequences = leaf_paths(drafts)
-    if all(len(s) == drafts.length for s in sequences):
-        assert drafts.validate() == len(sequences)
-    else:
+@given(factors=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       leaf_error=st.sampled_from([0, 0, -1, 1]), length_error=st.sampled_from([0, 0, -1, 1]),
+       seed=st.integers(0, 2**32))
+def test_validate_counts_the_leaves_of_well_shaped_draws(factors, leaf_error, length_error,
+                                                         seed):
+    lm = ToyLm(5, 1, seed=3)
+    leaves = math.prod(factors)
+    shape = (leaves + leaf_error, len(factors) + length_error)
+    drafts = _hand_built(lm, factors, shape)
+    if shape != (leaves, len(factors)):
         with pytest.raises(StructuralError):
             drafts.validate()
+        return
+    assert drafts.validate() == leaves
+    drawn = build_prefix_tree_drafts(lm, [0], factors, RngStream(seed))
+    assert drawn.validate() == leaves
+    assert [len(path) for path in leaf_paths(drawn)] == [len(factors)] * leaves
+
+
+def test_a_draft_set_picks_no_token_until_read():
+    lm = ToyLm(6, 2, seed=5)
+    drafts = build_prefix_tree_drafts(lm, [1, 2, 3], (2, 2), RngStream(0))
+    assert drafts.context == (2, 3)  # the last `order` tokens
+    assert lm._rows == {}
+    roots = drafts.roots
+    assert drafts.roots is roots  # built once
+    assert set(lm._rows) == {(2, 3)} | {(3, node.token) for node in roots}

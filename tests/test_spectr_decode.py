@@ -1,15 +1,24 @@
 import hashlib
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spectr.draft_gen import DraftNode, DraftSet, sample_iid_drafts
-from spectr.lm_sim import CostModel, make_model_pair
+from spectr.draft_gen import (
+    DraftNode,
+    StructuralError,
+    build_prefix_tree_drafts,
+    sample_iid_drafts,
+)
+from spectr.lm_sim import CostModel, make_model_pair, window
 from spectr.prob_core import RngStream, ValidationError, sample
 from spectr.spectr_decode import (
     DecodeTrace,
     SelectionMethod,
+    TokenSelector,
     UndefinedMetricError,
     baseline_decode,
     block_efficiency,
@@ -165,12 +174,111 @@ def test_maximal_requires_single_draft():
                       SelectionMethod.maximal(), RngStream(0))
 
 
-def test_structural_error_on_mixed_drafts():
+def test_structural_error_on_misshapen_drafts():
     pair = make_model_pair(5, 1, seed=4, eps=0.4)
-    from spectr.draft_gen import DraftNode, StructuralError
-    bad = DraftSet(roots=(DraftNode(0, (DraftNode(1),)), DraftNode(2)), length=2)
-    with pytest.raises(StructuralError):
-        draft_selection((0,), bad, pair.big, pair.small, kseq(), RngStream(0))
+    drawn = sample_iid_drafts(pair.small, (0,), K=2, L=2, rng=RngStream(0))
+    for bad in (replace(drawn, factors=(2, 0)),            # a zero factor
+                replace(drawn, factors=(3, 1)),            # leaves the draw lacks
+                replace(drawn, uniforms=drawn.uniforms[:1] + ((0.5,),))):  # a short leaf
+        with pytest.raises(StructuralError):
+            draft_selection((0,), bad, pair.big, pair.small, kseq(), RngStream(0))
+
+
+def eager_selection(context, drafts, big, small, method, rng):
+    """The reference walk: the whole forest built first, and the children of
+    the live nodes followed depth by depth."""
+    selector = TokenSelector(big, small, method)
+    base = tuple(context)
+    nodes = drafts.roots
+    emitted = []
+    while True:
+        tokens = [node.token for node in nodes]
+        chosen = selector.select(base + tuple(emitted), tokens, rng)
+        emitted.append(chosen)
+        kept = selection_step(tokens, chosen)
+        if kept is None:
+            return emitted
+        nodes = [child for i in kept for child in nodes[i].children]
+
+
+@st.composite
+def selection_cases(draw):
+    """(method, factors): depth <= 4 and <= 64 leaves; a single chain for the
+    single-draft rule, and few enough drafts for the OTM plan's tuple cap at V <= 8."""
+    kind = draw(st.sampled_from(["kseq", "maximal", "otm_lp"]))
+    length = draw(st.integers(1, 4))
+    if kind == "maximal":
+        return SelectionMethod(kind), (1,) * length
+    most = 64 if kind == "kseq" else 4
+    factors = draw(st.lists(st.integers(1, most), min_size=length, max_size=length)
+                   .filter(lambda f: math.prod(f) <= most))
+    return SelectionMethod(kind), tuple(factors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=selection_cases(), vocab=st.integers(2, 8), order=st.integers(0, 2),
+       allow_zeros=st.booleans(), eps=st.sampled_from([0.0, 0.3, 1.0]),
+       model_seed=st.integers(0, 1000), twin=st.booleans(),
+       context=st.lists(st.integers(0, 7), max_size=3), seeds=st.tuples(
+           st.integers(0, 2**32), st.integers(0, 2**32)))
+def test_lazy_selection_equals_the_eager_forest_walk(case, vocab, order, allow_zeros, eps,
+                                                     model_seed, twin, context, seeds):
+    method, factors = case
+    model = dict(vocab_size=vocab, order=order, seed=model_seed, eps=eps,
+                 allow_zeros=allow_zeros)
+    pair = make_model_pair(**model)
+    # drafts from an equal-seeded twin of the draft model are draws from it too
+    drafter = make_model_pair(**model).small if twin else pair.small
+    context = tuple(t % vocab for t in context)
+    drafts = build_prefix_tree_drafts(drafter, context, factors, RngStream(seeds[0]))
+    lazy_rng, eager_rng = RngStream(seeds[1]), RngStream(seeds[1])
+    lazy = draft_selection(context, drafts, pair.big, pair.small, method, lazy_rng)
+    eager = eager_selection(context, drafts, pair.big, pair.small, method, eager_rng)
+    assert lazy == eager
+    assert lazy_rng.uniform() == eager_rng.uniform()  # the same draws consumed
+
+
+@pytest.mark.parametrize("factors", [(8, 1, 1, 1), (2, 2, 2), (3, 1, 2)])
+def test_selection_builds_rows_only_along_the_emitted_path(factors):
+    depths = set()
+    for seed in range(8):
+        pair = make_model_pair(64, 2, seed=3, eps=0.3, allow_zeros=True)
+        context = (5, 9, seed)
+        drafts = build_prefix_tree_drafts(pair.small, context, factors, RngStream(seed))
+        emitted = draft_selection(context, drafts, pair.big, pair.small, kseq(),
+                                  RngStream(100 + seed))
+        path = [pair.big.context_key(context + tuple(emitted[:d])) for d in range(len(emitted))]
+        # the bonus token, past the leaves, reads the target row alone
+        assert set(pair.small._rows) == set(path[:len(factors)])
+        assert set(pair.big._rows) == set(path)
+        depths.add(len(emitted))
+    assert max(depths) > 1
+
+
+def test_context_window_drops_all_but_the_last_order_tokens():
+    assert window((1, 2, 3), 0) == ()
+    assert window((1, 2, 3), 2) == (2, 3)
+    assert window((1,), 3) == (1,)
+    assert window(np.array([4, 5]), 1) == (5,) and type(window(np.array([4]), 1)[0]) is int
+
+
+@pytest.mark.parametrize("order", [0, 2])
+def test_a_long_prompt_decodes_as_its_last_order_tokens(order):
+    pair = make_model_pair(16, order, seed=8, eps=0.3)
+    prompt = tuple(int(u * 16) for u in RngStream(3).uniforms(16384))
+    suffix = prompt[len(prompt) - order:]
+    runs = [dict(K=4, L=3, method=kseq()),
+            dict(K=0, L=0, method=kseq(), drafting="tree", factors=(2, 2)),
+            dict(K=1, L=2, method=SelectionMethod.maximal())]
+    for run in runs:
+        want = spectr_decode(pair.big, pair.small, suffix, 40, rng=RngStream(6), **run)
+        assert spectr_decode(pair.big, pair.small, prompt, 40, rng=RngStream(6), **run) == want
+    want = baseline_decode(pair.big, suffix, 40, RngStream(6))
+    assert baseline_decode(pair.big, prompt, 40, RngStream(6)) == want
+    drafts = build_prefix_tree_drafts(pair.small, prompt, (2, 2), RngStream(1))
+    assert drafts.context == suffix
+    assert (draft_selection(prompt, drafts, pair.big, pair.small, kseq(), RngStream(2))
+            == draft_selection(suffix, drafts, pair.big, pair.small, kseq(), RngStream(2)))
 
 
 def test_block_efficiency_examples():
