@@ -12,9 +12,10 @@ draft node built: a token carried by c live drafts moves the weight to
 (prefix + token, c * next branching factor), a token carried by none ends
 the sequence, and after the last depth the bonus row applies. A state
 whose |supp|^m exceeds STATE_TUPLE_CAP, or that would take the walk's
-running total past WALK_TUPLE_CAP, raises SizeLimitError before its
-tuples are built. The chain-rule check then sweeps the one output table
-once, keeping only the worst cell.
+running totals past WALK_TUPLE_CAP listed tuples or WALK_ENTRY_CAP stored
+entries, raises SizeLimitError before any state of its depth is walked.
+The chain-rule check then sweeps the one output table once, keeping only
+the worst cell.
 
 The checked identity is stepwise: for every depth i and emitted prefix,
 
@@ -41,45 +42,63 @@ from . import token_coupling as tc
 
 SeqDist = dict[tuple[int, ...], float]
 
-# Most live tuples the walk lists at one state. A K-SEQ tuple cost about 35 us
-# and 1 KB of selector memo (V = 5 and 8, one core of a 2-core x86 container),
-# so a state at the cap takes about 0.6 s and 16 MB; 3^8 and 5^6 fit, 16^4 not.
+# Most live tuples the walk lists at one state. A K-SEQ tuple costs about 15 us
+# and 0.8 KB of selector memo (V = 3, 5 and 8, one core of a 2-core x86
+# container), so a state at the cap takes about 0.25 s and 13 MB; 3^8 and 5^6
+# fit, 16^4 not.
 STATE_TUPLE_CAP = 1 << 14
 # Most live tuples one walk lists in all: V = 3 with factors (2, 2, 2), the largest
 # walk tested, lists 66,726; V = 3 with one draft passes the cap from L = 11.
 WALK_TUPLE_CAP = 1 << 18
+# Most entries one walk stores, counted for every state of a depth before the
+# depth is walked: the |vocab| law cells the selector memoises per listed tuple,
+# and at most |vocab| output sequences and |vocab| next states per state. Just
+# under it, V = 720 with one draft one deep, `spectr verify` peaked at 245 MB
+# ru_maxrss for one method and 303 MB for kseq and otm; V = 3 with factors
+# (2, 2, 2), the largest walk tested, stores 200,598.
+WALK_ENTRY_CAP = 1 << 21
 
 
 def method_output_distribution(big: ToyLm, small: ToyLm, context: Sequence[int],
                                branching: Sequence[int], method: SelectionMethod) -> SeqDist:
     """Exact output-sequence law of draft_selection over all draft randomness,
     walked over (emitted prefix, live count) states; a state above STATE_TUPLE_CAP
-    live tuples, or a walk above WALK_TUPLE_CAP in all, raises SizeLimitError."""
+    live tuples, or a walk above WALK_TUPLE_CAP tuples or WALK_ENTRY_CAP stored
+    entries in all, raises SizeLimitError."""
     branching = checked_factors(branching)
     selector = TokenSelector(big, small, method)  # recomputed on every call
     base = tuple(int(t) for t in context)
     out: SeqDist = {}
     states = {((), branching[0]): 1.0}
     fanouts = iter(branching[1:])
-    listed = 0
+    listed = stored = 0
     while states:
         # After the leaves, survivors hand on no drafts and the bonus row applies.
         fanout = next(fanouts, 0)
-        reached: dict[tuple[tuple[int, ...], int], float] = {}
-        for (prefix, live), weight in states.items():
-            ctx = base + prefix
-            row = small.next_dist(ctx)
+        # Every state of a depth is sized against the caps before any is walked.
+        sized = []
+        for prefix, live in states:
+            row = small.next_dist(base + prefix)
             supp = np.flatnonzero(row.probs > PROB_FLOOR).tolist()
             if tc.power_exceeds(len(supp), live, STATE_TUPLE_CAP):
                 raise tc.SizeLimitError(f"|supp p|^live = {len(supp)}^{live} exceeds "
                                         f"the state tuple cap {STATE_TUPLE_CAP}")
-            listed += len(supp) ** live
+            tuples = len(supp) ** live
+            listed += tuples
             if listed > WALK_TUPLE_CAP:
                 raise tc.SizeLimitError(f"the walk would list {listed} live tuples, above "
                                         f"the walk tuple cap {WALK_TUPLE_CAP}")
+            stored += (tuples + 2) * row.vocab_size
+            if stored > WALK_ENTRY_CAP:
+                raise tc.SizeLimitError(f"the walk would store {stored} entries, above "
+                                        f"the walk entry cap {WALK_ENTRY_CAP}")
+            sized.append((row, supp))
+        reached: dict[tuple[tuple[int, ...], int], float] = {}
+        for ((prefix, live), weight), (row, supp) in zip(states.items(), sized):
+            ctx = base + prefix
             probs = row.probs.tolist()
             for tokens in itertools.product(supp, repeat=live):
-                w = weight * math.prod(probs[t] for t in tokens)
+                w = weight * math.prod(map(probs.__getitem__, tokens))
                 for y, wy in selector.support(ctx, tokens):
                     kept = selection_step(tokens, y)
                     if kept is None:
@@ -137,9 +156,9 @@ def max_chain_rule_gap(dist: SeqDist, big: ToyLm, context: Sequence[int],
                 _bump(alive, seq[:i - 1], w)
                 _bump(extended, seq[:i], w)
         for prefix, mass in alive.items():
-            row = big.next_dist(base + prefix)
-            for y in range(big.vocab_size):
-                gap = abs(extended.get(prefix + (y,), 0.0) - mass * row[y])
+            row = big.next_dist(base + prefix).probs.tolist()
+            for y, qy in enumerate(row):
+                gap = abs(extended.get(prefix + (y,), 0.0) - mass * qy)
                 if cell is None or gap > worst:
                     worst, cell = gap, (i, prefix, y)
     if cell is None:

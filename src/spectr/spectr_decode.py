@@ -165,8 +165,8 @@ class TokenSelector:
                 law = (rule.conditional(tokens).probs if self.method.kind == "otm_lp"
                        else tc.kseq_conditional(p, q, tokens, rule))
             law.setflags(write=False)
-            support = np.flatnonzero(law > PROB_FLOOR).tolist()
-            out = self.memo[key] = (law, [(y, float(law[y])) for y in support])
+            out = self.memo[key] = (law, [(y, w) for y, w in enumerate(law.tolist())
+                                          if w > PROB_FLOOR])
         return out
 
 

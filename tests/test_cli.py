@@ -241,6 +241,40 @@ def test_oversized_tuple_spaces_are_refused_at_once(capsys, argv, seconds):
     assert elapsed < seconds and peak < 5e6
 
 
+@pytest.mark.parametrize("method", ["upper", "otm"])
+def test_a_point_mass_with_a_huge_k_is_refused_at_once(capsys, tmp_path, method):
+    # a one-token support has one tuple, yet 10^7 tokens long: the cap bounds its length
+    plan = tmp_path / "plan.csv"
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run_cli(capsys, "coupling", "--p", "0,1", "--q", "0.5,0.5",
+                                 "--k", "10000000", "--method", method,
+                                 "--plan-out", str(plan))
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert out == "" and err.startswith("error: ") and "tuple cap" in err
+    assert elapsed < 1.0 and peak < 5e6
+    assert not plan.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # one draft two deep: V^3 = 16.7M output sequences at V = 256
+    ("--methods", "kseq", "--num-drafts", "1", "--draft-len", "2", "--vocab", "256"),
+    # two drafts two deep: 64 states of 64^2 tuples, each with a law of 64 cells
+    ("--vocab", "64"),
+])
+def test_verify_sequence_scope_refuses_a_walk_above_the_entry_cap(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--scope", "sequence", *argv)
+    assert time.perf_counter() - start < 5.0
+    assert code == 3
+    assert out == "" and err.startswith("error: ") and "walk entry cap" in err
+
+
 @pytest.mark.parametrize("argv,unread", [
     (("decode", "--factors", "2,2,2", "--prompts", "2", "--tokens", "8"),
      {"num_drafts", "draft_len"}),

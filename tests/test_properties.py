@@ -5,8 +5,9 @@ bisect sampling against `searchsorted`, one `uniforms(n)` call against n
 `uniform()` calls, `child` against a fresh stream, every stream against
 numpy's `Generator(Philox(SeedSequence(seed, spawn_key=path)))`, and the
 blended draft model against blending memoized rows. The OTM plan against the closed form
-and a brute-force min-cut, and the chunked upper bound against its subset
-loop.
+and a brute-force min-cut, the upper bound's tuple grid and chunks against its
+per-tuple subset loop, `kseq_conditional` against its numpy scan and the
+selector's support list against its `flatnonzero` form, each bit for bit.
 """
 
 import itertools
@@ -19,7 +20,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from spectr import token_coupling as tc
 from spectr.lm_sim import ToyLm, make_model_pair
 from spectr.prob_core import ProbVector, RngStream, _pick
-from spectr.spectr_decode import SelectionMethod, spectr_decode
+from spectr.spectr_decode import PROB_FLOOR, SelectionMethod, TokenSelector, spectr_decode
 
 
 def reference_gamma_star(p, q, k):
@@ -288,7 +289,7 @@ def reference_upper_bound(p, q, k):
     v = p.vocab_size
     tuples = tc._tuple_space(p, k, tc.DEFAULT_TUPLE_CAP)
     tuple_mass = np.array([float(np.prod([p[i] for i in t])) for t in tuples])
-    tuple_sets = np.array([tc._mask(t) for t in tuples], dtype=np.int64)
+    tuple_sets = np.array([sum(1 << y for y in set(t)) for t in tuples], dtype=np.int64)
     first_term = np.minimum(q.probs, 1.0 - (1.0 - p.probs) ** k)
     qsum = np.zeros(1 << v)
     for y in range(v):
@@ -352,11 +353,69 @@ def test_otm_plan_is_optimal_and_set_proportional(instance):
 
 @settings(max_examples=150, deadline=None)
 @given(instance=otm_instances())
+# a zero in p, so supp(p) is smaller than the vocabulary
+@example(instance=(ProbVector([0.5, 0.0, 0.3, 0.2]), ProbVector([0.1, 0.4, 0.2, 0.3]), 3))
+@example(instance=(ProbVector([0.3, 0.7]), ProbVector([0.6, 0.4]), 1))
+# |supp p|^k = 16^3, the tuple cap itself
+@example(instance=(ProbVector(np.arange(1.0, 17.0) / 136.0),
+                   ProbVector(np.arange(16.0, 0.0, -1.0) / 136.0), 3))
 def test_upper_bound_equals_its_subset_loop_and_alpha_star(instance):
     p, q, k = instance
     value, witness = tc.alpha_upper_bound(p, q, k)
     want_value, want_witness = reference_upper_bound(p, q, k)
     assert witness == want_witness
-    assert abs(value - want_value) <= 1e-15
+    assert value == want_value
     # the bound is never loose: at S = the min-cut set it is at most alpha*
     assert abs(value - tc.alpha_star(p, q, k)) <= 1e-12
+
+
+def reference_kseq_conditional(p, q, drafts, params):
+    """The numpy scan that kseq_conditional must reproduce bit for bit."""
+    out = np.zeros(p.vocab_size)
+    survive = 1.0
+    for x in drafts:
+        accept = min(1.0, q[x] / (params.gamma * p[x]))
+        out[x] += survive * accept
+        survive *= 1.0 - accept
+    return out + survive * params.residual.probs
+
+
+@st.composite
+def scan_instances(draw):
+    """(p, q, drafts from supp(p) with repeats, params at gamma* or above)."""
+    p, q = draw(st.one_of(distribution_pairs(max_vocab=12), small_pairs()))
+    drafts = draw(st.lists(st.sampled_from(p.support().tolist()), min_size=1, max_size=8))
+    gamma = tc._gamma_star_or_k(p, q, len(drafts)) * draw(st.sampled_from([1.0, 1.5]))
+    return p, q, drafts, tc.kseq_params(p, q, len(drafts), gamma)
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance=scan_instances())
+# p = q: beta = 1, so p_acc rounds to 1 and the residual is q itself
+@example(instance=(ProbVector([0.5, 0.25, 0.25]), ProbVector([0.5, 0.25, 0.25]), [1, 1, 0, 1],
+                   tc.kseq_params(ProbVector([0.5, 0.25, 0.25]),
+                                  ProbVector([0.5, 0.25, 0.25]), 4, 1.0)))
+# beta = 1 - 1e-13: p_acc rounds to 1 with a nonzero residual
+@example(instance=(ProbVector([0.5, 0.5]), ProbVector([0.5 + 1e-13, 0.5 - 1e-13]), [0, 0, 1],
+                   tc.kseq_params(ProbVector([0.5, 0.5]),
+                                  ProbVector([0.5 + 1e-13, 0.5 - 1e-13]), 3, 1.0)))
+def test_kseq_conditional_equals_the_numpy_scan(instance):
+    p, q, drafts, params = instance
+    law = tc.kseq_conditional(p, q, drafts, params)
+    assert np.array_equal(law, reference_kseq_conditional(p, q, drafts, params))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 1000), vocab=st.integers(2, 6), allow_zeros=st.booleans(),
+       kind=st.sampled_from(["kseq", "otm_lp"]), live=st.integers(0, 4),
+       picks=st.lists(st.integers(0, 2**16), min_size=5, max_size=5))
+def test_selector_support_equals_its_flatnonzero_form(seed, vocab, allow_zeros, kind, live,
+                                                      picks):
+    pair = make_model_pair(vocab, 1, seed, 0.5, allow_zeros=allow_zeros)
+    selector = TokenSelector(pair.big, pair.small, SelectionMethod(kind))
+    context = (picks[0] % vocab,)
+    supp = pair.small.next_dist(context).support().tolist()
+    tokens = tuple(supp[i % len(supp)] for i in picks[1:1 + live])
+    law = selector.conditional(context, tokens)
+    assert selector.support(context, tokens) == [
+        (y, float(law[y])) for y in np.flatnonzero(law > PROB_FLOOR).tolist()]

@@ -9,6 +9,7 @@ import pytest
 from spectr.spectr_decode import SelectionMethod, TokenSelector
 from spectr.prob_core import ProbVector, RngStream, random_prob_vector, tv_distance
 from spectr.token_coupling import (
+    DEFAULT_TUPLE_CAP,
     AcceptanceReport,
     DegenerateSupportError,
     InvalidDraftError,
@@ -539,6 +540,16 @@ def test_alpha_upper_bound_caps():
         alpha_upper_bound(ProbVector.uniform(17), ProbVector.uniform(17), 1)
     with pytest.raises(SizeLimitError):
         alpha_upper_bound(ProbVector.uniform(16), ProbVector.uniform(16), 4)  # 16^4 > 4096
+
+
+def test_a_point_mass_lists_one_tuple_of_at_most_the_cap_in_tokens():
+    point, half = ProbVector([0.0, 1.0]), ProbVector([0.5, 0.5])
+    assert alpha_upper_bound(point, half, DEFAULT_TUPLE_CAP) == (0.5, ())
+    plan, alpha = otm_lp_solve(point, half, DEFAULT_TUPLE_CAP)
+    assert alpha == 0.5 and list(plan.sets) == [(1,)]
+    for solve in (alpha_upper_bound, otm_lp_solve):
+        with pytest.raises(SizeLimitError, match="tuple cap"):
+            solve(point, half, DEFAULT_TUPLE_CAP + 1)
 
 
 def test_power_exceeds_agrees_with_the_power():
