@@ -47,10 +47,14 @@ SEQUENCE_TOL = 1e-6
 # Input caps, each refused with exit 3 before any work (one x86 core): a decode
 # at the default 8 prompts x 64 tokens with a 16,384-token prompt takes 0.12 s,
 # most of it drawing the prompts, since the decoders carry only the last `order`
-# tokens; a sweep takes about 0.1 ms per row and holds every row until it
-# prints, so 16,384 rows take about 1.7 s.
+# tokens; a sweep row takes about 0.1 ms and a token-verify row 0.05 ms, and
+# both hold every row until they print, so 16,384 rows take at most about 1.7 s.
 PROMPT_LEN_CAP = 1 << 14
-SWEEP_ROW_CAP = 1 << 14
+ROW_CAP = 1 << 14
+# A default decode costs about 26 us and 44 B per requested token, every trace
+# held until the summary: one prompt of 2^20 tokens took 28 s at 82 MB
+# ru_maxrss, and one of 2^22 tokens 107 s at 218 MB.
+DECODE_TOKEN_CAP = 1 << 22
 # Largest vocabulary decode and verify build model rows over, and sweep its
 # uniform pair over. Models keep every row they build, and verify's output
 # table holds |V|^(depth + 1) sequences: at V = 256, 512, 1,024 and 2,048 a
@@ -241,8 +245,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             cells.append((r, ProbVector.uniform(args.d),
                           ProbVector.uniform(args.d, support=int(round(support)))))
     rows = len(cells) * args.k_max * (3 if args.with_lp else 2)
-    if rows > SWEEP_ROW_CAP:
-        raise tc.SizeLimitError(f"a sweep of {rows} rows exceeds the row cap {SWEEP_ROW_CAP}")
+    if rows > ROW_CAP:
+        raise tc.SizeLimitError(f"a sweep of {rows} rows exceeds the row cap {ROW_CAP}")
 
     for value, p, q in cells:
         param = f"{value:g}"
@@ -273,6 +277,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise ValidationError("--k-max must be >= 1")
         if args.cases < 1:
             raise ValidationError("--cases must be >= 1 for the token scope")
+        rows = args.cases * (1 if args.gamma is not None else 2)
+        if rows > ROW_CAP:
+            raise tc.SizeLimitError(f"a verify of {rows} rows exceeds the row cap {ROW_CAP}")
         out = _Report(config, ("case", "vocab", "k", "gamma_kind", "max_error", "status"))
         for case in range(args.cases):
             rng = RngStream(args.seed, path=(case,))
@@ -335,13 +342,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _selection_method(name: str) -> SelectionMethod:
-    if name == "maximal":
-        return SelectionMethod.maximal()
-    if name == "kseq":
-        return SelectionMethod.kseq()
-    if name in ("otm", "otm_lp"):
-        return SelectionMethod.otm_lp()
-    raise ValidationError(f"unknown selection method {name!r}")
+    return SelectionMethod({"otm": "otm_lp"}.get(name, name))
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +357,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
     if args.prompt_len > PROMPT_LEN_CAP:
         raise tc.SizeLimitError(f"a prompt of {args.prompt_len} tokens exceeds "
                                 f"the prompt length cap {PROMPT_LEN_CAP}")
+    if args.prompts * args.tokens > DECODE_TOKEN_CAP:
+        raise tc.SizeLimitError(f"{args.prompts} prompts x {args.tokens} tokens exceeds "
+                                f"the decode token cap {DECODE_TOKEN_CAP}")
     _check_vocab("--vocab", args.vocab)
     config = BenchConfig.from_args("decode", args)
     pair = make_model_pair(args.vocab, args.order, args.seed, args.eps,

@@ -58,22 +58,14 @@ class ToyLm:
                 raise ValidationError(f"token {t} out of range for vocab {self.vocab_size}")
         return key
 
-    def memo_key(self, context: Sequence[int]) -> tuple:
-        """The last `order` tokens as given, neither converted nor checked.
-
-        Rows are stored only under their checked `context_key`, so a lookup
-        by this key hits only for contexts that pass the check; callers use
-        it as a cheap key for memos of their own.
-        """
-        return tuple(context[-self.order:]) if self.order else ()
-
     def next_dist(self, context: Sequence[int]) -> ProbVector:
         """Next-token conditional for the given context (memoized per key).
 
         The memo is looked up by the raw suffix; the key is converted and
-        range-checked only on a miss, before a row is built.
+        range-checked only on a miss, before a row is built, so a raw suffix
+        hits only for contexts that passed the check.
         """
-        row = self._rows.get(self.memo_key(context))
+        row = self._rows.get(tuple(context[-self.order:]) if self.order else ())
         if row is None:
             key = self.context_key(context)
             row = self._rows.get(key)

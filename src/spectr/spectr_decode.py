@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -82,44 +82,37 @@ class DecodeTrace:
     simulated_time: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "tokens": list(self.emitted_tokens),
-            "serial_big_calls": self.serial_big_calls,
-            "per_iteration": [
-                {
-                    "drafts_used": rec.drafts_used,
-                    "draft_length": rec.draft_length,
-                    "accepted_count": rec.accepted_count,
-                    "extra_token_emitted": rec.extra_token_emitted,
-                }
-                for rec in self.per_iteration
-            ],
-            "simulated_time": self.simulated_time,
-        }
+        out = asdict(self)
+        out["tokens"] = out.pop("emitted_tokens")
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
 class TokenSelector:
-    """Token-level selection for one (big, small, method), memoised per context.
+    """Token-level selection for one (big, small, method), one rule per context.
 
-    It only memoises one rule per context and live-draft count k, `KseqParams`
-    at gamma* under ("kseq", ckey, k) or a `TransportPlan` under ("plan",
-    ckey, k), and laws under ("law", ckey, tokens), ckey holding the models'
-    memo keys of the context. `select` draws by `kseq_select` or the plan and
+    Both models read only a context's last `order` = max(big.order,
+    small.order) tokens, its window, so the memo is keyed by it: `rules`
+    holds one (p, q, rule) per (window, live-draft count k), the draft and
+    target rows with the rule solved from them (`KseqParams` at gamma* or a
+    `TransportPlan`), and `laws` one (law, support) per (window, tokens). A
+    memo hit fetches no row. `select` draws by `kseq_select` or the plan and
     `conditional` reads `kseq_conditional` or the same plan, so the exact
     oracle checks the decoder's own rule. Drafts are draws from the draft
     model, whose row is their law; with none the token is a big-model sample.
-    Models are held by weak reference: a shared memo keeps neither alive.
+    Models are held by weak reference and the memo holds only rows: a shared
+    memo keeps neither model alive.
     """
 
     def __init__(self, big: ToyLm, small: ToyLm, method: SelectionMethod):
         self._big = weakref.ref(big)
         self._small = weakref.ref(small)
         self.method = method
-        self.memo: dict = {}
+        self.order = max(big.order, small.order)
+        self.rules: dict = {}
+        self.laws: dict = {}
 
     def select(self, context: tuple[int, ...], tokens: list[int], rng: RngStream) -> int:
         """Draw the token given the live draft tokens in order."""
@@ -141,22 +134,20 @@ class TokenSelector:
 
     def _rule(self, context, k):
         """(p, q, the memoised rule for k live drafts)."""
-        if self.method.kind == "maximal" and k != 1:
-            raise ValidationError("maximal selection is only valid with a single draft")
-        big, small = self._big(), self._small()
-        q, p = big.next_dist(context), small.next_dist(context)
-        otm = self.method.kind == "otm_lp"
-        key = ("plan" if otm else "kseq", (big.memo_key(context), small.memo_key(context)), k)
-        rule = self.memo.get(key)
-        if rule is None:
-            rule = self.memo[key] = (
-                tc.otm_lp_solve(p, q, k)[0] if otm
-                else tc.kseq_params(p, q, k, tc._gamma_star_or_k(p, q, k)))
-        return p, q, rule
+        key = (tuple(context[-self.order:]) if self.order else (), k)
+        out = self.rules.get(key)
+        if out is None:
+            if self.method.kind == "maximal" and k != 1:
+                raise ValidationError("maximal selection is only valid with a single draft")
+            q, p = self._big().next_dist(context), self._small().next_dist(context)
+            rule = (tc.otm_lp_solve(p, q, k)[0] if self.method.kind == "otm_lp"
+                    else tc.kseq_params(p, q, k, tc._gamma_star_or_k(p, q, k)))
+            out = self.rules[key] = (p, q, rule)
+        return out
 
     def _law(self, context, tokens):
-        key = ("law", (self._big().memo_key(context), self._small().memo_key(context)), tokens)
-        out = self.memo.get(key)
+        key = (tuple(context[-self.order:]) if self.order else (), tokens)
+        out = self.laws.get(key)
         if out is None:
             if not tokens:
                 law = self._big().next_dist(context).probs
@@ -165,7 +156,7 @@ class TokenSelector:
                 law = (rule.conditional(tokens).probs if self.method.kind == "otm_lp"
                        else tc.kseq_conditional(p, q, tokens, rule))
             law.setflags(write=False)
-            out = self.memo[key] = (law, [(y, w) for y, w in enumerate(law.tolist())
+            out = self.laws[key] = (law, [(y, w) for y, w in enumerate(law.tolist())
                                           if w > PROB_FLOOR])
         return out
 

@@ -284,7 +284,7 @@ def kseq_params(p: ProbVector, q: ProbVector, k: int, gamma: float) -> KseqParam
     _check_same_vocab(p, q)
     if k < 1:
         raise ValidationError("k must be >= 1")
-    if gamma < 1.0 - NEG_TOL:
+    if not gamma >= 1.0 - NEG_TOL:  # so that NaN is refused too
         raise ValidationError(f"gamma {gamma!r} must be >= 1")
     b = beta_damped(p, q, gamma)
     p_acc = 1.0 - (1.0 - b) ** k

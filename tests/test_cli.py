@@ -336,17 +336,35 @@ def test_decode_k_sweep_trend_and_goldens(capsys):
     assert ordered == sorted(ordered)
 
 
-def test_decode_writes_trace_files(capsys, tmp_path):
-    trace_dir = tmp_path / "runs"
-    code, out, _ = run_cli(capsys, "decode", "--method", "kseq", "--vocab", "8",
+# sha256 of trace_0000.json from `decode --method <method> --vocab 8 --prompts 2 --tokens 10`
+TRACE_PINS = {
+    "kseq": "ac08c9c423de88b46a589fff5ec677467cf8b5ae8b299863b99539910e9f4767",
+    "baseline": "9de7700b52828e76a3a862188370818c3025136f92598a239c18373d70a3412b",
+}
+
+
+def _trace_files(capsys, trace_dir, method):
+    code, _, _ = run_cli(capsys, "decode", "--method", method, "--vocab", "8",
                            "--prompts", "2", "--tokens", "10",
                            "--trace-dir", str(trace_dir))
     assert code == 0
     files = sorted(trace_dir.glob("trace_*.json"))
     assert len(files) == 2
+    assert hashlib.sha256(files[0].read_bytes()).hexdigest() == TRACE_PINS[method]
+    return files
+
+
+def test_decode_writes_trace_files(capsys, tmp_path):
+    files = _trace_files(capsys, tmp_path / "runs", "kseq")
     parsed = json.loads(files[0].read_text())
     assert parsed["serial_big_calls"] >= 1
     assert len(parsed["tokens"]) >= 10
+
+
+def test_baseline_trace_file_is_pinned(capsys, tmp_path):
+    parsed = json.loads(_trace_files(capsys, tmp_path / "runs", "baseline")[0].read_text())
+    assert parsed["per_iteration"] == []
+    assert parsed["serial_big_calls"] == len(parsed["tokens"]) == 10
 
 
 @pytest.mark.parametrize("argv", [
@@ -405,7 +423,7 @@ def test_sweep_refuses_a_report_above_the_row_cap_before_any_row(capsys, monkeyp
     for name in ("alpha_bernoulli_closed_form", "alpha_uniform_closed_form",
                  "kseq_acceptance", "_gamma_star_or_k", "alpha_star"):
         monkeypatch.setattr(tc, name, no_row)
-    cap = cli.SWEEP_ROW_CAP
+    cap = cli.ROW_CAP
     start = time.perf_counter()
     for argv in [("--family", "bernoulli", "--b-list", "0.5", "--k-max", str(cap // 2 + 1)),
                  ("--family", "bernoulli", "--b-list", "0.25,0.5", "--k-max", str(cap // 4 + 1)),
@@ -424,6 +442,53 @@ def test_sweep_refuses_a_report_above_the_row_cap_before_any_row(capsys, monkeyp
                            "--k-max", str(cap // 4))
     assert code == 0
     assert len(csv_cells(out)) == cap
+
+
+def test_verify_refuses_a_report_above_the_row_cap_before_any_case(capsys, monkeypatch):
+    def no_case(*args, **kwargs):
+        raise AssertionError("ran a case")
+
+    for name in ("kseq_gamma_star", "kseq_output_marginal"):
+        monkeypatch.setattr(tc, name, no_case)
+    monkeypatch.setattr(cli, "random_prob_vector", no_case)
+    cap = cli.ROW_CAP
+    start = time.perf_counter()
+    for argv in [("--cases", str(cap // 2 + 1)),
+                 ("--cases", str(cap + 1), "--gamma", "2"),
+                 ("--cases", str(10**15))]:
+        code, out, err = run_cli(capsys, "verify", "--scope", "token", *argv)
+        assert code == 3
+        assert out == ""
+        assert f"row cap {cap}" in err
+    assert time.perf_counter() - start < 1.0
+    # a report of exactly the cap is computed, case by case
+    monkeypatch.setattr(cli, "random_prob_vector", lambda vocab, rng: ProbVector.uniform(vocab))
+    monkeypatch.setattr(tc, "kseq_output_marginal", lambda p, q, k, gamma: q)
+    code, out, _ = run_cli(capsys, "verify", "--scope", "token", "--cases", str(cap),
+                           "--gamma", "2")
+    assert code == 0
+    assert len(csv_cells(out)) == cap
+
+
+def test_decode_refuses_tokens_above_the_cap_before_any_prompt(capsys, monkeypatch):
+    def no_prompt(*args, **kwargs):
+        raise AssertionError("drew a prompt")
+
+    monkeypatch.setattr(cli, "RngStream", no_prompt)
+    cap = cli.DECODE_TOKEN_CAP
+    start = time.perf_counter()
+    for argv in [("--prompts", "1", "--tokens", str(cap + 1)),
+                 ("--prompts", "4", "--tokens", str(cap // 4 + 1)),
+                 ("--method", "baseline", "--prompts", str(cap), "--tokens", "2"),
+                 ("--prompts", str(10**9), "--tokens", str(10**9))]:
+        code, out, err = run_cli(capsys, "decode", *argv)
+        assert code == 3
+        assert out == ""
+        assert f"decode token cap {cap}" in err
+    assert time.perf_counter() - start < 1.0
+    # exactly the cap passes the check and reaches the first prompt
+    with pytest.raises(AssertionError, match="drew a prompt"):
+        main(["decode", "--prompts", "4", "--tokens", str(cap // 4)])
 
 
 def _no_vector(*args, **kwargs):
@@ -587,6 +652,9 @@ def test_verify_rejects_sizes_it_cannot_verify(capsys, argv):
     ("sweep", "--family", "bernoulli", "--b-list", "0.5", "--output", "{tmp}/missing/out.csv"),
     # --trace-dir makes missing directories, but not under a regular file
     ("decode", "--tokens", "4", "--prompts", "1", "--trace-dir", "{tmp}/file.txt/traces"),
+    ("coupling", "--p", "0.5,0.5", "--q", "0.3,0.7", "--k", "2", "--method", "kseq",
+     "--gamma", "nan"),
+    ("verify", "--scope", "token", "--cases", "3", "--gamma", "nan"),
 ])
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv):
     (tmp_path / "file.txt").write_text("")
@@ -594,6 +662,8 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    if "--gamma" in argv:
+        assert err == "error: gamma nan must be >= 1\n"
 
 
 def test_verify_maximal_when_tv_is_tiny(capsys):

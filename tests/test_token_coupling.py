@@ -109,14 +109,13 @@ class _LastUniformRng:
 class _FixedRowLm:
     """Stub model with one next-token row for every context."""
 
+    order = 0
+
     def __init__(self, row: ProbVector):
         self.row = row
 
     def next_dist(self, context):
         return self.row
-
-    def memo_key(self, context):
-        return ()
 
 
 # 0 < tv(p, q) = 1e-10 < SUM_TOL: a draft of token 0 is rejected with probability 2e-10
@@ -253,6 +252,13 @@ def test_kseq_params_invalid_gamma():
         kseq_params(p, q, 4, 1.0)
     with pytest.raises(ValidationError):
         kseq_params(p, q, 4, 0.5)
+
+
+def test_kseq_params_rejects_a_nan_gamma_as_below_one():
+    p, q = ProbVector([0.5, 0.5]), ProbVector([0.3, 0.7])
+    for k in (1, 2):
+        with pytest.raises(ValidationError, match="gamma nan must be >= 1"):
+            kseq_params(p, q, k, float("nan"))
 
 
 def test_kseq_select_first_draft_when_p_equals_q():

@@ -2,19 +2,22 @@
 
 Every spectr_decode and draft_selection on one model pair shares one selector
 per method; these tests check that sharing it changes no sampled stream, saves
-the repeated solves and holds neither model alive, and that the oracle's law
-reads the entries the draws stored.
+the repeated solves and holds neither model alive, that the oracle's law
+reads the entries the draws stored, that a memo hit reads no row, and that
+the window key gives the laws of freshly fetched rows when the orders differ.
 """
 
 import gc
 import weakref
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from spectr import token_coupling as tc
 from spectr.draft_gen import sample_iid_drafts
 from spectr.exact import method_output_distribution
-from spectr.lm_sim import make_model_pair
+from spectr.lm_sim import ToyLm, make_model_pair
 from spectr.prob_core import RngStream
 from spectr.spectr_decode import (
     PROB_FLOOR,
@@ -115,10 +118,12 @@ def test_one_scan_entry_per_context_and_live_count(method):
     for seed in range(3):
         selector.select((2,), tokens, RngStream(seed))
     selector.conditional((2,), tuple(tokens))
-    ckey = (pair.big.memo_key((2,)), pair.small.memo_key((2,)))
-    assert [key for key in selector.memo if key[0] != "law"] == [("kseq", ckey, len(tokens))]
-    params = selector.memo[("kseq", ckey, len(tokens))]
+    assert list(selector.rules) == [((2,), len(tokens))]
+    assert list(selector.laws) == [((2,), tuple(tokens))]
     p, q = pair.small.next_dist((2,)), pair.big.next_dist((2,))
+    rows_p, rows_q, params = selector.rules[((2,), len(tokens))]
+    assert rows_p is p and rows_q is q
+    assert isinstance(params, tc.KseqParams)
     expected = tc.kseq_params(p, q, len(tokens), tc.kseq_gamma_star(p, q, len(tokens)))
     assert (params.gamma, params.p_acc) == (expected.gamma, expected.p_acc)
     assert (params.residual.probs == expected.residual.probs).all()
@@ -131,11 +136,73 @@ def test_oracle_conditional_reads_the_decoder_entries():
     pair = make_model_pair(4, 1, seed=2, eps=0.4)
     selector = TokenSelector(pair.big, pair.small, SelectionMethod.kseq())
     selector.select((2,), [0, 1, 1], RngStream(0))
-    solved = dict(selector.memo)
+    solved = dict(selector.rules)
     law = selector.conditional((2,), (0, 1, 1))
     assert not law.flags.writeable
     assert abs(law.sum() - 1.0) <= 1e-12
     # the law reused gamma and the scan parameters the draw stored
-    assert {key for key in selector.memo if key[0] != "law"} == set(solved)
+    assert set(selector.rules) == set(solved)
+    assert all(selector.rules[key] is solved[key] for key in solved)
     assert selector.support((2,), (0, 1, 1)) == [
         (y, float(law[y])) for y in range(4) if law[y] > PROB_FLOOR]
+
+
+class _CountingLm:
+    """Stub model that counts the rows it is asked for and reads them from a ToyLm."""
+
+    def __init__(self, model: ToyLm):
+        self.model = model
+        self.order = model.order
+        self.calls = 0
+
+    def next_dist(self, context):
+        self.calls += 1
+        return self.model.next_dist(context)
+
+
+@pytest.mark.parametrize("kind", ["kseq", "maximal", "otm_lp"])
+def test_a_memo_hit_reads_no_row(kind):
+    pair = make_model_pair(4, 2, seed=3, eps=0.4)
+    big, small = _CountingLm(pair.big), _CountingLm(pair.small)
+    selector = TokenSelector(big, small, SelectionMethod(kind))
+    tokens = [1] if kind == "maximal" else [0, 1, 1]
+    selector.select((3, 0, 2), tokens, RngStream(0))
+    assert (big.calls, small.calls) == (1, 1)
+    # other contexts with the same window: draws, laws and draft orders at a solved
+    # (window, k) read every row from the memo
+    for seed in range(4):
+        for context in ((3, 0, 2), (1, 0, 2), (0, 2)):
+            selector.select(context, tokens, RngStream(seed))
+            selector.select(context, tokens[::-1], RngStream(seed))
+            selector.support(context, tuple(tokens))
+            selector.support(context, tuple(tokens[::-1]))
+    assert (big.calls, small.calls) == (1, 1)
+    assert list(selector.rules) == [((0, 2), len(tokens))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(orders=st.lists(st.integers(0, 2), min_size=2, max_size=2, unique=True),
+       seeds=st.tuples(st.integers(0, 2**32), st.integers(0, 2**32)),
+       zeros=st.booleans(), kind=st.sampled_from(["kseq", "otm_lp"]),
+       contexts=st.lists(st.lists(st.integers(0, 2), max_size=4), min_size=1, max_size=4),
+       tokens=st.lists(st.integers(0, 2), min_size=1, max_size=3))
+def test_laws_match_fresh_rows_when_the_orders_differ(orders, seeds, zeros, kind, contexts,
+                                                       tokens):
+    def models():
+        return [ToyLm(3, order, seed, allow_zeros=zeros) for order, seed in zip(orders, seeds)]
+
+    big, small = models()
+    selector = TokenSelector(big, small, SelectionMethod(kind))
+    k = len(tokens)
+    for context in map(tuple, contexts):
+        fresh_big, fresh_small = models()
+        q, p = fresh_big.next_dist(context), fresh_small.next_dist(context)
+        assume(all(p[t] > 0.0 for t in tokens))
+        if kind == "otm_lp":
+            want = tc.otm_lp_solve(p, q, k)[0].conditional(tuple(tokens)).probs
+        else:
+            want = tc.kseq_conditional(p, q, tokens, tc.kseq_params(
+                p, q, k, tc._gamma_star_or_k(p, q, k)))
+        assert np.array_equal(selector.conditional(context, tuple(tokens)), want)
+        assert selector.support(context, tuple(tokens)) == [
+            (y, w) for y, w in enumerate(want.tolist()) if w > PROB_FLOOR]
