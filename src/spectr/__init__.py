@@ -23,6 +23,7 @@ from .token_coupling import (
     InvalidDraftError,
     InvalidGammaError,
     KseqParams,
+    KseqScan,
     SizeLimitError,
     TransportPlan,
     alpha_bernoulli_closed_form,

@@ -51,9 +51,10 @@ SEQUENCE_TOL = 1e-6
 # both hold every row until they print, so 16,384 rows take at most about 1.7 s.
 PROMPT_LEN_CAP = 1 << 14
 ROW_CAP = 1 << 14
-# A default decode costs about 26 us and 44 B per requested token, every trace
-# held until the summary: one prompt of 2^20 tokens took 28 s at 82 MB
-# ru_maxrss, and one of 2^22 tokens 107 s at 218 MB.
+# A default decode costs about 26 us and 44 B per requested token of the prompt
+# being decoded, whose trace is held until its figures are taken: one prompt
+# of 2^20 tokens took 28 s at 82 MB ru_maxrss, and one of 2^22 tokens 107 s at
+# 218 MB.
 DECODE_TOKEN_CAP = 1 << 22
 # Largest vocabulary decode and verify build model rows over, and sweep its
 # uniform pair over. Models keep every row they build, and verify's output
@@ -368,7 +369,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
                      overhead_per_iter=args.overhead)
     factors = None if args.factors is None else _parse_list(args.factors, int)
 
-    traces = []
+    # Each trace is folded into its two figures once written and dropped before
+    # the next prompt is decoded, so one prompt's trace is held at a time.
+    effs, speedups = np.empty(args.prompts), np.empty(args.prompts)
     for i in range(args.prompts):
         run_seed = args.seed + i
         rng = RngStream(run_seed)
@@ -382,14 +385,13 @@ def cmd_decode(args: argparse.Namespace) -> int:
                                   args.num_drafts, args.draft_len, method, rng.child(1),
                                   drafting="iid" if factors is None else "tree",
                                   factors=factors, cost=cost)
-        traces.append(trace)
         if args.trace_dir:
             directory = Path(args.trace_dir)
             directory.mkdir(parents=True, exist_ok=True)
             (directory / f"trace_{i:04d}.json").write_text(trace.to_json())
+        effs[i], speedups[i] = block_efficiency(trace), simulated_speedup(trace, cost)
+        del trace
 
-    effs = np.array([block_efficiency(t) for t in traces])
-    speedups = np.array([simulated_speedup(t, cost) for t in traces])
     stderr = float(effs.std(ddof=1) / np.sqrt(len(effs))) if len(effs) > 1 else 0.0
 
     out = _Report(config, ("algorithm", "K", "L", "mean_block_efficiency",

@@ -96,14 +96,16 @@ class TokenSelector:
     Both models read only a context's last `order` = max(big.order,
     small.order) tokens, its window, so the memo is keyed by it: `rules`
     holds one (p, q, rule) per (window, live-draft count k), the draft and
-    target rows with the rule solved from them (`KseqParams` at gamma* or a
-    `TransportPlan`), and `laws` one (law, support) per (window, tokens). A
-    memo hit fetches no row. `select` draws by `kseq_select` or the plan and
-    `conditional` reads `kseq_conditional` or the same plan, so the exact
-    oracle checks the decoder's own rule. Drafts are draws from the draft
-    model, whose row is their law; with none the token is a big-model sample.
-    Models are held by weak reference and the memo holds only rows: a shared
-    memo keeps neither model alive.
+    target rows with the rule built on them (a `KseqScan`, which solves
+    gamma* only as far as its draws need and its residual on the first
+    all-reject, or a `TransportPlan`), and `laws` one (law, support) per
+    (window, tokens). A memo hit fetches no row. `select` draws by
+    `kseq_select` or the plan and `conditional` reads `kseq_conditional` at
+    the scan's `params` or the same plan, so the exact oracle checks the
+    decoder's own rule. Drafts are draws from the draft model, whose row is
+    their law; with none the token is a big-model sample. Models are held by
+    weak reference and the memo holds only rows: a shared memo keeps neither
+    model alive.
     """
 
     def __init__(self, big: ToyLm, small: ToyLm, method: SelectionMethod):
@@ -121,7 +123,7 @@ class TokenSelector:
         p, q, rule = self._rule(context, len(tokens))
         if self.method.kind == "otm_lp":
             return sample(rule.conditional(tuple(tokens)), rng)
-        return tc.kseq_select(p, q, tokens, rule.gamma, rng, params=rule)[0]
+        return tc.kseq_select(p, q, tokens, rule, rng)[0]
 
     def conditional(self, context: tuple[int, ...], tokens: tuple[int, ...]) -> np.ndarray:
         """Law of `select`'s token; read-only."""
@@ -141,7 +143,7 @@ class TokenSelector:
                 raise ValidationError("maximal selection is only valid with a single draft")
             q, p = self._big().next_dist(context), self._small().next_dist(context)
             rule = (tc.otm_lp_solve(p, q, k)[0] if self.method.kind == "otm_lp"
-                    else tc.kseq_params(p, q, k, tc._gamma_star_or_k(p, q, k)))
+                    else tc.KseqScan(p, q, k))
             out = self.rules[key] = (p, q, rule)
         return out
 
@@ -154,7 +156,7 @@ class TokenSelector:
             else:
                 p, q, rule = self._rule(context, len(tokens))
                 law = (rule.conditional(tokens).probs if self.method.kind == "otm_lp"
-                       else tc.kseq_conditional(p, q, tokens, rule))
+                       else tc.kseq_conditional(p, q, tokens, rule.params))
             law.setflags(write=False)
             out = self.laws[key] = (law, [(y, w) for y, w in enumerate(law.tolist())
                                           if w > PROB_FLOOR])
@@ -189,8 +191,7 @@ def draft_selection(context: Sequence[int], drafts: DraftSet, big: ToyLm, small:
     distributed by the big model's chain rule. The drafts must be draws from
     `small`, and only the last max(big.order, small.order) tokens of the
     context are read. K-SEQ scans at gamma* for each depth's live draft
-    count; gamma*, scan parameters and plans come from the pair's shared
-    `TokenSelector`.
+    count; the scans and plans come from the pair's shared `TokenSelector`.
     """
     drafts.validate()
     selector = _shared_selector(big, small, method)
@@ -234,10 +235,11 @@ def spectr_decode(big: ToyLm, small: ToyLm, prompt: Sequence[int], total_tokens:
     the tree (K, 1, ..., 1) and takes no factors. Either way the drafts take
     one uniforms(K * L) draw from rng.child(iteration, 0), L per leaf. Every
     decode on one (big, small) pair shares one `TokenSelector` per method, so
-    gamma*, scan parameters and plans are solved once per context for the
-    pair's life; the sampled stream is the one a fresh memo gives. The
-    context carried between iterations is the last max(big.order,
-    small.order) tokens, so a long prompt costs nothing per iteration.
+    a scan's gamma* bracket and parameters, and a plan, are solved at most
+    once per context for the pair's life; the sampled stream is the one a
+    fresh memo gives. The context carried between iterations is the last
+    max(big.order, small.order) tokens, so a long prompt costs nothing per
+    iteration.
     """
     if total_tokens < 1:
         raise ValidationError("total_tokens must be >= 1")

@@ -9,6 +9,8 @@ chance that it comes from the draft set:
   factor gamma; valid for any gamma >= gamma*, near-linear to compute. At
   one draft and gamma = 1 it is ``maximal_coupling_select``, the classic
   single-draft accept/resample rule. ``kseq_conditional`` is its exact law.
+  ``KseqScan`` runs it at gamma* while bisecting gamma* only as far as each
+  draw needs, and builds the residual on the first all-reject.
 * ``alpha_star``: the exact optimal acceptance, by min-cut in closed form,
   1 - max(0, max_A p(A)^k - q(A)) over prefixes A of the tokens sorted by
   q/p; O(|vocab| log |vocab|) at any k.
@@ -157,11 +159,11 @@ class AcceptanceReport:
 def maximal_coupling_select(p: ProbVector, q: ProbVector, draft: TokenId,
                             rng: RngStream) -> tuple[TokenId, bool]:
     """Accept the draft with probability min(1, q/p), else sample the residual:
-    `kseq_select` at one draft with gamma = 1. When the draft is p-distributed
-    the returned token is exactly q-distributed, and acceptance happens with
-    probability 1 - tv(p, q).
+    `kseq_select` at one draft with gamma = 1, the residual built only on a
+    rejection. When the draft is p-distributed the returned token is exactly
+    q-distributed, and acceptance happens with probability 1 - tv(p, q).
     """
-    token, index = kseq_select(p, q, [draft], 1.0, rng)
+    token, index = kseq_select(p, q, [draft], KseqScan(p, q, 1), rng)
     return token, index is not None
 
 
@@ -177,52 +179,65 @@ def kseq_gamma_star(p: ProbVector, q: ProbVector, k: int) -> float:
     [1, k] until the bracket is GAMMA_BRACKET wide, or until its midpoint
     rounds to one of its ends (at large k, where floats near gamma are spaced
     wider than the bracket); returns the upper end of the final bracket so
-    the result is never below gamma*. Each step reads beta off the sorted
-    breakpoints q/p in [1, k) in O(log m), after `_sorted_beta`'s O(|vocab|)
-    pass and O(m log m) sort of those m breakpoints. Where that value lies
-    within rounding of deciding the other way, `beta_damped` decides, so the
-    result is exactly that of bisecting on `beta_damped`.
+    the result is never below gamma*. Each step (`_bisect`, shared with
+    `KseqScan`) reads beta off the sorted breakpoints q/p in [1, k) in
+    O(log m), after `_sorted_beta`'s O(|vocab|) pass and O(m log m) sort of
+    those m breakpoints. Where that value lies within rounding of deciding
+    the other way, `beta_damped` decides, so the result is exactly that of
+    bisecting on `beta_damped`.
     """
     _check_same_vocab(p, q)
     if k < 1:
         raise ValidationError("k must be >= 1")
     ratios, p_above, q_below, error = _sorted_beta(p, q, k)
-    # Every tabled ratio is >= 1, so beta(1) is the two sums' ends.
-    b = p_above[0] + q_below[0]
-    if abs(b - NEG_TOL) <= error:
-        b = beta_damped(p, q, 1.0)
-    if b <= NEG_TOL:
-        raise DegenerateSupportError("p and q have disjoint support; gamma* undefined")
     # |df/db| <= 2k on [0, 1]; the rest covers rounding in evaluating f twice.
     margin = 2.0 * k * error + 16.0 * k * _EPS
     bisect_left = bisect.bisect_left
-    # Probe 1, then k, then the midpoints of [lo, hi]; one loop body, so a
-    # step costs no call.
-    lo, hi = 1.0, float(k)
-    gamma = lo
-    while True:
+    lo, hi, gamma = 1.0, float(k), 1.0
+    while gamma is not None:
         j = bisect_left(ratios, gamma)
         b = p_above[j] + q_below[j] / gamma
         value = 1.0 - (1.0 - b) ** k - gamma * b
-        if abs(value) <= margin:
-            b = beta_damped(p, q, gamma)
-            value = 1.0 - (1.0 - b) ** k - gamma * b
-        if value > 0.0:
-            if gamma == hi:
-                return hi
-            lo = gamma
-        elif gamma == 1.0:
-            return 1.0
-        else:
-            hi = gamma
-        if gamma == 1.0:
-            gamma = hi
-            continue
-        if hi - lo <= GAMMA_BRACKET:
-            return hi
-        gamma = 0.5 * (lo + hi)
-        if gamma in (lo, hi):
-            return hi
+        # Every tabled ratio is >= 1, so at gamma = 1 b is the two sums' ends,
+        # and beta_damped decides whether it is above NEG_TOL too.
+        if abs(value) <= margin or (gamma == 1.0 and abs(b - NEG_TOL) <= error):
+            b, value = _damped(p, q, k, gamma)
+        lo, hi, gamma = _bisect(lo, hi, gamma, b, value)
+    return hi
+
+
+def _damped(p: ProbVector, q: ProbVector, k: int, gamma: float) -> tuple[float, float]:
+    """beta_damped at gamma, and f(gamma) = 1 - (1 - beta)^k - gamma*beta from it."""
+    b = beta_damped(p, q, gamma)
+    return b, 1.0 - (1.0 - b) ** k - gamma * b
+
+
+def _bisect(lo: float, hi: float, gamma: float, b: float, value: float):
+    """One step of the gamma* bisection, given beta and f at the probe gamma
+    of the bracket [lo, hi] around gamma*.
+
+    Probes go 1, then k, then midpoints; f falls as gamma grows, so
+    f(gamma) > 0 puts gamma* above gamma. Returns the narrowed (lo, hi) and
+    the next probe, or (hi, hi, None) once hi is gamma*: f(k) > 0, f(1) <= 0,
+    a bracket GAMMA_BRACKET wide, or a midpoint that rounds to an end.
+    Raises DegenerateSupportError when beta(1) <= NEG_TOL (disjoint supports).
+    """
+    if gamma == 1.0 and b <= NEG_TOL:
+        raise DegenerateSupportError("p and q have disjoint support; gamma* undefined")
+    if value > 0.0:
+        if gamma == hi:
+            return hi, hi, None
+        lo = gamma
+    elif gamma == 1.0:
+        return 1.0, 1.0, None
+    else:
+        hi = gamma
+    if gamma == 1.0:
+        return lo, hi, hi
+    mid = 0.5 * (lo + hi)
+    if hi - lo <= GAMMA_BRACKET or mid in (lo, hi):
+        return hi, hi, None
+    return lo, hi, mid
 
 
 def _gamma_star_or_k(p: ProbVector, q: ProbVector, k: int) -> float:
@@ -316,22 +331,88 @@ def _acceptance(p: ProbVector, q: ProbVector, x: TokenId, gamma: float) -> float
     return min(1.0, q.probs.item(x) / (gamma * px))
 
 
-def kseq_select(p: ProbVector, q: ProbVector, drafts: Sequence[TokenId], gamma: float,
-                rng: RngStream, params: KseqParams | None = None,
+class KseqScan:
+    """The scan's rule for k drafts of p against q, solved only as far as its draws need.
+
+    The scan accepts a draft x with uniform u iff u < a(gamma*), where
+    a(g) = min(1, q(x)/(g*p(x))). a never rises with g, in floating point too
+    (fl(g*p) does not fall and q over it does not rise), so within a bracket
+    [lo, hi] around gamma*, u < a(hi) accepts and u >= a(lo) rejects exactly
+    as the test at gamma* would. Only a u between the two takes a step of
+    gamma*'s bisection (`_bisect`, on `beta_damped`, so every bracket end is
+    the full bisection's own), until lo == hi == gamma*. The bracket starts at
+    [1, k]; at k = 1 it is [1, 1] and never steps. `params` (gamma*, beta,
+    p_acc and the residual) is solved on first read: when every draft is
+    rejected, or for the exact law. Until then the rule holds its two rows
+    and a few floats.
+    """
+
+    __slots__ = ("p", "q", "k", "lo", "hi", "_probe", "_params")
+
+    def __init__(self, p: ProbVector, q: ProbVector, k: int,
+                 params: KseqParams | None = None):
+        """The rule for (p, q, k) at gamma*, or, given `params`, at params.gamma."""
+        _check_same_vocab(p, q)
+        if k < 1:
+            raise ValidationError("k must be >= 1")
+        self.p, self.q, self.k = p, q, k
+        self.lo, self.hi = (1.0, float(k)) if params is None else (params.gamma, params.gamma)
+        self._probe = 1.0
+        self._params = params
+
+    def accepts(self, x: TokenId, u: float) -> bool:
+        """Whether a draft of token x with uniform u is accepted, u < a(gamma*)."""
+        px = self.p.probs.item(x)
+        if px <= 0.0:
+            raise InvalidDraftError(f"draft token {x} has zero probability under p")
+        qx = self.q.probs.item(x)
+        while u >= min(1.0, qx / (self.hi * px)):
+            if u >= min(1.0, qx / (self.lo * px)):
+                return False
+            self._step()
+        return True
+
+    def _step(self) -> None:
+        gamma = self._probe
+        try:
+            self.lo, self.hi, self._probe = _bisect(self.lo, self.hi, gamma,
+                                                    *_damped(self.p, self.q, self.k, gamma))
+        except DegenerateSupportError:
+            # As `_gamma_star_or_k`: every gamma is valid and the scan runs at k.
+            self.lo = self.hi = float(self.k)
+
+    @property
+    def params(self) -> KseqParams:
+        """kseq_params at gamma*, solved on first read; the bracket closes on gamma*."""
+        if self._params is None:
+            gamma = self.hi if self.lo == self.hi else _gamma_star_or_k(self.p, self.q, self.k)
+            self._params = kseq_params(self.p, self.q, self.k, gamma)
+            self.lo = self.hi = gamma
+        return self._params
+
+
+def kseq_select(p: ProbVector, q: ProbVector, drafts: Sequence[TokenId],
+                gamma: float | KseqScan, rng: RngStream, params: KseqParams | None = None,
                 ) -> tuple[TokenId, Optional[int]]:
     """Scan drafts in order, accepting draft i with probability min(1, q/(gamma*p)).
 
     Returns (token, index of the accepted draft) or (residual sample, None).
-    For i.i.d. p-drafts and gamma >= gamma*, the returned token is exactly
-    q-distributed. `params` may carry a precomputed kseq_params(p, q, k, gamma)
-    to amortize repeated calls.
+    Draft i is accepted iff its uniform u < min(1, q/(gamma*p)), the
+    left-closed convention `sample` uses, so a draft q gives no mass is never
+    accepted. For i.i.d. p-drafts and gamma >= gamma*, the returned token is
+    exactly q-distributed. `gamma` is a number, with `params` optionally a
+    precomputed kseq_params(p, q, k, gamma), or a `KseqScan` of (p, q,
+    len(drafts)), which scans at gamma* and solves only what the draws read.
     """
-    if params is None:
-        params = kseq_params(p, q, len(drafts), gamma)
+    if isinstance(gamma, KseqScan):
+        scan = gamma
+    else:
+        k = len(drafts)
+        scan = KseqScan(p, q, k, params if params is not None else kseq_params(p, q, k, gamma))
     for i, x in enumerate(drafts):
-        if rng.uniform() <= _acceptance(p, q, x, gamma):
+        if scan.accepts(x, rng.uniform()):
             return x, i
-    return sample(params.residual, rng), None
+    return sample(scan.params.residual, rng), None
 
 
 def kseq_conditional(p: ProbVector, q: ProbVector, drafts: Sequence[TokenId],

@@ -2,6 +2,7 @@ import hashlib
 import json
 import time
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -365,6 +366,27 @@ def test_baseline_trace_file_is_pinned(capsys, tmp_path):
     parsed = json.loads(_trace_files(capsys, tmp_path / "runs", "baseline")[0].read_text())
     assert parsed["per_iteration"] == []
     assert parsed["serial_big_calls"] == len(parsed["tokens"]) == 10
+
+
+@pytest.mark.parametrize("method,decoder", [("kseq", "spectr_decode"),
+                                            ("baseline", "baseline_decode")],
+                         ids=["kseq", "baseline"])
+def test_decode_holds_one_prompt_trace_at_a_time(capsys, monkeypatch, method, decoder):
+    decode = getattr(cli, decoder)
+    traces, alive = [], []
+
+    def watched(*args, **kwargs):
+        # earlier prompts' traces are folded into the summary and freed by now
+        alive.append(sum(ref() is not None for ref in traces))
+        trace = decode(*args, **kwargs)
+        traces.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(cli, decoder, watched)
+    code, _, _ = run_cli(capsys, "decode", "--method", method, "--vocab", "8",
+                         "--prompts", "3", "--tokens", "10")
+    assert code == 0
+    assert alive == [0, 0, 0]
 
 
 @pytest.mark.parametrize("argv", [

@@ -129,6 +129,100 @@ def test_gamma_star_equals_bisection_on_beta_damped_at_large_vocabularies(pair, 
     assert_gamma_star_is_the_bisection(*pair, k)
 
 
+class _ListedUniforms:
+    """Stub stream that hands out the listed uniforms in order and counts them."""
+
+    def __init__(self, values):
+        self.values, self.used = values, 0
+
+    def uniform(self):
+        self.used += 1
+        return self.values[self.used - 1]
+
+
+class _WatchedScan(tc.KseqScan):
+    """A KseqScan that records its bracket before its first step and after each."""
+
+    __slots__ = ("brackets",)
+
+    def __init__(self, p, q, k):
+        super().__init__(p, q, k)
+        self.brackets = [(self.lo, self.hi)]
+
+    def _step(self):
+        super()._step()
+        self.brackets.append((self.lo, self.hi))
+
+
+# How each draft's uniform relates to its acceptance a(gamma*): drawn anywhere,
+# 0.0, exactly a(gamma*) (a rejection the bracket decides only at gamma*), or
+# drawn in [a(gamma*), 1) (a rejection).
+UNIFORM_KINDS = ("anywhere", "zero", "edge", "reject")
+
+
+def _scan_uniforms(p, q, drafts, kinds, gamma):
+    """One uniform per draft from (kind, u in [0, 1)), then the residual's u."""
+    out = []
+    for x, (kind, u) in zip(drafts, kinds):
+        a = min(1.0, q[x] / (gamma * p[x]))
+        if kind == "zero":
+            u = 0.0
+        elif kind == "edge" and a < 1.0:
+            u = a
+        elif kind == "reject":
+            u = min(a + u * (1.0 - a), float(np.nextafter(1.0, 0.0)))
+        out.append(u)
+    return out + [kinds[-1][1]]
+
+
+@st.composite
+def lazy_scan_cases(draw):
+    """(p, q, k drafts from supp(p), k + 1 (uniform kind, u)), V up to 64."""
+    p, q = draw(st.one_of(distribution_pairs(max_vocab=64), small_pairs()))
+    k = draw(st.integers(1, 16))
+    drafts = draw(st.lists(st.sampled_from(p.support().tolist()), min_size=k, max_size=k))
+    kinds = draw(st.lists(st.tuples(st.sampled_from(UNIFORM_KINDS),
+                                    st.floats(0.0, 1.0, exclude_max=True)),
+                          min_size=k + 1, max_size=k + 1))
+    return p, q, drafts, kinds
+
+
+def _large_scan_case():
+    """V = 4,096, q half p, 8 drafts of p's likeliest tokens, every uniform kind."""
+    rng = np.random.default_rng(4096)
+    p = rng.dirichlet(np.full(4096, 0.3))
+    q = 0.5 * p + 0.5 * rng.dirichlet(np.full(4096, 0.3))
+    drafts = np.argsort(p)[-8:].tolist()
+    kinds = [(kind, 0.5) for kind in ("edge", "reject", "anywhere", "edge", "reject",
+                                      "edge", "reject", "zero", "anywhere")]
+    return ProbVector(p), ProbVector(q / q.sum()), drafts, kinds
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=lazy_scan_cases())
+@example(case=_large_scan_case())
+# p = q: gamma* = 1 and every draft is accepted at once
+@example(case=(ProbVector([0.5, 0.25, 0.25]), ProbVector([0.5, 0.25, 0.25]), [1, 2, 0],
+               [("edge", 0.0), ("reject", 0.9), ("zero", 0.0), ("anywhere", 0.3)]))
+# disjoint supports: every gamma is valid, nothing is accepted and the scan runs at k
+@example(case=(ProbVector([0.5, 0.5, 0.0]), ProbVector([0.0, 0.0, 1.0]), [0, 1],
+               [("zero", 0.0), ("edge", 0.0), ("anywhere", 0.7)]))
+def test_lazy_scan_decides_every_draft_as_the_scan_at_gamma_star(case):
+    p, q, drafts, kinds = case
+    k = len(drafts)
+    gamma = tc._gamma_star_or_k(p, q, k)
+    uniforms = _scan_uniforms(p, q, drafts, kinds, gamma)
+    eager, lazy = _ListedUniforms(uniforms), _ListedUniforms(uniforms)
+    want = tc.kseq_select(p, q, drafts, gamma, eager, params=tc.kseq_params(p, q, k, gamma))
+    scan = _WatchedScan(p, q, k)
+    assert tc.kseq_select(p, q, drafts, scan, lazy) == want
+    assert lazy.used == eager.used
+    assert all(lo <= gamma <= hi for lo, hi in scan.brackets)
+    # finishing closes the bracket on gamma*, bit for bit
+    assert scan.params.gamma == gamma
+    assert scan.lo == scan.hi == gamma
+
+
 @st.composite
 def cdf_points(draw):
     """A distribution and a uniform: anywhere, exactly at a cdf entry, or at/after its end."""

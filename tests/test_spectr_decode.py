@@ -362,6 +362,13 @@ STREAM_PINS = {
                          dict(K=0, L=0, method=SelectionMethod.kseq(), drafting="tree",
                               factors=(3, 1, 2)),
                          "9189931fe1fad377"),
+    # 16 live drafts over V = 256 rows with zeros: the lazy gamma* bracket takes
+    # midpoint steps and some selections reject every draft.
+    "tree_kseq_v256_sixteen_drafts": (dict(vocab_size=256, order=2, seed=7, eps=0.3,
+                                           allow_zeros=True),
+                                      dict(K=0, L=0, method=SelectionMethod.kseq(),
+                                           drafting="tree", factors=(4, 4)),
+                                      "e59957f17be51ee9"),
 }
 
 

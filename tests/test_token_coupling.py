@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spectr import token_coupling as tc
 from spectr.spectr_decode import SelectionMethod, TokenSelector
 from spectr.prob_core import ProbVector, RngStream, random_prob_vector, tv_distance
 from spectr.token_coupling import (
@@ -14,6 +15,7 @@ from spectr.token_coupling import (
     DegenerateSupportError,
     InvalidDraftError,
     InvalidGammaError,
+    KseqScan,
     SizeLimitError,
     ValidationError,
     alpha_bernoulli_closed_form,
@@ -384,6 +386,63 @@ def test_kseq_select_rejects_all_when_p_acc_rounds_to_one():
         token, idx = kseq_select(p, q, [0, 0, 0], gamma, _RejectingRng(), params=given)
         # the unrounded residual is q itself, and u = 1 - 1e-9 picks its last token
         assert (token, idx) == (1, None)
+
+
+class _FixedUniformRng:
+    """Stub stream whose every uniform is u."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def uniform(self):
+        return self.u
+
+
+def test_a_draft_the_target_gives_no_mass_is_rejected_at_u_zero():
+    # a = q(1)/p(1) = 0, and a draft is accepted iff u < a, the left-closed
+    # convention `sample` uses, so even u = 0 rejects it; the residual is
+    # (q - min(p, q/gamma)) normalised, all on token 0
+    p, q = ProbVector([0.5, 0.5]), ProbVector([1.0, 0.0])
+    assert maximal_coupling_select(p, q, 1, _FixedUniformRng(0.0)) == (0, False)
+    gamma = kseq_gamma_star(p, q, 2)
+    for rule in (gamma, KseqScan(p, q, 2)):
+        assert kseq_select(p, q, [1, 1], rule, _FixedUniformRng(0.0)) == (0, None)
+
+
+def test_a_scan_solves_gamma_star_and_its_parameters_only_on_an_all_reject(monkeypatch):
+    p, q = random_pair(19, 8, 0)
+    k = 4
+    gamma = kseq_gamma_star(p, q, k)
+    want = kseq_params(p, q, k, gamma)
+    # q/p < 1 at x, so a(g) = q(x)/(g*p(x)) < 1 falls strictly on [1, k]
+    x = int(np.argmin(q.probs / p.probs))
+    a = q[x] / (gamma * p[x])
+    calls = []
+
+    def counted(name):
+        solve = getattr(tc, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return solve(*args, **kwargs)
+        return wrapper
+
+    for name in ("kseq_gamma_star", "kseq_params"):
+        monkeypatch.setattr(tc, name, counted(name))
+    scan = KseqScan(p, q, k)
+    # accepted at once, and accepted after bisection steps just below a(gamma*)
+    for u in (0.0, a * (1.0 - 1e-3)):
+        assert kseq_select(p, q, [x] * k, scan, _FixedUniformRng(u)) == (x, 0)
+    assert calls == []
+    assert scan.lo <= gamma <= scan.hi < k and scan.lo < scan.hi
+    # u = 1 - 1e-12 rejects every draft, so the residual is read, and solved once
+    for _ in range(2):
+        _, idx = kseq_select(p, q, [x] * k, scan, _LastUniformRng())
+        assert idx is None
+        assert calls == ["kseq_gamma_star", "kseq_params"]
+    assert scan.lo == scan.hi == scan.params.gamma == gamma
+    assert scan.params.p_acc == want.p_acc
+    assert np.array_equal(scan.params.residual.probs, want.residual.probs)
 
 
 # ---------------------------------------------------------------------------

@@ -81,14 +81,19 @@ def test_decode_after_other_prompts_equals_decode_on_a_fresh_pair():
 
 
 def test_second_decode_of_a_prompt_solves_no_gamma(monkeypatch):
+    # gamma* is solved lazily: a draw bisects only as far as it needs (one
+    # beta_damped per step) and an all-reject finishes it (kseq_gamma_star), so
+    # both count as solving
     calls = []
-    solve = tc.kseq_gamma_star
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return solve(*args, **kwargs)
+    def counted(solve):
+        def wrapper(*args, **kwargs):
+            calls.append(args[2])
+            return solve(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(tc, "kseq_gamma_star", counted)
+    for name in ("kseq_gamma_star", "beta_damped"):
+        monkeypatch.setattr(tc, name, counted(getattr(tc, name)))
     pair = make_model_pair(16, 1, seed=0, eps=0.3)
     runs = []
     for _ in range(2):
@@ -121,12 +126,17 @@ def test_one_scan_entry_per_context_and_live_count(method):
     assert list(selector.rules) == [((2,), len(tokens))]
     assert list(selector.laws) == [((2,), tuple(tokens))]
     p, q = pair.small.next_dist((2,)), pair.big.next_dist((2,))
-    rows_p, rows_q, params = selector.rules[((2,), len(tokens))]
+    rows_p, rows_q, rule = selector.rules[((2,), len(tokens))]
     assert rows_p is p and rows_q is q
+    assert isinstance(rule, tc.KseqScan)
+    assert (rule.p, rule.q, rule.k) == (p, q, len(tokens))
+    # the law read the rule's parameters, so they are solved and the bracket closed
+    params = rule.params
     assert isinstance(params, tc.KseqParams)
     expected = tc.kseq_params(p, q, len(tokens), tc.kseq_gamma_star(p, q, len(tokens)))
     assert (params.gamma, params.p_acc) == (expected.gamma, expected.p_acc)
     assert (params.residual.probs == expected.residual.probs).all()
+    assert rule.lo == rule.hi == params.gamma
     # at one draft the scan runs at gamma* = 1
     if method.kind == "maximal":
         assert params.gamma == 1.0
