@@ -34,7 +34,12 @@ class ToyLm:
 
     Rows are exponentiate-and-normalize transforms of seeded uniforms, so
     they are strictly positive (bounded q/p between any two such models)
-    unless `allow_zeros` knocks out a seeded subset of entries.
+    unless `allow_zeros` knocks out a seeded subset of entries. The row at
+    window `key` draws from the stream RngStream(seed, key), built as
+    `prefix.child(key[-1])` from the memoised stream of the window's prefix
+    `key[:-1]` (one per distinct prefix), and at order 0 as `root.child()`.
+    Prefix streams and the root are only ever parents and are never drawn
+    from, so a row rebuilt in any order is the same row.
     """
 
     def __init__(self, vocab_size: int, order: int, seed: int, allow_zeros: bool = False):
@@ -49,6 +54,7 @@ class ToyLm:
         self._root = RngStream(seed)
         self.seed = self._root.seed
         self._rows: dict[tuple[int, ...], ProbVector] = {}
+        self._prefixes: dict[tuple[int, ...], RngStream] = {(): self._root}
 
     def context_key(self, context: Sequence[int]) -> tuple[int, ...]:
         """The suffix of the context that actually conditions the next token."""
@@ -77,7 +83,7 @@ class ToyLm:
     def _row_values(self, key: tuple[int, ...]) -> np.ndarray:
         # One draw: V uniforms for the values, then (with zeros) V for the mask.
         v = self.vocab_size
-        u = self._root.child(*key).uniforms(2 * v if self.allow_zeros else v)
+        u = self._row_stream(key).uniforms(2 * v if self.allow_zeros else v)
         row = np.exp(ROW_SPREAD * u[:v])
         if self.allow_zeros:
             zero = u[v:] < ZERO_FRACTION
@@ -85,6 +91,15 @@ class ToyLm:
                 zero[int(np.argmax(row))] = False
             row[zero] = 0.0
         return row / row.sum()
+
+    def _row_stream(self, key: tuple[int, ...]) -> RngStream:
+        """A fresh RngStream(seed, key), extending the memoised stream of key[:-1]."""
+        if not key:
+            return self._root.child()
+        prefix = self._prefixes.get(key[:-1])
+        if prefix is None:
+            prefix = self._prefixes[key[:-1]] = self._root.child(*key[:-1])
+        return prefix.child(key[-1])
 
 
 class _BlendedLm(ToyLm):

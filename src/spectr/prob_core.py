@@ -2,10 +2,13 @@
 
 Every stochastic routine in this package draws uniforms from an explicit
 :class:`RngStream`, so runs are bit-reproducible given a seed. A stream is
-numpy's Philox stream for (seed, path), held as its (key, position) state
-and drawn through one scratch generator per thread. Sampling is
-inverse-CDF over ascending token index with left-closed intervals, which makes
-the algorithms enumerable in tests.
+numpy's Philox stream for (seed, path), held as its (key, position) state:
+the key is derived once, on the stream's first draw, and kept, and draws come
+through one scratch generator per thread. Philox is counter-based, so single
+draws are drawn ahead a few values at a time without changing any output; a
+stream's position counts the values consumed. Sampling is inverse-CDF over
+ascending token index with left-closed intervals, which makes the algorithms
+enumerable in tests.
 """
 
 from __future__ import annotations
@@ -160,18 +163,38 @@ def _words(values: Iterable, what: str) -> tuple[tuple[int, ...], list[int]]:
     return tuple(ints), words
 
 
-def _absorb(pool: list[int], h: int, words: list[int]) -> tuple[list[int], int]:
+def _absorb(pool: tuple[int, ...], h: int,
+            words: list[int]) -> tuple[tuple[int, ...], int]:
     """(pool, hash constant) after SeedSequence mixes `words` into every pool word,
     as it does for each entropy word past the pool's four."""
-    pool = list(pool)
+    p0, p1, p2, p3 = pool
     for w in words:
-        for i in range(4):
-            v = w ^ h
-            h = h * _MULT_A & _M32
-            v = v * h & _M32
-            x = (_MIX_L * pool[i] - _MIX_R * (v ^ v >> 16)) & _M32
-            pool[i] = x ^ x >> 16
-    return pool, h
+        v = w ^ h
+        h = h * _MULT_A & _M32
+        v = v * h & _M32
+        x = (_MIX_L * p0 - _MIX_R * (v ^ v >> 16)) & _M32
+        p0 = x ^ x >> 16
+        v = w ^ h
+        h = h * _MULT_A & _M32
+        v = v * h & _M32
+        x = (_MIX_L * p1 - _MIX_R * (v ^ v >> 16)) & _M32
+        p1 = x ^ x >> 16
+        v = w ^ h
+        h = h * _MULT_A & _M32
+        v = v * h & _M32
+        x = (_MIX_L * p2 - _MIX_R * (v ^ v >> 16)) & _M32
+        p2 = x ^ x >> 16
+        v = w ^ h
+        h = h * _MULT_A & _M32
+        v = v * h & _M32
+        x = (_MIX_L * p3 - _MIX_R * (v ^ v >> 16)) & _M32
+        p3 = x ^ x >> 16
+    return (p0, p1, p2, p3), h
+
+
+# A single draw fills the stream's look-ahead to the end of the next Philox
+# block (4 values each) past the one it starts in.
+_AHEAD = 8
 
 
 class _Scratch(threading.local):
@@ -189,59 +212,78 @@ class RngStream:
     """Counter-based uniform stream keyed by a seed and a path of indices.
 
     The stream is `Generator(Philox(SeedSequence(seed, spawn_key=path)))`,
-    held as its (key, position) state: SeedSequence's mixed pool, from which
-    the Philox key follows, and `draws`. `child(i, j, ...)` mixes only the
-    new path words into the pool, so substreams cost no SeedSequence. Draws
-    come from one scratch generator per thread, reloaded at (key, draws)
-    whenever another stream used it last; a stream's output depends only on
-    (seed, path) and its position, and identical (seed, path) reproduce the
-    same draws.
+    held as its (key, position) state: SeedSequence's mixed pool, the Philox
+    key that follows from it (derived at the first draw and kept), and
+    `draws`. `child(i, j, ...)` mixes only the new path words into the pool,
+    so substreams cost no SeedSequence, and a child derives its own key.
+    Draws come from one scratch generator per thread, reloaded at the
+    stream's key and position whenever another stream used it last. A single
+    draw `uniform()` draws ahead to the end of the next Philox block and
+    keeps the values it has not returned yet; `uniforms(n)` drops them and
+    reloads at `draws`, which counts the values consumed, never the ones
+    drawn ahead. A stream's output depends only on (seed, path) and its
+    position, and identical (seed, path) reproduce the same draws.
     """
 
-    __slots__ = ("seed", "path", "draws", "_pool", "_hash")
+    __slots__ = ("seed", "path", "draws", "_pool", "_hash", "_key", "_ahead")
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
         (self.seed,), words = _words((seed,), "seed")
         self.path, path_words = _words(path, "path entry")
         # The seed's pool; every hashmix step multiplied the hash constant by
         # _MULT_A: 4 to fill the pool, 12 to cross-mix it, 4 per word past 4.
-        pool = np.random.SeedSequence(self.seed).pool.tolist()
+        pool = tuple(np.random.SeedSequence(self.seed).pool.tolist())
         h = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, len(words) - 4), 1 << 32) & _M32
         self._pool, self._hash = _absorb(pool, h, path_words)
         self.draws = 0
+        self._key = None
+        self._ahead = ()
 
     def _generator(self) -> np.random.Generator:
-        """The thread's generator, positioned at this stream's next draw."""
+        """The thread's generator, positioned at this stream's next draw; the
+        callers have emptied the look-ahead."""
         s = _SCRATCH
         if s.owner is not self or s.at != self.draws:
-            # generate_state(2, np.uint64): 4 words, paired little-endian.
-            h, key = _INIT_B, []
-            for v in self._pool:
-                v ^= h
-                h = h * _MULT_B & _M32
-                v = v * h & _M32
-                key.append(v ^ v >> 16)
+            key = self._key
+            if key is None:
+                # generate_state(2, np.uint64): 4 words, paired little-endian.
+                h, words = _INIT_B, []
+                for v in self._pool:
+                    v ^= h
+                    h = h * _MULT_B & _M32
+                    v = v * h & _M32
+                    words.append(v ^ v >> 16)
+                key = self._key = [words[0] | words[1] << 32, words[2] | words[3] << 32]
             if s.gen is None:
                 s.bitgen = np.random.Philox(0)
                 s.gen = np.random.Generator(s.bitgen)
             s.bitgen.state = {
                 "bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4,
                 "has_uint32": 0, "uinteger": 0,
-                "state": {"counter": [self.draws >> 2, 0, 0, 0],
-                          "key": [key[0] | key[1] << 32, key[2] | key[3] << 32]}}
+                "state": {"counter": [self.draws >> 2, 0, 0, 0], "key": key}}
             if self.draws & 3:
                 s.bitgen.random_raw(self.draws & 3)
             s.owner = self
+            s.at = self.draws
         return s.gen
 
     def uniform(self) -> float:
         """One U[0,1) draw."""
-        u = self._generator().random()
-        self.draws = _SCRATCH.at = self.draws + 1
-        return float(u)
+        ahead = self._ahead
+        if not ahead:
+            # Fill from the generator itself, not through `uniforms`: `draws`
+            # counts only what is returned.
+            n = _AHEAD - (self.draws & 3)
+            ahead = self._generator().random(n).tolist()
+            ahead.reverse()
+            self._ahead = ahead
+            _SCRATCH.at += n
+        self.draws += 1
+        return ahead.pop()
 
     def uniforms(self, n: int) -> np.ndarray:
         """`n` U[0,1) draws in stream order."""
+        self._ahead = ()
         out = self._generator().random(n)
         self.draws = _SCRATCH.at = self.draws + n
         return out
@@ -250,7 +292,8 @@ class RngStream:
         """Independent substream keyed by this stream's path extended by `path`.
 
         Equal to RngStream(seed, path + extension): only the extension's
-        words are mixed into this stream's pool.
+        words are mixed into this stream's pool. The child starts at position
+        0 and derives its key at its own first draw.
         """
         ext, words = _words(path, "path entry")
         stream = RngStream.__new__(RngStream)
@@ -258,6 +301,8 @@ class RngStream:
         stream.path = self.path + ext
         stream._pool, stream._hash = _absorb(self._pool, self._hash, words)
         stream.draws = 0
+        stream._key = None
+        stream._ahead = ()
         return stream
 
     def __repr__(self) -> str:

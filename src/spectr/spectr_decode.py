@@ -233,7 +233,9 @@ def spectr_decode(big: ToyLm, small: ToyLm, prompt: Sequence[int], total_tokens:
     tokens. With drafting="tree", `factors` replaces (K, L): the draft count
     is prod(factors) and the draft length len(factors); i.i.d. drafting is
     the tree (K, 1, ..., 1) and takes no factors. Either way the drafts take
-    one uniforms(K * L) draw from rng.child(iteration, 0), L per leaf. Every
+    one uniforms(K * L) draw from rng.child(iteration, 0), L per leaf, and
+    selection draws from rng.child(iteration, 1); both are taken as children
+    of rng.child(iteration), which is built once per iteration. Every
     decode on one (big, small) pair shares one `TokenSelector` per method, so
     a scan's gamma* bracket and parameters, and a plan, are solved at most
     once per context for the pair's life; the sampled stream is the one a
@@ -264,11 +266,12 @@ def spectr_decode(big: ToyLm, small: ToyLm, prompt: Sequence[int], total_tokens:
     time_units = 0.0
     iteration = 0
     while len(emitted) < total_tokens:
+        step = rng.child(iteration)
         if drafting == "tree":
-            drafts = build_prefix_tree_drafts(small, ctx, factors, rng.child(iteration, 0))
+            drafts = build_prefix_tree_drafts(small, ctx, factors, step.child(0))
         else:
-            drafts = sample_iid_drafts(small, ctx, K, L, rng.child(iteration, 0))
-        new = draft_selection(ctx, drafts, big, small, method, rng.child(iteration, 1))
+            drafts = sample_iid_drafts(small, ctx, K, L, step.child(0))
+        new = draft_selection(ctx, drafts, big, small, method, step.child(1))
         emitted.extend(new)
         ctx = window(ctx + tuple(new), order)
         records.append(IterationRecord(

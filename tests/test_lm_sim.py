@@ -84,6 +84,39 @@ def test_rows_are_pinned(name):
     assert digest.hexdigest() == ROW_GOLDEN[name]
 
 
+def rebuilt_in_reverse(models, contexts):
+    """Each model's rows over `contexts`, then the same rows after every row
+    memo is cleared and they are rebuilt in reverse order."""
+    first = [[lm.next_dist(c).probs.tobytes() for c in contexts] for lm in models]
+    for lm in models:
+        lm._rows.clear()
+    again = [[lm.next_dist(c).probs.tobytes() for c in reversed(contexts)][::-1]
+             for lm in reversed(models)][::-1]
+    return first, again
+
+
+@pytest.mark.parametrize("allow_zeros", [False, True])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_rows_rebuilt_in_another_order_are_the_same_rows(order, allow_zeros):
+    # The prefix streams outlive the cleared rows: were one ever drawn from,
+    # a rebuilt row would read other uniforms.
+    contexts = [(a, b, c) for a in range(3) for b in (0, 4) for c in (1, 5, 2)]
+    lm = ToyLm(6, order, seed=21, allow_zeros=allow_zeros)
+    first, again = rebuilt_in_reverse([lm], contexts)
+    assert first == again
+    fresh = ToyLm(6, order, seed=21, allow_zeros=allow_zeros)
+    assert first[0] == [fresh.next_dist(c).probs.tobytes() for c in contexts]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_blended_rows_rebuilt_in_another_order_are_the_same_rows(order):
+    pair = make_model_pair(7, order, seed=4, eps=0.4, allow_zeros=True)
+    contexts = [(a, b, c) for a in (6, 0) for b in range(3) for c in (3, 1)]
+    first, again = rebuilt_in_reverse([pair.big, pair.small, pair.small._perturbation],
+                                      contexts)
+    assert first == again
+
+
 def test_model_pair_eps_endpoints():
     same = make_model_pair(6, 1, seed=2, eps=0.0)
     for ctx in ([0], [3], [5]):

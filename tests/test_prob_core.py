@@ -201,6 +201,39 @@ def test_rng_accepts_numpy_integers():
     assert a.uniforms(6).tolist() == b.uniforms(6).tolist()
 
 
+def test_traced_draw_count_equals_consumed_positions(monkeypatch):
+    """perfbench's tracer counts 1 per `uniform` and n per `uniforms(n)` by
+    wrapping the class attributes. Values a single draw takes ahead come from
+    the generator itself, so the count stays the stream's position."""
+    counted = {"draws": 0}
+
+    def counting(fn, amount):
+        def wrapper(*args, **kwargs):
+            counted["draws"] += amount(args, kwargs)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(RngStream, "uniform", counting(RngStream.uniform, lambda a, k: 1))
+    monkeypatch.setattr(RngStream, "uniforms", counting(
+        RngStream.uniforms, lambda a, k: int(a[1] if len(a) > 1 else k["n"])))
+    dist = ProbVector([0.1, 0.2, 0.3, 0.4])
+    parent = RngStream(11, (2,))
+    streams = [parent, parent.child(0), parent.child(1)]
+    consumed = 0
+    for step in range(90):
+        stream = streams[step % len(streams)]
+        if step % 4 == 3:
+            sample_many(dist, stream, step % 7)
+            consumed += step % 7
+        elif step % 4 == 2:
+            stream.uniforms(n=step % 5)
+            consumed += step % 5
+        else:
+            sample(dist, stream)
+            consumed += 1
+        assert counted["draws"] == sum(s.draws for s in streams) == consumed
+
+
 def test_tv_distance_examples():
     p = ProbVector([0.3, 0.7])
     assert tv_distance(p, p) == 0.0

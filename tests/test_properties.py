@@ -285,27 +285,58 @@ paths = st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**96))
 
 
 @settings(max_examples=150, deadline=None)
-@example(seeds=[0], paths=[[]], splits=[0], calls=[(0, 1)])
-@example(seeds=[2**130 + 7], paths=[[2**40, 3]], splits=[1], calls=[(0, 3), (0, None), (0, 5)])
+@example(seeds=[0], paths=[[]], splits=[0], calls=[(0, 1)], child=(0, 0, []))
+@example(seeds=[2**130 + 7], paths=[[2**40, 3]], splits=[1], calls=[(0, 3), (0, None), (0, 5)],
+         child=(2, 0, [2**33]))
+@example(seeds=[5, 6], paths=[[1], [], []], splits=[0, 0, 0], calls=[(0, None)] * 7,
+         child=(7, 0, [3]))
 @given(seeds=st.lists(seeds, min_size=2, max_size=3),
        paths=st.lists(paths, min_size=3, max_size=3),
        splits=st.lists(st.integers(0, 12), min_size=3, max_size=3),
        calls=st.lists(st.tuples(st.integers(0, 2), st.one_of(st.none(), st.integers(0, 9))),
-                      max_size=30))
-def test_streams_equal_numpy_philox_under_interleaved_draws(seeds, paths, splits, calls):
+                      max_size=30),
+       child=st.tuples(st.integers(0, 30), st.integers(0, 2),
+                       st.lists(st.integers(0, 2**40), max_size=3)))
+def test_streams_equal_numpy_philox_under_interleaved_draws(seeds, paths, splits, calls, child):
     """2-3 streams, each built as RngStream(seed, head).child(*tail), draw by
     uniform() (n is None) and uniforms(n) in an interleaved order, so reloads
-    land at positions that are not multiples of 4."""
+    land at positions that are not multiples of 4 and single draws leave
+    values drawn ahead. `draws` is the reference's position after every call.
+    Once, before call `child[0]`, stream `child[1]` takes single draws until
+    it holds values drawn ahead, then a child at its path + `child[2]`."""
     streams, refs = [], []
     for seed, path, split in zip(seeds, paths, splits):
         streams.append(RngStream(seed, tuple(path[:split])).child(*path[split:]))
         refs.append(numpy_stream(seed, path))
-    for i, n in calls:
+    at = [0] * len(streams)
+
+    def take_child(i, ext):
+        # The first single draw empties a look-ahead holding one value.
+        while True:
+            assert streams[i].uniform() == refs[i].random()
+            at[i] += 1
+            if streams[i]._ahead:
+                break
+        sub = streams[i].child(*ext)
+        fresh = numpy_stream(seeds[i], paths[i] + ext)
+        assert sub.uniform() == fresh.random()
+        assert sub.uniforms(6).tolist() == fresh.random(6).tolist()
+        assert sub.draws == 7
+
+    when, which, ext = child
+    for step, (i, n) in enumerate(calls):
+        if step == when:
+            take_child(which % len(streams), ext)
         i %= len(streams)
         if n is None:
             assert streams[i].uniform() == refs[i].random()
+            at[i] += 1
         else:
             assert streams[i].uniforms(n).tolist() == refs[i].random(n).tolist()
+            at[i] += n
+        assert [s.draws for s in streams] == at
+    if when >= len(calls):
+        take_child(which % len(streams), ext)
     for stream, ref in zip(streams, refs):
         assert stream.uniforms(7).tolist() == ref.random(7).tolist()
 
