@@ -51,10 +51,10 @@ SEQUENCE_TOL = 1e-6
 # both hold every row until they print, so 16,384 rows take at most about 1.7 s.
 PROMPT_LEN_CAP = 1 << 14
 ROW_CAP = 1 << 14
-# A default decode costs about 26 us and 44 B per requested token of the prompt
+# A default decode costs about 16 us and 44 B per requested token of the prompt
 # being decoded, whose trace is held until its figures are taken: one prompt
-# of 2^20 tokens took 28 s at 82 MB ru_maxrss, and one of 2^22 tokens 107 s at
-# 218 MB.
+# of 2^20 tokens took 16 s at 82 MB ru_maxrss, and one of 2^22 tokens 74 s at
+# 218 MB (one core of a 2-core x86 container).
 DECODE_TOKEN_CAP = 1 << 22
 # Largest vocabulary decode and verify build model rows over, and sweep its
 # uniform pair over. Models keep every row they build, and verify's output

@@ -3,19 +3,19 @@
 A draft set with branching factors (k_1..k_L) is a forest of token nodes with
 uniform leaf depth L that branches k_i ways at depth i. K i.i.d. drafts of
 length L are the factors (K, 1, ..., 1), a forest of K single-child chains.
-A set draws all its uniforms in one call and reads them leaf-major, L per
-leaf: a node at depth d is the draft model's pick at its own prefix from
-uniform d of its first leaf.
+A set draws all its uniforms in one call and keeps them flat, leaf-major, L
+per leaf: a node at depth d is the draft model's pick at its own prefix from
+uniform d of its first leaf, `uniforms[leaf * L + d]`.
 
 A `DraftSet` is that draw, not the forest: the draft model, the context, the
 factors and the uniforms. Selection reads it depth by depth. Every live draft
 carries the prefix just emitted, so their tokens are picks from the one
-draft-model row at that prefix (`tokens`), the row the selector reads as the
-draft law, and no node off the emitted path is picked. `roots`, the whole
-forest, is built from the same picks on first access and cached.
-`checked_factors` is the one branching check, which the exact oracle shares.
-A set above DRAFT_DEPTH_CAP or DRAFT_NODE_CAP raises SizeLimitError before it
-draws.
+draft-model row at that prefix (`picks`, given the row the selector already
+holds as the draft law), and no node off the emitted path is picked.
+`roots`, the whole forest, is built from the same picks on first access and
+cached. `checked_factors` is the one branching check, which the exact oracle
+shares. A set above DRAFT_DEPTH_CAP or DRAFT_NODE_CAP raises SizeLimitError
+before it draws.
 """
 
 from __future__ import annotations
@@ -23,12 +23,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 # `sample` is unused here but kept importable: perfbench's tracer patches it by name.
-from .prob_core import RngStream, SpectrError, _pick, sample  # noqa: F401
+from .prob_core import ProbVector, RngStream, SpectrError, _pick, sample  # noqa: F401
 from .lm_sim import ToyLm, window
 from .token_coupling import SizeLimitError
 
@@ -52,13 +53,13 @@ class DraftNode:
 @dataclass(frozen=True)
 class DraftSet:
     """Candidate continuations of `context`, drawn from the draft `model`:
-    `uniforms[leaf][d]` picks the depth-d token of every node whose first
-    leaf is `leaf`, and every leaf lies at depth `length`."""
+    `uniforms[leaf * length + d]` picks the depth-d token of every node whose
+    first leaf is `leaf`, and every leaf lies at depth `length`."""
 
     model: ToyLm
     context: tuple[int, ...]
     factors: tuple[int, ...]
-    uniforms: tuple[tuple[float, ...], ...]
+    uniforms: tuple[float, ...]
 
     @property
     def length(self) -> int:
@@ -68,30 +69,30 @@ class DraftSet:
         """The number of drafts (leaves); raises unless the factors are positive
         and the draw holds `length` uniforms for every leaf."""
         leaves = math.prod(checked_factors(self.factors))
-        if len(self.uniforms) != leaves or any(len(u) != self.length for u in self.uniforms):
+        if len(self.uniforms) != leaves * len(self.factors):
             raise StructuralError(f"the draw is not {leaves} leaves of {self.length} uniforms")
         return leaves
 
-    @cached_property
-    def _spans(self) -> list[int]:
-        # _spans[d]: the leaves under one node at depth d - 1 (_spans[0] under the whole set).
-        return [math.prod(self.factors[d:]) for d in range(self.length + 1)]
-
-    def branch(self, leaf: int, depth: int) -> range:
-        """The first leaves of the depth-`depth` nodes under the node above them
-        whose first leaf is `leaf` (the roots are branch(0, 0)); none below the leaves."""
-        if depth >= self.length:
-            return range(0)
-        return range(leaf, leaf + self._spans[depth], self._spans[depth + 1])
-
-    def tokens(self, prefix: tuple[int, ...], leaves: Sequence[int]) -> list[int]:
-        """The tokens of the depth-len(prefix) nodes under `prefix` whose first
-        leaves are `leaves`: picks from the draft model's one row there."""
-        if not leaves:
+    def children(self, leaves: Sequence[int], depth: int) -> Sequence[int]:
+        """The first leaves of the depth-`depth` nodes under the nodes one depth
+        up whose first leaves are `leaves` (the roots are children([0], 0));
+        none below the leaves."""
+        if depth >= len(self.factors):
             return []
-        row = self.model.next_dist(self.context + prefix)
-        d = len(prefix)
-        return [_pick(row, self.uniforms[leaf][d]) for leaf in leaves]
+        k = self.factors[depth]
+        if k == 1:  # a node's only child shares its first leaf
+            return leaves
+        step = math.prod(self.factors[depth + 1:])
+        return [leaf + j * step for leaf in leaves for j in range(k)]
+
+    def picks(self, row: ProbVector, depth: int, leaves: Sequence[int]) -> list[int]:
+        """The tokens of the depth-`depth` nodes whose first leaves are `leaves`,
+        picked from `row`, the draft model's row at their shared prefix."""
+        cdf, u, length = row.cdf, self.uniforms, len(self.factors)
+        tokens = [bisect_right(cdf, u[leaf * length + depth]) for leaf in leaves]
+        if len(cdf) in tokens:  # a uniform past a cdf that sums just under 1
+            tokens = [_pick(row, u[leaf * length + depth]) for leaf in leaves]
+        return tokens
 
     @cached_property
     def roots(self) -> tuple[DraftNode, ...]:
@@ -101,9 +102,12 @@ class DraftSet:
         return self._grow((), 0)
 
     def _grow(self, prefix: tuple, first_leaf: int) -> tuple[DraftNode, ...]:
-        leaves = self.branch(first_leaf, len(prefix))
+        leaves = self.children([first_leaf], len(prefix))
+        if not leaves:
+            return ()
+        tokens = self.picks(self.model.next_dist(self.context + prefix), len(prefix), leaves)
         return tuple(DraftNode(tok, self._grow(prefix + (tok,), leaf))
-                     for leaf, tok in zip(leaves, self.tokens(prefix, leaves)))
+                     for leaf, tok in zip(leaves, tokens))
 
 
 def checked_factors(factors: Sequence[int]) -> list[int]:
@@ -147,6 +151,5 @@ def build_prefix_tree_drafts(small: ToyLm, context: Sequence[int],
     nodes = sum(itertools.accumulate(factors, operator.mul))
     if nodes > DRAFT_NODE_CAP:
         raise SizeLimitError(f"a draft set of {nodes} nodes exceeds the node cap {DRAFT_NODE_CAP}")
-    uniforms = rng.uniforms(leaves * len(factors)).reshape(leaves, len(factors)).tolist()
     return DraftSet(model=small, context=window(context, small.order), factors=tuple(factors),
-                    uniforms=tuple(map(tuple, uniforms)))
+                    uniforms=tuple(rng.uniforms(leaves * len(factors)).tolist()))

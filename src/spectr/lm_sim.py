@@ -56,6 +56,11 @@ class ToyLm:
         self._rows: dict[tuple[int, ...], ProbVector] = {}
         self._prefixes: dict[tuple[int, ...], RngStream] = {(): self._root}
 
+    def signature(self) -> tuple:
+        """What fixes every row: models with equal signatures, such as two built
+        with the same arguments, give the same row at every window, bit for bit."""
+        return (type(self), self.vocab_size, self.order, self.seed, self.allow_zeros)
+
     def context_key(self, context: Sequence[int]) -> tuple[int, ...]:
         """The suffix of the context that actually conditions the next token."""
         key = window(context, self.order)
@@ -111,6 +116,9 @@ class _BlendedLm(ToyLm):
         self._base = base
         self._perturbation = perturbation
         self._eps = eps
+
+    def signature(self) -> tuple:
+        return (type(self), self._base.signature(), self._perturbation.signature(), self._eps)
 
     def _row_values(self, key: tuple[int, ...]) -> np.ndarray:
         # The perturbation row only feeds the blend, so it is neither

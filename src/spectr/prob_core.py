@@ -146,6 +146,12 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 def _words(values: Iterable, what: str) -> tuple[tuple[int, ...], list[int]]:
     """Nonnegative integers `values` and their little-endian 32-bit words, as
     SeedSequence splits its entropy (0 is one word)."""
+    if type(values) is tuple and len(values) == 1:
+        # One int below 2**32, as a child of one index has, is its own word;
+        # bools, numpy ints and wider values take the general path.
+        v = values[0]
+        if type(v) is int and 0 <= v <= _M32:
+            return values, [v]
     ints, words = [], []
     for v in values:
         try:
@@ -198,10 +204,11 @@ _AHEAD = 8
 
 
 class _Scratch(threading.local):
-    """Per thread: one Philox generator, built at the thread's first draw, and
-    the stream and position it was last left at."""
+    """Per thread: one Philox generator, built at the thread's first draw, the
+    state dict it is reloaded from (only the counter's first word and the key
+    change), and the stream and position it was last left at."""
 
-    bitgen = gen = owner = None
+    bitgen = gen = owner = state = None
     at = 0
 
 
@@ -254,13 +261,18 @@ class RngStream:
                     v = v * h & _M32
                     words.append(v ^ v >> 16)
                 key = self._key = [words[0] | words[1] << 32, words[2] | words[3] << 32]
-            if s.gen is None:
+            state = s.state
+            if state is None:
                 s.bitgen = np.random.Philox(0)
                 s.gen = np.random.Generator(s.bitgen)
-            s.bitgen.state = {
-                "bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4,
-                "has_uint32": 0, "uinteger": 0,
-                "state": {"counter": [self.draws >> 2, 0, 0, 0], "key": key}}
+                state = s.state = {
+                    "bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4,
+                    "has_uint32": 0, "uinteger": 0,
+                    "state": {"counter": [0, 0, 0, 0], "key": key}}
+            philox = state["state"]
+            philox["counter"][0] = self.draws >> 2
+            philox["key"] = key
+            s.bitgen.state = state
             if self.draws & 3:
                 s.bitgen.random_raw(self.draws & 3)
             s.owner = self

@@ -99,7 +99,9 @@ class TokenSelector:
     target rows with the rule built on them (a `KseqScan`, which solves
     gamma* only as far as its draws need and its residual on the first
     all-reject, or a `TransportPlan`), and `laws` one (law, support) per
-    (window, tokens). A memo hit fetches no row. `select` draws by
+    (window, tokens). A memo hit fetches no row: `draft_selection` takes
+    (p, q, rule) with one `rule` lookup per depth and picks the live drafts'
+    tokens from that p, the draft row itself. `decide` draws by
     `kseq_select` or the plan and `conditional` reads `kseq_conditional` at
     the scan's `params` or the same plan, so the exact oracle checks the
     decoder's own rule. Drafts are draws from the draft model, whose row is
@@ -120,7 +122,12 @@ class TokenSelector:
         """Draw the token given the live draft tokens in order."""
         if not tokens:
             return sample(self._big().next_dist(context), rng)
-        p, q, rule = self._rule(context, len(tokens))
+        return self.decide(self.rule(context, len(tokens)), tokens, rng)
+
+    def decide(self, entry: tuple, tokens: list[int], rng: RngStream) -> int:
+        """Draw the token for the live draft `tokens` under `entry`, the
+        (p, q, rule) that `rule` gives for their context and count."""
+        p, q, rule = entry
         if self.method.kind == "otm_lp":
             return sample(rule.conditional(tuple(tokens)), rng)
         return tc.kseq_select(p, q, tokens, rule, rng)[0]
@@ -134,8 +141,8 @@ class TokenSelector:
         """(token, probability) over the entries of `conditional` above PROB_FLOOR."""
         return self._law(context, tokens)[1]
 
-    def _rule(self, context, k):
-        """(p, q, the memoised rule for k live drafts)."""
+    def rule(self, context: tuple[int, ...], k: int) -> tuple:
+        """(p, q, the memoised rule for k live drafts) at the context's window."""
         key = (tuple(context[-self.order:]) if self.order else (), k)
         out = self.rules.get(key)
         if out is None:
@@ -154,7 +161,7 @@ class TokenSelector:
             if not tokens:
                 law = self._big().next_dist(context).probs
             else:
-                p, q, rule = self._rule(context, len(tokens))
+                p, q, rule = self.rule(context, len(tokens))
                 law = (rule.conditional(tokens).probs if self.method.kind == "otm_lp"
                        else tc.kseq_conditional(p, q, tokens, rule.params))
             law.setflags(write=False)
@@ -163,16 +170,22 @@ class TokenSelector:
         return out
 
 
-# model -> model -> method -> the selector every spectr_decode on that pair shares.
-_SHARED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# (id(big), id(small), method kind) -> (the selector every spectr_decode on that
+# pair shares, a weak reference to each model). Either reference's callback drops
+# the entry when its model dies, so an id is never read after its model's death.
+_SHARED: dict = {}
 
 
 def _shared_selector(big: ToyLm, small: ToyLm, method: SelectionMethod) -> TokenSelector:
     """The pair's selector; it and its memo die with either model."""
-    by_method = _SHARED.setdefault(big, weakref.WeakKeyDictionary()).setdefault(small, {})
-    if method not in by_method:
-        by_method[method] = TokenSelector(big, small, method)
-    return by_method[method]
+    key = (id(big), id(small), method.kind)
+    entry = _SHARED.get(key)
+    if entry is None:
+        def drop(_, key=key, shared=_SHARED):
+            shared.pop(key, None)
+        entry = _SHARED[key] = (TokenSelector(big, small, method),
+                                weakref.ref(big, drop), weakref.ref(small, drop))
+    return entry[0]
 
 
 def draft_selection(context: Sequence[int], drafts: DraftSet, big: ToyLm, small: ToyLm,
@@ -180,33 +193,46 @@ def draft_selection(context: Sequence[int], drafts: DraftSet, big: ToyLm, small:
     """Select a valid continuation from a draft set, depth by depth.
 
     At each depth every live draft carries the prefix emitted so far, so the
-    live drafts are i.i.d. draws from the draft model's one row there: the set
-    picks their tokens from it (`DraftSet.tokens`), and no draft off the
-    emitted path is picked or has its row built. A token-level transport plan
-    from the draft conditional (tensorized over the live count) to the
-    big-model conditional picks the next token; drafts whose token disagrees
-    are dropped, and the children of the survivors become the next depth's
+    live drafts are i.i.d. draws from the draft model's one row there. The
+    pair's shared `TokenSelector` gives (p, q, rule) for that window and live
+    count in one lookup, and the set picks the live drafts' tokens from p,
+    that very row (`DraftSet.picks`); no draft off the emitted path is picked
+    or has its row built. A token-level transport plan from the draft
+    conditional (tensorized over the live count) to the big-model
+    conditional picks the next token; drafts whose token disagrees are
+    dropped, and the children of the survivors become the next depth's
     drafts. If the selected token survives to the final depth, one bonus
     token is sampled from the big model. Returns between 1 and L+1 tokens
-    distributed by the big model's chain rule. The drafts must be draws from
-    `small`, and only the last max(big.order, small.order) tokens of the
-    context are read. K-SEQ scans at gamma* for each depth's live draft
-    count; the scans and plans come from the pair's shared `TokenSelector`.
+    distributed by the big model's chain rule. The drafts must be a draw from
+    `small`, or from a model of equal signature, at this context's window, or
+    ValidationError is raised: picks read the selector's draft row, so a
+    foreign set would be read as draws it is not. Only the last
+    max(big.order, small.order) tokens of the context are read. K-SEQ scans
+    at gamma* for each depth's live draft count.
     """
     drafts.validate()
+    order = max(big.order, small.order)
+    ctx = window(context, order)
+    if drafts.model is not small and drafts.model.signature() != small.signature():
+        raise ValidationError("the draft set was not drawn from the draft model")
+    if drafts.context != (ctx[-small.order:] if small.order else ()):
+        raise ValidationError(f"the draft set was drawn at context {drafts.context}, "
+                              f"not at this context's window {window(ctx, small.order)}")
     selector = _shared_selector(big, small, method)
-    base = window(context, max(big.order, small.order))
-    leaves = drafts.branch(0, 0)
+    live = drafts.children([0], 0)
     emitted: list[int] = []
-    while True:
-        prefix = tuple(emitted)
-        tokens = drafts.tokens(prefix, leaves)
-        chosen = selector.select(base + prefix, tokens, rng)
+    while live:
+        entry = selector.rule(ctx, len(live))
+        tokens = drafts.picks(entry[0], len(emitted), live)
+        chosen = selector.decide(entry, tokens, rng)
         emitted.append(chosen)
         kept = selection_step(tokens, chosen)
         if kept is None:
             return emitted
-        leaves = [child for i in kept for child in drafts.branch(leaves[i], len(emitted))]
+        ctx = (ctx + (chosen,))[-order:] if order else ()
+        live = drafts.children([live[i] for i in kept], len(emitted))
+    emitted.append(sample(big.next_dist(ctx), rng))
+    return emitted
 
 
 def selection_step(tokens: Sequence[int], chosen: int) -> list[int] | None:

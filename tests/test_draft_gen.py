@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spectr.draft_gen import (
     DRAFT_DEPTH_CAP,
@@ -248,10 +248,10 @@ def test_draft_sets_above_the_caps_are_refused_before_any_draw():
 
 
 def _hand_built(lm, factors, shape):
-    """A DraftSet made directly, with a draw of (leaves, length) uniforms."""
+    """A DraftSet made directly, with a flat draw of `leaves` times `length` uniforms."""
     leaves, length = shape
-    uniforms = tuple(tuple(0.5 for _ in range(length)) for _ in range(leaves))
-    return DraftSet(model=lm, context=(0,), factors=tuple(factors), uniforms=uniforms)
+    return DraftSet(model=lm, context=(0,), factors=tuple(factors),
+                    uniforms=(0.5,) * (leaves * length))
 
 
 def test_validate_rejects_bad_factors_and_misshapen_draws():
@@ -272,6 +272,8 @@ def test_validate_rejects_bad_factors_and_misshapen_draws():
 
 
 @settings(max_examples=200, deadline=None)
+@example(factors=[1, 1], leaf_error=1, length_error=-1, seed=0)
+@example(factors=[1, 1], leaf_error=-1, length_error=1, seed=0)
 @given(factors=st.lists(st.integers(1, 3), min_size=1, max_size=4),
        leaf_error=st.sampled_from([0, 0, -1, 1]), length_error=st.sampled_from([0, 0, -1, 1]),
        seed=st.integers(0, 2**32))
@@ -281,10 +283,12 @@ def test_validate_counts_the_leaves_of_well_shaped_draws(factors, leaf_error, le
     leaves = math.prod(factors)
     shape = (leaves + leaf_error, len(factors) + length_error)
     drafts = _hand_built(lm, factors, shape)
-    if shape != (leaves, len(factors)):
+    if math.prod(shape) != leaves * len(factors):
         with pytest.raises(StructuralError):
             drafts.validate()
         return
+    # A flat draw is its length: a shape with as many uniforms as the set
+    # needs, such as (2, 1) for factors (1, 1), is the well-shaped draw.
     assert drafts.validate() == leaves
     drawn = build_prefix_tree_drafts(lm, [0], factors, RngStream(seed))
     assert drawn.validate() == leaves

@@ -290,6 +290,14 @@ paths = st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**96))
          child=(2, 0, [2**33]))
 @example(seeds=[5, 6], paths=[[1], [], []], splits=[0, 0, 0], calls=[(0, None)] * 7,
          child=(7, 0, [3]))
+# One-word children: the single-int fast path at its edges, and the path
+# entries it leaves to the general path (two words, bools, numpy ints).
+@example(seeds=[3, 4, 5], paths=[[0], [2**32 - 1], [2**32]], splits=[0, 0, 0],
+         calls=[(0, None), (1, 2), (2, None), (0, 3)], child=(2, 1, [2**64]))
+@example(seeds=[3, 4, 5], paths=[[np.int64(7)], [np.uint32(2**32 - 1)], [True]],
+         splits=[0, 0, 0], calls=[(0, None), (1, None), (2, 3)], child=(1, 0, [np.int64(2)]))
+@example(seeds=[9, 2**40], paths=[[2**64], [5, True], []], splits=[0, 1, 0],
+         calls=[(1, 1), (0, None)], child=(0, 1, [True]))
 @given(seeds=st.lists(seeds, min_size=2, max_size=3),
        paths=st.lists(paths, min_size=3, max_size=3),
        splits=st.lists(st.integers(0, 12), min_size=3, max_size=3),
@@ -366,6 +374,40 @@ def test_streams_equal_numpy_philox_in_threads_drawing_at_once():
         sys.setswitchinterval(interval)
     for index, (seed, path) in enumerate(seeds_paths):
         assert got[index] == numpy_stream(seed, path).random(len(got[index])).tolist()
+
+
+def test_threads_reloading_between_their_own_streams_equal_numpy_philox():
+    """More threads than cores at once, each alternating among three fresh
+    streams of its own, so each thread's scratch generator is reloaded through
+    its state dict at nearly every draw, at positions that are not multiples of 4."""
+    workers = 3
+    barrier = threading.Barrier(workers)
+    got = {}
+
+    def draw(index):
+        streams = [RngStream(17 + index, (index, j)) for j in range(3)]
+        outs = [[] for _ in streams]
+        barrier.wait()
+        for step in range(1500):
+            j = step % 3
+            outs[j].extend(streams[j].uniforms(step % 4) if step % 2 else
+                           [streams[j].uniform()])
+        got[index] = outs
+
+    threads = [threading.Thread(target=draw, args=(i,)) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for index in range(workers):
+        for j, out in enumerate(got[index]):
+            assert out == numpy_stream(17 + index, (index, j)).random(len(out)).tolist()
 
 
 def test_a_stream_handed_between_threads_continues_where_it_stopped():

@@ -13,7 +13,7 @@ from spectr.draft_gen import (
     build_prefix_tree_drafts,
     sample_iid_drafts,
 )
-from spectr.lm_sim import CostModel, make_model_pair, window
+from spectr.lm_sim import CostModel, ToyLm, make_model_pair, window
 from spectr.prob_core import RngStream, ValidationError, sample
 from spectr.spectr_decode import (
     DecodeTrace,
@@ -179,9 +179,37 @@ def test_structural_error_on_misshapen_drafts():
     drawn = sample_iid_drafts(pair.small, (0,), K=2, L=2, rng=RngStream(0))
     for bad in (replace(drawn, factors=(2, 0)),            # a zero factor
                 replace(drawn, factors=(3, 1)),            # leaves the draw lacks
-                replace(drawn, uniforms=drawn.uniforms[:1] + ((0.5,),))):  # a short leaf
+                replace(drawn, uniforms=drawn.uniforms[:-1])):  # a uniform short
         with pytest.raises(StructuralError):
             draft_selection((0,), bad, pair.big, pair.small, kseq(), RngStream(0))
+
+
+def test_a_draft_set_from_another_model_is_refused():
+    pair = make_model_pair(4, 1, seed=4, eps=0.4)
+    for drafter in (make_model_pair(4, 1, seed=5, eps=0.4).small,  # another seed
+                    make_model_pair(4, 1, seed=4, eps=0.5).small,  # another blend
+                    pair.big):
+        drafts = sample_iid_drafts(drafter, (0,), K=2, L=2, rng=RngStream(0))
+        with pytest.raises(ValidationError, match="not drawn from the draft model"):
+            draft_selection((0,), drafts, pair.big, pair.small, kseq(), RngStream(0))
+    # an equal-seeded twin of the draft model draws the same rows
+    twin = make_model_pair(4, 1, seed=4, eps=0.4).small
+    drafts = sample_iid_drafts(twin, (0,), K=2, L=2, rng=RngStream(0))
+    assert (draft_selection((0,), drafts, pair.big, pair.small, kseq(), RngStream(0))
+            == draft_selection((0,), replace(drafts, model=pair.small), pair.big, pair.small,
+                               kseq(), RngStream(0)))
+
+
+def test_a_draft_set_drawn_at_another_context_is_refused():
+    # The target reads two tokens, the draft model one: only the last token of
+    # the context is the draft set's.
+    big, small = ToyLm(4, 2, seed=1), ToyLm(4, 1, seed=2)
+    drafts = sample_iid_drafts(small, (0, 1), K=2, L=2, rng=RngStream(0))
+    assert drafts.context == (1,)
+    for context in ((1, 2), (2,), ()):
+        with pytest.raises(ValidationError, match="drawn at context"):
+            draft_selection(context, drafts, big, small, kseq(), RngStream(0))
+    assert len(draft_selection((3, 1), drafts, big, small, kseq(), RngStream(0))) >= 1
 
 
 def eager_selection(context, drafts, big, small, method, rng):

@@ -2,9 +2,10 @@
 
 Every spectr_decode and draft_selection on one model pair shares one selector
 per method; these tests check that sharing it changes no sampled stream, saves
-the repeated solves and holds neither model alive, that the oracle's law
-reads the entries the draws stored, that a memo hit reads no row, and that
-the window key gives the laws of freshly fetched rows when the orders differ.
+the repeated solves, holds neither model alive and dies with either, that the
+oracle's law reads the entries the draws stored, that a memo hit reads no row
+(so a warm decode fetches one only for each bonus token), and that the window
+key gives the laws of freshly fetched rows when the orders differ.
 """
 
 import gc
@@ -23,6 +24,7 @@ from spectr.spectr_decode import (
     PROB_FLOOR,
     SelectionMethod,
     TokenSelector,
+    _SHARED,
     _shared_selector,
     draft_selection,
     spectr_decode,
@@ -56,6 +58,50 @@ def test_model_pair_is_freed_by_reference_counting(run):
         assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("dies", ["big", "small"])
+def test_the_selector_dies_with_either_model(dies):
+    # Two independent models, so either can die while the other lives.
+    gc.disable()
+    try:
+        models = {"big": ToyLm(3, 1, seed=1), "small": ToyLm(3, 1, seed=2)}
+        spectr_decode(models["big"], models["small"], (0,), 12, K=2, L=2,
+                      method=SelectionMethod.kseq(), rng=RngStream(0))
+        selector = _shared_selector(models["big"], models["small"], SelectionMethod.kseq())
+        assert selector.rules
+        held = (weakref.ref(selector), weakref.ref(models[dies]))
+        key = (id(models["big"]), id(models["small"]), "kseq")
+        del selector, models[dies]
+        assert [ref() for ref in held] == [None, None]
+        assert key not in _SHARED
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("drafting", ["iid", "tree"])
+def test_a_warm_decode_reads_a_row_only_for_each_bonus_token(drafting):
+    # Each depth with live drafts takes p, q and the rule from one memo lookup and
+    # picks the drafts' tokens from that p; only the bonus token fetches a row.
+    pair = make_model_pair(16, 1, seed=0, eps=0.3)
+    run = dict(K=8, L=4) if drafting == "iid" else dict(K=0, L=0, drafting="tree",
+                                                         factors=(2, 2, 2))
+    decode = lambda: spectr_decode(pair.big, pair.small, (3, 5), 64,
+                                   method=SelectionMethod.kseq(), rng=RngStream(4), **run)
+    cold = decode()
+    calls = {"big": 0, "small": 0}
+    for name in calls:
+        model = getattr(pair, name)
+
+        def counted(context, name=name, fetch=model.next_dist):
+            calls[name] += 1
+            return fetch(context)
+        model.next_dist = counted
+    warm = decode()
+    assert warm == cold
+    bonus = sum(record.extra_token_emitted for record in warm.per_iteration)
+    assert bonus > 0
+    assert calls == {"big": bonus, "small": 0}
 
 
 def test_decode_after_other_prompts_equals_decode_on_a_fresh_pair():
