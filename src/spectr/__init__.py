@@ -31,12 +31,10 @@ from .token_coupling import (
     alpha_uniform_closed_form,
     alpha_upper_bound,
     kseq_acceptance,
-    kseq_conditional,
     kseq_gamma_star,
     kseq_output_marginal,
     kseq_params,
     kseq_select,
-    maximal_coupling_select,
     otm_lp_solve,
 )
 from .lm_sim import CostModel, ModelPair, ToyLm, make_model_pair

@@ -6,8 +6,8 @@ the draft model's row for that prefix, and only their number carries
 forward, so the oracle walks states (emitted prefix, live count m) depth by
 depth instead of draft forests. Every ordered m-tuple of the row's support
 goes, with its draft probability, through the decoder's own
-`TokenSelector.support` (`kseq_conditional`, or the plan's law of the
-tuple's distinct-token set) and its index filter `selection_step`, with no
+`TokenSelector.support` (the `law` of the very rule the decoder draws
+from, a scan's or the plan's) and its index filter `selection_step`, with no
 draft node built: a token carried by c live drafts moves the weight to
 (prefix + token, c * next branching factor), a token carried by none ends
 the sequence, and after the last depth the bonus row applies. A state

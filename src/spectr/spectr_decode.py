@@ -95,19 +95,19 @@ class TokenSelector:
 
     Both models read only a context's last `order` = max(big.order,
     small.order) tokens, its window, so the memo is keyed by it: `rules`
-    holds one (p, q, rule) per (window, live-draft count k), the draft and
-    target rows with the rule built on them (a `KseqScan`, which solves
-    gamma* only as far as its draws need and its residual on the first
-    all-reject, or a `TransportPlan`), and `laws` one (law, support) per
-    (window, tokens). A memo hit fetches no row: `draft_selection` takes
-    (p, q, rule) with one `rule` lookup per depth and picks the live drafts'
-    tokens from that p, the draft row itself. `decide` draws by
-    `kseq_select` or the plan and `conditional` reads `kseq_conditional` at
-    the scan's `params` or the same plan, so the exact oracle checks the
-    decoder's own rule. Drafts are draws from the draft model, whose row is
-    their law; with none the token is a big-model sample. Models are held by
-    weak reference and the memo holds only rows: a shared memo keeps neither
-    model alive.
+    holds one rule per (window, live-draft count k), built on the draft and
+    target rows there (a `KseqScan`, which solves gamma* only as far as its
+    draws need and its residual on the first all-reject, or a
+    `TransportPlan`), and `laws` one (law, support) per (window, tokens).
+    Every rule carries its draft row as `.p`, draws the token with
+    `draw(tokens, rng)` and states its exact law with `law(tokens)`. A memo
+    hit fetches no row: `draft_selection` takes the rule with one `rule`
+    lookup per depth, picks the live drafts' tokens from its `p`, the draft
+    row itself, and calls `draw`; `conditional` reads `law` of the same
+    rule, so the exact oracle checks the decoder's own rule. Drafts are
+    draws from the draft model, whose row is their law; with none the token
+    is a big-model sample. Models are held by weak reference and the memo
+    holds only rows: a shared memo keeps neither model alive.
     """
 
     def __init__(self, big: ToyLm, small: ToyLm, method: SelectionMethod):
@@ -118,22 +118,8 @@ class TokenSelector:
         self.rules: dict = {}
         self.laws: dict = {}
 
-    def select(self, context: tuple[int, ...], tokens: list[int], rng: RngStream) -> int:
-        """Draw the token given the live draft tokens in order."""
-        if not tokens:
-            return sample(self._big().next_dist(context), rng)
-        return self.decide(self.rule(context, len(tokens)), tokens, rng)
-
-    def decide(self, entry: tuple, tokens: list[int], rng: RngStream) -> int:
-        """Draw the token for the live draft `tokens` under `entry`, the
-        (p, q, rule) that `rule` gives for their context and count."""
-        p, q, rule = entry
-        if self.method.kind == "otm_lp":
-            return sample(rule.conditional(tuple(tokens)), rng)
-        return tc.kseq_select(p, q, tokens, rule, rng)[0]
-
     def conditional(self, context: tuple[int, ...], tokens: tuple[int, ...]) -> np.ndarray:
-        """Law of `select`'s token; read-only."""
+        """Law of the token drawn given the live draft tokens in order; read-only."""
         return self._law(context, tokens)[0]
 
     def support(self, context: tuple[int, ...],
@@ -141,29 +127,24 @@ class TokenSelector:
         """(token, probability) over the entries of `conditional` above PROB_FLOOR."""
         return self._law(context, tokens)[1]
 
-    def rule(self, context: tuple[int, ...], k: int) -> tuple:
-        """(p, q, the memoised rule for k live drafts) at the context's window."""
+    def rule(self, context: tuple[int, ...], k: int) -> tc.KseqScan | tc.TransportPlan:
+        """The memoised rule for k live drafts at the context's window."""
         key = (tuple(context[-self.order:]) if self.order else (), k)
-        out = self.rules.get(key)
-        if out is None:
+        rule = self.rules.get(key)
+        if rule is None:
             if self.method.kind == "maximal" and k != 1:
                 raise ValidationError("maximal selection is only valid with a single draft")
             q, p = self._big().next_dist(context), self._small().next_dist(context)
-            rule = (tc.otm_lp_solve(p, q, k)[0] if self.method.kind == "otm_lp"
-                    else tc.KseqScan(p, q, k))
-            out = self.rules[key] = (p, q, rule)
-        return out
+            rule = self.rules[key] = (tc.otm_lp_solve(p, q, k)[0] if self.method.kind == "otm_lp"
+                                      else tc.KseqScan(p, q, k))
+        return rule
 
     def _law(self, context, tokens):
         key = (tuple(context[-self.order:]) if self.order else (), tokens)
         out = self.laws.get(key)
         if out is None:
-            if not tokens:
-                law = self._big().next_dist(context).probs
-            else:
-                p, q, rule = self.rule(context, len(tokens))
-                law = (rule.conditional(tokens).probs if self.method.kind == "otm_lp"
-                       else tc.kseq_conditional(p, q, tokens, rule.params))
+            law = (self.rule(context, len(tokens)).law(tokens) if tokens
+                   else self._big().next_dist(context).probs)
             law.setflags(write=False)
             out = self.laws[key] = (law, [(y, w) for y, w in enumerate(law.tolist())
                                           if w > PROB_FLOOR])
@@ -194,21 +175,21 @@ def draft_selection(context: Sequence[int], drafts: DraftSet, big: ToyLm, small:
 
     At each depth every live draft carries the prefix emitted so far, so the
     live drafts are i.i.d. draws from the draft model's one row there. The
-    pair's shared `TokenSelector` gives (p, q, rule) for that window and live
-    count in one lookup, and the set picks the live drafts' tokens from p,
-    that very row (`DraftSet.picks`); no draft off the emitted path is picked
-    or has its row built. A token-level transport plan from the draft
-    conditional (tensorized over the live count) to the big-model
-    conditional picks the next token; drafts whose token disagrees are
-    dropped, and the children of the survivors become the next depth's
-    drafts. If the selected token survives to the final depth, one bonus
-    token is sampled from the big model. Returns between 1 and L+1 tokens
-    distributed by the big model's chain rule. The drafts must be a draw from
-    `small`, or from a model of equal signature, at this context's window, or
-    ValidationError is raised: picks read the selector's draft row, so a
-    foreign set would be read as draws it is not. Only the last
-    max(big.order, small.order) tokens of the context are read. K-SEQ scans
-    at gamma* for each depth's live draft count.
+    pair's shared `TokenSelector` gives the rule for that window and live
+    count in one lookup, and the set picks the live drafts' tokens from the
+    rule's `p`, that very row (`DraftSet.picks`); no draft off the emitted
+    path is picked or has its row built. The rule's `draw`, a token-level
+    transport plan from the draft conditional (tensorized over the live
+    count) to the big-model conditional, picks the next token; drafts whose
+    token disagrees are dropped, and the children of the survivors become
+    the next depth's drafts. If the selected token survives to the final
+    depth, one bonus token is sampled from the big model. Returns between 1
+    and L+1 tokens distributed by the big model's chain rule. The drafts
+    must be a draw from `small`, or from a model of equal signature, at this
+    context's window, or ValidationError is raised: picks read the rule's
+    draft row, so a foreign set would be read as draws it is not. Only the
+    last max(big.order, small.order) tokens of the context are read. K-SEQ
+    scans at gamma* for each depth's live draft count.
     """
     drafts.validate()
     order = max(big.order, small.order)
@@ -222,9 +203,9 @@ def draft_selection(context: Sequence[int], drafts: DraftSet, big: ToyLm, small:
     live = drafts.children([0], 0)
     emitted: list[int] = []
     while live:
-        entry = selector.rule(ctx, len(live))
-        tokens = drafts.picks(entry[0], len(emitted), live)
-        chosen = selector.decide(entry, tokens, rng)
+        rule = selector.rule(ctx, len(live))
+        tokens = drafts.picks(rule.p, len(emitted), live)
+        chosen = rule.draw(tokens, rng)
         emitted.append(chosen)
         kept = selection_step(tokens, chosen)
         if kept is None:

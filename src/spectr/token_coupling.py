@@ -5,12 +5,12 @@ vocabulary, the routines here pick one output token from k i.i.d. draft
 tokens so that the output is exactly q-distributed, while maximizing the
 chance that it comes from the draft set:
 
-* ``kseq_select``: sequential scan over k drafts, damped by a division
-  factor gamma; valid for any gamma >= gamma*, near-linear to compute. At
-  one draft and gamma = 1 it is ``maximal_coupling_select``, the classic
-  single-draft accept/resample rule. ``kseq_conditional`` is its exact law.
-  ``KseqScan`` runs it at gamma* while bisecting gamma* only as far as each
-  draw needs, and builds the residual on the first all-reject.
+* ``KseqScan``: the sequential scan over k drafts, damped by a division
+  factor gamma; valid for any gamma >= gamma*, near-linear to compute. It
+  runs at gamma* while bisecting gamma* only as far as each draw needs, and
+  builds the residual on the first all-reject; given ``kseq_params`` it runs
+  at that fixed gamma. At one draft gamma* = 1 and it is the classic
+  single-draft accept/resample rule (the maximal coupling).
 * ``alpha_star``: the exact optimal acceptance, by min-cut in closed form,
   1 - max(0, max_A p(A)^k - q(A)) over prefixes A of the tokens sorted by
   q/p; O(|vocab| log |vocab|) at any k.
@@ -19,6 +19,12 @@ chance that it comes from the draft set:
   stored as one output law per set; it lists every draft tuple, so it is capped.
 * ``alpha_upper_bound`` and the closed forms: analytic anchors used to
   cross-check both algorithms.
+
+Both rules, the scan and the plan (``TransportPlan``), have one interface:
+``draw(tokens, rng)`` picks the output token for the k draft tokens in
+order, and ``law(tokens)`` is that token's exact law, so the decoder and
+the exact oracle read the same object. ``kseq_select`` is the scan's draw
+that also returns the accepted draft's index.
 """
 
 from __future__ import annotations
@@ -95,6 +101,14 @@ class TransportPlan:
             raise InvalidDraftError(f"draft tuple {draft_tuple} has zero probability under the plan")
         return entry[1]
 
+    def draw(self, tokens: Sequence[TokenId], rng: RngStream) -> TokenId:
+        """The output token for these k draft tokens, a sample of their law."""
+        return sample(self.conditional(tuple(tokens)), rng)
+
+    def law(self, tokens: Sequence[TokenId]) -> np.ndarray:
+        """Exact law of `draw`'s token for these draft tokens."""
+        return self.conditional(tokens).probs
+
     @property
     def entries(self) -> dict[tuple[tuple[int, ...], int], float]:
         """Every (draft tuple, output token) pair with positive mass, for export."""
@@ -154,17 +168,6 @@ class AcceptanceReport:
         if not -1e-12 <= self.alpha <= 1.0 + 1e-12:
             raise ValidationError(f"alpha {self.alpha!r} outside [0, 1]")
         object.__setattr__(self, "alpha", min(max(self.alpha, 0.0), 1.0))
-
-
-def maximal_coupling_select(p: ProbVector, q: ProbVector, draft: TokenId,
-                            rng: RngStream) -> tuple[TokenId, bool]:
-    """Accept the draft with probability min(1, q/p), else sample the residual:
-    `kseq_select` at one draft with gamma = 1, the residual built only on a
-    rejection. When the draft is p-distributed the returned token is exactly
-    q-distributed, and acceptance happens with probability 1 - tv(p, q).
-    """
-    token, index = kseq_select(p, q, [draft], KseqScan(p, q, 1), rng)
-    return token, index is not None
 
 
 def beta_damped(p: ProbVector, q: ProbVector, gamma: float) -> float:
@@ -344,7 +347,11 @@ class KseqScan:
     [1, k]; at k = 1 it is [1, 1] and never steps. `params` (gamma*, beta,
     p_acc and the residual) is solved on first read: when every draft is
     rejected, or for the exact law. Until then the rule holds its two rows
-    and a few floats.
+    and a few floats. Given `params`, the rule runs at their fixed gamma:
+    KseqScan(p, q, k, kseq_params(p, q, k, gamma)).
+
+    `draw` (through `kseq_select`) and `law` take exactly k draft tokens;
+    another count raises ValidationError, since gamma* is k's own.
     """
 
     __slots__ = ("p", "q", "k", "lo", "hi", "_probe", "_params")
@@ -390,45 +397,46 @@ class KseqScan:
             self.lo = self.hi = gamma
         return self._params
 
+    def draw(self, tokens: Sequence[TokenId], rng: RngStream) -> TokenId:
+        """The output token for these k draft tokens, scanned in order."""
+        return kseq_select(self, tokens, rng)[0]
 
-def kseq_select(p: ProbVector, q: ProbVector, drafts: Sequence[TokenId],
-                gamma: float | KseqScan, rng: RngStream, params: KseqParams | None = None,
+    def law(self, tokens: Sequence[TokenId]) -> np.ndarray:
+        """Exact law of `draw`'s token for these draft tokens, scanned in order at
+        `params.gamma`: survive * residual plus each token's accepted mass,
+        summed in scan order."""
+        if len(tokens) != self.k:
+            raise ValidationError(f"a rule for {self.k} drafts was given {len(tokens)}")
+        params = self.params
+        accepted: dict[TokenId, float] = {}
+        survive = 1.0
+        for x in tokens:
+            accept = _acceptance(self.p, self.q, x, params.gamma)
+            accepted[x] = accepted.get(x, 0.0) + survive * accept
+            survive *= 1.0 - accept
+        law = survive * params.residual.probs
+        for x, mass in accepted.items():
+            law[x] += mass
+        return law
+
+
+def kseq_select(scan: KseqScan, drafts: Sequence[TokenId], rng: RngStream,
                 ) -> tuple[TokenId, Optional[int]]:
-    """Scan drafts in order, accepting draft i with probability min(1, q/(gamma*p)).
+    """Scan k drafts in order under `scan`, accepting draft i iff its uniform
+    u < min(1, q/(gamma*p)).
 
     Returns (token, index of the accepted draft) or (residual sample, None).
-    Draft i is accepted iff its uniform u < min(1, q/(gamma*p)), the
-    left-closed convention `sample` uses, so a draft q gives no mass is never
-    accepted. For i.i.d. p-drafts and gamma >= gamma*, the returned token is
-    exactly q-distributed. `gamma` is a number, with `params` optionally a
-    precomputed kseq_params(p, q, k, gamma), or a `KseqScan` of (p, q,
-    len(drafts)), which scans at gamma* and solves only what the draws read.
+    The test is left-closed, the convention `sample` uses, so a draft q gives
+    no mass is never accepted. For i.i.d. p-drafts and gamma >= gamma*, the
+    returned token is exactly q-distributed. `KseqScan.draw` calls this
+    module-level name, so a wrapper set here sees every draw.
     """
-    if isinstance(gamma, KseqScan):
-        scan = gamma
-    else:
-        k = len(drafts)
-        scan = KseqScan(p, q, k, params if params is not None else kseq_params(p, q, k, gamma))
+    if len(drafts) != scan.k:
+        raise ValidationError(f"a rule for {scan.k} drafts was given {len(drafts)}")
     for i, x in enumerate(drafts):
         if scan.accepts(x, rng.uniform()):
             return x, i
     return sample(scan.params.residual, rng), None
-
-
-def kseq_conditional(p: ProbVector, q: ProbVector, drafts: Sequence[TokenId],
-                     params: KseqParams) -> np.ndarray:
-    """Exact law of `kseq_select`'s token for these drafts, scanned in order at params.gamma:
-    survive * residual plus each token's accepted mass, summed in scan order."""
-    accepted: dict[TokenId, float] = {}
-    survive = 1.0
-    for x in drafts:
-        accept = _acceptance(p, q, x, params.gamma)
-        accepted[x] = accepted.get(x, 0.0) + survive * accept
-        survive *= 1.0 - accept
-    law = survive * params.residual.probs
-    for x, mass in accepted.items():
-        law[x] += mass
-    return law
 
 
 def kseq_output_marginal(p: ProbVector, q: ProbVector, k: int, gamma: float) -> ProbVector:

@@ -6,8 +6,11 @@ bisect sampling against `searchsorted`, one `uniforms(n)` call against n
 numpy's `Generator(Philox(SeedSequence(seed, spawn_key=path)))`, and the
 blended draft model against blending memoized rows. The OTM plan against the closed form
 and a brute-force min-cut, the upper bound's tuple grid and chunks against its
-per-tuple subset loop, `kseq_conditional` against its numpy scan and the
+per-tuple subset loop, `KseqScan.law` against its numpy scan and the
 selector's support list against its `flatnonzero` form, each bit for bit.
+The token solvers' claims hold up to V = 4096 and k = 16: K-SEQ within
+1 - 1/e of alpha*, alpha* non-decreasing in k, and K-SEQ's output marginal
+equal to q.
 """
 
 import itertools
@@ -129,6 +132,56 @@ def test_gamma_star_equals_bisection_on_beta_damped_at_large_vocabularies(pair, 
     assert_gamma_star_is_the_bisection(*pair, k)
 
 
+CLAIM_KS = (1, 2, 3, 4, 8, 16)
+# Hand-picked edges: a point mass on each side (and both on one token, p = q),
+# p = q, and disjoint supports, where alpha* rounds to about 1e-16, not 0.
+CLAIM_EDGES = [
+    (ProbVector([0.0, 1.0, 0.0]), ProbVector([0.2, 0.3, 0.5])),
+    (ProbVector([0.2, 0.3, 0.5]), ProbVector([0.0, 0.0, 1.0])),
+    (ProbVector([0.0, 1.0]), ProbVector([0.0, 1.0])),
+    (ProbVector([0.5, 0.25, 0.25]), ProbVector([0.5, 0.25, 0.25])),
+    (ProbVector([0.5, 0.5, 0.0, 0.0]), ProbVector([0.0, 0.0, 0.7, 0.3])),
+]
+
+
+def _with_edges(test):
+    for pair in CLAIM_EDGES:
+        test = example(pair=pair, k=3)(test)
+    return test
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=st.one_of(distribution_pairs(max_vocab=4096), small_pairs()),
+       k=st.sampled_from(CLAIM_KS))
+@_with_edges
+def test_kseq_at_gamma_star_is_within_one_minus_one_over_e_of_alpha_star(pair, k):
+    p, q = pair
+    kseq = tc.kseq_acceptance(p, q, k, tc._gamma_star_or_k(p, q, k))
+    assert kseq >= (1.0 - 1.0 / np.e) * tc.alpha_star(p, q, k) - 1e-12
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=st.one_of(distribution_pairs(max_vocab=4096), small_pairs()),
+       k=st.sampled_from(CLAIM_KS))
+@_with_edges
+def test_alpha_star_does_not_fall_as_k_grows(pair, k):
+    p, q = pair
+    alphas = [tc.alpha_star(p, q, j) for j in CLAIM_KS]
+    assert all(b >= a - 1e-12 for a, b in zip(alphas, alphas[1:]))
+    # and between consecutive counts around k
+    assert tc.alpha_star(p, q, k + 1) >= tc.alpha_star(p, q, k) - 1e-12
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=st.one_of(distribution_pairs(max_vocab=4096), small_pairs()),
+       k=st.sampled_from(CLAIM_KS))
+@_with_edges
+def test_kseq_output_marginal_at_gamma_star_is_q(pair, k):
+    p, q = pair
+    marginal = tc.kseq_output_marginal(p, q, k, tc._gamma_star_or_k(p, q, k))
+    assert np.abs(marginal.probs - q.probs).max() <= 1e-9
+
+
 class _ListedUniforms:
     """Stub stream that hands out the listed uniforms in order and counts them."""
 
@@ -213,9 +266,10 @@ def test_lazy_scan_decides_every_draft_as_the_scan_at_gamma_star(case):
     gamma = tc._gamma_star_or_k(p, q, k)
     uniforms = _scan_uniforms(p, q, drafts, kinds, gamma)
     eager, lazy = _ListedUniforms(uniforms), _ListedUniforms(uniforms)
-    want = tc.kseq_select(p, q, drafts, gamma, eager, params=tc.kseq_params(p, q, k, gamma))
+    want = tc.KseqScan(p, q, k, tc.kseq_params(p, q, k, gamma)).draw(drafts, eager)
     scan = _WatchedScan(p, q, k)
-    assert tc.kseq_select(p, q, drafts, scan, lazy) == want
+    assert scan.draw(drafts, lazy) == want
+    # as many uniforms, so the same draft was accepted, or none
     assert lazy.used == eager.used
     assert all(lo <= gamma <= hi for lo, hi in scan.brackets)
     # finishing closes the bracket on gamma*, bit for bit
@@ -537,7 +591,7 @@ def test_upper_bound_equals_its_subset_loop_and_alpha_star(instance):
 
 
 def reference_kseq_conditional(p, q, drafts, params):
-    """The numpy scan that kseq_conditional must reproduce bit for bit."""
+    """The numpy scan that KseqScan.law must reproduce bit for bit."""
     out = np.zeros(p.vocab_size)
     survive = 1.0
     for x in drafts:
@@ -568,7 +622,7 @@ def scan_instances(draw):
                                   ProbVector([0.5 + 1e-13, 0.5 - 1e-13]), 3, 1.0)))
 def test_kseq_conditional_equals_the_numpy_scan(instance):
     p, q, drafts, params = instance
-    law = tc.kseq_conditional(p, q, drafts, params)
+    law = tc.KseqScan(p, q, len(drafts), params).law(drafts)
     assert np.array_equal(law, reference_kseq_conditional(p, q, drafts, params))
 
 

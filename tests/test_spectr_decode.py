@@ -28,7 +28,7 @@ from spectr.spectr_decode import (
     spectr_decode,
     trace_time,
 )
-from spectr.token_coupling import SizeLimitError, maximal_coupling_select
+from spectr.token_coupling import KseqScan, SizeLimitError, kseq_select
 from test_draft_gen import leaf_paths
 
 # Re-pinned when each draft set moved to one leaf-major draw: simulated speedup for vocab=16/order=1/seed=0/eps=0.3,
@@ -59,9 +59,9 @@ def test_single_draft_single_token_reduces_to_maximal_coupling():
     p = pair.small.next_dist(context)
     q = pair.big.next_dist(context)
     replay = RngStream(4).child(1)
-    token, accepted = maximal_coupling_select(p, q, leaf_paths(drafts)[0][0], replay)
+    token, index = kseq_select(KseqScan(p, q, 1), [leaf_paths(drafts)[0][0]], replay)
     want = [token]
-    if accepted:
+    if index is not None:
         want.append(sample(pair.big.next_dist(context + (token,)), replay))
     assert got == want
 
@@ -219,14 +219,16 @@ def eager_selection(context, drafts, big, small, method, rng):
     base = tuple(context)
     nodes = drafts.roots
     emitted = []
-    while True:
+    while nodes:
         tokens = [node.token for node in nodes]
-        chosen = selector.select(base + tuple(emitted), tokens, rng)
+        chosen = selector.rule(base + tuple(emitted), len(tokens)).draw(tokens, rng)
         emitted.append(chosen)
         kept = selection_step(tokens, chosen)
         if kept is None:
             return emitted
         nodes = [child for i in kept for child in nodes[i].children]
+    emitted.append(sample(big.next_dist(base + tuple(emitted)), rng))
+    return emitted
 
 
 @st.composite

@@ -24,12 +24,10 @@ from spectr.token_coupling import (
     alpha_upper_bound,
     beta_damped,
     kseq_acceptance,
-    kseq_conditional,
     kseq_gamma_star,
     kseq_output_marginal,
     kseq_params,
     kseq_select,
-    maximal_coupling_select,
     otm_lp_solve,
     power_exceeds,
 )
@@ -48,21 +46,27 @@ def random_pair(seed, vocab, case):
 # maximal coupling
 # ---------------------------------------------------------------------------
 
+def maximal(p, q, draft, rng):
+    """The single-draft rule: (token, whether the draft was accepted)."""
+    token, index = kseq_select(KseqScan(p, q, 1), [draft], rng)
+    return token, index is not None
+
+
 def test_maximal_accepts_everything_when_p_equals_q():
     p = ProbVector([0.3, 0.2, 0.5])
     rng = RngStream(1)
     for draft in (0, 1, 2):
-        token, accepted = maximal_coupling_select(p, p, draft, rng)
+        token, accepted = maximal(p, p, draft, rng)
         assert accepted and token == draft
 
 
 def test_maximal_zero_probability_draft_rejected():
     p, q = ProbVector([1.0, 0.0]), ProbVector([0.5, 0.5])
     with pytest.raises(InvalidDraftError):
-        maximal_coupling_select(p, q, 1, RngStream(0))
+        KseqScan(p, q, 1).draw([1], RngStream(0))
     # the scan's exact law rejects the same draft, by the same per-draft check
     with pytest.raises(InvalidDraftError):
-        kseq_conditional(p, q, [0, 1], kseq_params(p, q, 2, 2.0))
+        KseqScan(p, q, 2, kseq_params(p, q, 2, 2.0)).law([0, 1])
 
 
 def test_maximal_bernoulli_one_vs_half_accepts_half_the_time():
@@ -70,7 +74,7 @@ def test_maximal_bernoulli_one_vs_half_accepts_half_the_time():
     p = ProbVector([0.0, 1.0])
     q = ProbVector([0.5, 0.5])
     rng = RngStream(77)
-    accepts = sum(maximal_coupling_select(p, q, 1, rng)[1] for _ in range(10**5))
+    accepts = sum(maximal(p, q, 1, rng)[1] for _ in range(10**5))
     assert accepts / 10**5 == pytest.approx(0.5, abs=0.01)
 
 
@@ -82,7 +86,7 @@ def test_maximal_acceptance_rate_is_one_minus_tv():
     from spectr.prob_core import sample_many
     drafts = sample_many(p, rng.child(0), n)
     sel = rng.child(1)
-    accepts = sum(maximal_coupling_select(p, q, int(d), sel)[1] for d in drafts)
+    accepts = sum(maximal(p, q, int(d), sel)[1] for d in drafts)
     assert accepts / n == pytest.approx(1.0 - tv_distance(p, q), abs=0.01)
 
 
@@ -95,9 +99,9 @@ def test_maximal_output_is_q_distributed():
     drafts = sample_many(p, rng.child(0), n)
     sel = rng.child(1)
     counts = np.zeros(3)
+    rule = KseqScan(p, q, 1)
     for d in drafts:
-        token, _ = maximal_coupling_select(p, q, int(d), sel)
-        counts[token] += 1
+        counts[rule.draw([int(d)], sel)] += 1
     assert np.abs(counts / n - q.probs).max() <= 0.01
 
 
@@ -128,7 +132,7 @@ NEAR_Q = ProbVector([0.5, 0.5])
 def test_maximal_rejects_a_draft_when_tv_is_tiny():
     # token 0 is accepted with probability 1 - 2e-10, so u = 1 - 1e-12 rejects
     # it, and the residual (q - min(p, q)) / tv puts all its mass on token 1
-    assert maximal_coupling_select(NEAR_P, NEAR_Q, 0, _LastUniformRng()) == (1, False)
+    assert maximal(NEAR_P, NEAR_Q, 0, _LastUniformRng()) == (1, False)
 
 
 def test_maximal_oracle_law_when_tv_is_tiny():
@@ -265,7 +269,8 @@ def test_kseq_params_rejects_a_nan_gamma_as_below_one():
 
 def test_kseq_select_first_draft_when_p_equals_q():
     p = ProbVector([0.4, 0.6])
-    token, idx = kseq_select(p, p, [1, 0, 0], 1.0, RngStream(3))
+    token, idx = kseq_select(KseqScan(p, p, 3, kseq_params(p, p, 3, 1.0)), [1, 0, 0],
+                             RngStream(3))
     assert token == 1 and idx == 0
 
 
@@ -275,6 +280,7 @@ def test_kseq_select_accept_index_is_geometric():
     g = kseq_gamma_star(p, q, k)
     params = kseq_params(p, q, k, g)
     beta = params.beta
+    rule = KseqScan(p, q, k, params)
     n = 10**5
     rng = RngStream(8)
     from spectr.prob_core import sample_many
@@ -282,7 +288,7 @@ def test_kseq_select_accept_index_is_geometric():
     sel = rng.child(1)
     counts = np.zeros(k + 1)
     for row in drafts:
-        _, idx = kseq_select(p, q, row, g, sel, params=params)
+        _, idx = kseq_select(rule, row, sel)
         counts[k if idx is None else idx] += 1
     expected = [(1 - beta) ** i * beta for i in range(k)] + [(1 - beta) ** k]
     assert np.abs(counts / n - expected).max() <= 0.01
@@ -293,8 +299,7 @@ def test_kseq_select_marginal_monte_carlo():
     p = ProbVector([0.45, 0.3, 0.15, 0.1])
     q = ProbVector([0.1, 0.2, 0.3, 0.4])
     k = 3
-    g = kseq_gamma_star(p, q, k)
-    params = kseq_params(p, q, k, g)
+    rule = KseqScan(p, q, k, kseq_params(p, q, k, kseq_gamma_star(p, q, k)))
     n = 10**6
     rng = RngStream(7)
     from spectr.prob_core import sample_many
@@ -302,8 +307,7 @@ def test_kseq_select_marginal_monte_carlo():
     sel = rng.child(1)
     counts = np.zeros(4)
     for row in drafts:
-        token, _ = kseq_select(p, q, row, g, sel, params=params)
-        counts[token] += 1
+        counts[rule.draw(row, sel)] += 1
     assert np.abs(counts / n - q.probs).max() <= 0.005
 
 
@@ -358,7 +362,7 @@ def test_kseq_select_disjoint_support_falls_back_to_q():
     params = kseq_params(p, q, 2, 2.0)
     assert params.p_acc == 0.0
     assert np.allclose(params.residual.probs, q.probs)
-    token, idx = kseq_select(p, q, [0, 0], 2.0, RngStream(2), params=params)
+    token, idx = kseq_select(KseqScan(p, q, 2, params), [0, 0], RngStream(2))
     assert token == 1 and idx is None
 
 
@@ -380,10 +384,11 @@ def test_kseq_select_rejects_all_when_p_acc_rounds_to_one():
     assert params.p_acc == 1.0
     assert np.allclose(params.residual.probs, q.probs, atol=1e-12)
     # the exact oracle gives the all-reject mass, about 6e-14, to that residual
-    cond = kseq_conditional(p, q, (0, 0, 0), params)
+    cond = KseqScan(p, q, 3, params).law((0, 0, 0))
     assert abs(cond.sum() - 1.0) <= 1e-15
-    for given in (params, None):
-        token, idx = kseq_select(p, q, [0, 0, 0], gamma, _RejectingRng(), params=given)
+    # at the given gamma*, and solving gamma* on this all-reject
+    for rule in (KseqScan(p, q, 3, params), KseqScan(p, q, 3)):
+        token, idx = kseq_select(rule, [0, 0, 0], _RejectingRng())
         # the unrounded residual is q itself, and u = 1 - 1e-9 picks its last token
         assert (token, idx) == (1, None)
 
@@ -403,10 +408,26 @@ def test_a_draft_the_target_gives_no_mass_is_rejected_at_u_zero():
     # convention `sample` uses, so even u = 0 rejects it; the residual is
     # (q - min(p, q/gamma)) normalised, all on token 0
     p, q = ProbVector([0.5, 0.5]), ProbVector([1.0, 0.0])
-    assert maximal_coupling_select(p, q, 1, _FixedUniformRng(0.0)) == (0, False)
+    assert maximal(p, q, 1, _FixedUniformRng(0.0)) == (0, False)
     gamma = kseq_gamma_star(p, q, 2)
-    for rule in (gamma, KseqScan(p, q, 2)):
-        assert kseq_select(p, q, [1, 1], rule, _FixedUniformRng(0.0)) == (0, None)
+    for rule in (KseqScan(p, q, 2, kseq_params(p, q, 2, gamma)), KseqScan(p, q, 2)):
+        assert kseq_select(rule, [1, 1], _FixedUniformRng(0.0)) == (0, None)
+
+
+def test_a_scan_refuses_a_draft_count_other_than_its_k():
+    # gamma*(2) = 1.659 < gamma*(3) = 2.242, so a k = 2 scan run over 3 drafts
+    # would give the law [0.126, 0.379, 0.495], 0.105 in total variation from q
+    p, q = ProbVector([0.6, 0.3, 0.1]), ProbVector([0.1, 0.3, 0.6])
+    assert kseq_gamma_star(p, q, 2) < kseq_gamma_star(p, q, 3)
+    for scan in (KseqScan(p, q, 2), KseqScan(p, q, 2, kseq_params(p, q, 2, 2.0))):
+        for drafts in ([0, 1, 2], [0]):
+            with pytest.raises(ValidationError, match="for 2 drafts was given"):
+                kseq_select(scan, drafts, RngStream(0))
+            with pytest.raises(ValidationError, match="for 2 drafts was given"):
+                scan.draw(drafts, RngStream(0))
+            with pytest.raises(ValidationError, match="for 2 drafts was given"):
+                scan.law(drafts)
+        assert kseq_select(scan, [0, 1], RngStream(0))[0] in (0, 1, 2)
 
 
 def test_a_scan_solves_gamma_star_and_its_parameters_only_on_an_all_reject(monkeypatch):
@@ -432,12 +453,12 @@ def test_a_scan_solves_gamma_star_and_its_parameters_only_on_an_all_reject(monke
     scan = KseqScan(p, q, k)
     # accepted at once, and accepted after bisection steps just below a(gamma*)
     for u in (0.0, a * (1.0 - 1e-3)):
-        assert kseq_select(p, q, [x] * k, scan, _FixedUniformRng(u)) == (x, 0)
+        assert kseq_select(scan, [x] * k, _FixedUniformRng(u)) == (x, 0)
     assert calls == []
     assert scan.lo <= gamma <= scan.hi < k and scan.lo < scan.hi
     # u = 1 - 1e-12 rejects every draft, so the residual is read, and solved once
     for _ in range(2):
-        _, idx = kseq_select(p, q, [x] * k, scan, _LastUniformRng())
+        _, idx = kseq_select(scan, [x] * k, _LastUniformRng())
         assert idx is None
         assert calls == ["kseq_gamma_star", "kseq_params"]
     assert scan.lo == scan.hi == scan.params.gamma == gamma

@@ -161,37 +161,45 @@ def test_one_selector_per_pair_and_method():
     assert _shared_selector(other.big, other.small, SelectionMethod.kseq()) is not kseq
 
 
-@pytest.mark.parametrize("method", [SelectionMethod.kseq(), SelectionMethod.maximal()])
+@pytest.mark.parametrize("method", [SelectionMethod.kseq(), SelectionMethod.maximal(),
+                                    SelectionMethod.otm_lp()])
 def test_one_scan_entry_per_context_and_live_count(method):
     pair = make_model_pair(4, 1, seed=2, eps=0.4)
     selector = TokenSelector(pair.big, pair.small, method)
     tokens = [1] if method.kind == "maximal" else [0, 1, 1]
     for seed in range(3):
-        selector.select((2,), tokens, RngStream(seed))
-    selector.conditional((2,), tuple(tokens))
+        selector.rule((2,), len(tokens)).draw(tokens, RngStream(seed))
+    rule = selector.rules[((2,), len(tokens))]
+    support = selector.support((2,), tuple(tokens))
     assert list(selector.rules) == [((2,), len(tokens))]
     assert list(selector.laws) == [((2,), tuple(tokens))]
+    # the oracle's support read the rule the draws stored, not a new one
+    assert selector.rules[((2,), len(tokens))] is rule
     p, q = pair.small.next_dist((2,)), pair.big.next_dist((2,))
-    rows_p, rows_q, rule = selector.rules[((2,), len(tokens))]
-    assert rows_p is p and rows_q is q
-    assert isinstance(rule, tc.KseqScan)
-    assert (rule.p, rule.q, rule.k) == (p, q, len(tokens))
-    # the law read the rule's parameters, so they are solved and the bracket closed
-    params = rule.params
-    assert isinstance(params, tc.KseqParams)
-    expected = tc.kseq_params(p, q, len(tokens), tc.kseq_gamma_star(p, q, len(tokens)))
-    assert (params.gamma, params.p_acc) == (expected.gamma, expected.p_acc)
-    assert (params.residual.probs == expected.residual.probs).all()
-    assert rule.lo == rule.hi == params.gamma
-    # at one draft the scan runs at gamma* = 1
-    if method.kind == "maximal":
-        assert params.gamma == 1.0
+    assert rule.p is p and rule.k == len(tokens)
+    if method.kind == "otm_lp":
+        assert isinstance(rule, tc.TransportPlan)
+    else:
+        assert isinstance(rule, tc.KseqScan) and rule.q is q
+        # the law read the rule's parameters, so they are solved and the bracket closed
+        assert rule.lo == rule.hi
+        params = rule.params
+        assert isinstance(params, tc.KseqParams)
+        expected = tc.kseq_params(p, q, len(tokens), tc.kseq_gamma_star(p, q, len(tokens)))
+        assert (params.gamma, params.p_acc) == (expected.gamma, expected.p_acc)
+        assert (params.residual.probs == expected.residual.probs).all()
+        assert rule.lo == rule.hi == params.gamma
+        # at one draft the scan runs at gamma* = 1
+        if method.kind == "maximal":
+            assert params.gamma == 1.0
+    assert support == [(y, w) for y, w in enumerate(rule.law(tuple(tokens)).tolist())
+                       if w > PROB_FLOOR]
 
 
 def test_oracle_conditional_reads_the_decoder_entries():
     pair = make_model_pair(4, 1, seed=2, eps=0.4)
     selector = TokenSelector(pair.big, pair.small, SelectionMethod.kseq())
-    selector.select((2,), [0, 1, 1], RngStream(0))
+    selector.rule((2,), 3).draw([0, 1, 1], RngStream(0))
     solved = dict(selector.rules)
     law = selector.conditional((2,), (0, 1, 1))
     assert not law.flags.writeable
@@ -222,14 +230,14 @@ def test_a_memo_hit_reads_no_row(kind):
     big, small = _CountingLm(pair.big), _CountingLm(pair.small)
     selector = TokenSelector(big, small, SelectionMethod(kind))
     tokens = [1] if kind == "maximal" else [0, 1, 1]
-    selector.select((3, 0, 2), tokens, RngStream(0))
+    selector.rule((3, 0, 2), len(tokens)).draw(tokens, RngStream(0))
     assert (big.calls, small.calls) == (1, 1)
     # other contexts with the same window: draws, laws and draft orders at a solved
     # (window, k) read every row from the memo
     for seed in range(4):
         for context in ((3, 0, 2), (1, 0, 2), (0, 2)):
-            selector.select(context, tokens, RngStream(seed))
-            selector.select(context, tokens[::-1], RngStream(seed))
+            selector.rule(context, len(tokens)).draw(tokens, RngStream(seed))
+            selector.rule(context, len(tokens)).draw(tokens[::-1], RngStream(seed))
             selector.support(context, tuple(tokens))
             selector.support(context, tuple(tokens[::-1]))
     assert (big.calls, small.calls) == (1, 1)
@@ -257,8 +265,8 @@ def test_laws_match_fresh_rows_when_the_orders_differ(orders, seeds, zeros, kind
         if kind == "otm_lp":
             want = tc.otm_lp_solve(p, q, k)[0].conditional(tuple(tokens)).probs
         else:
-            want = tc.kseq_conditional(p, q, tokens, tc.kseq_params(
-                p, q, k, tc._gamma_star_or_k(p, q, k)))
+            want = tc.KseqScan(p, q, k, tc.kseq_params(
+                p, q, k, tc._gamma_star_or_k(p, q, k))).law(tokens)
         assert np.array_equal(selector.conditional(context, tuple(tokens)), want)
         assert selector.support(context, tuple(tokens)) == [
             (y, w) for y, w in enumerate(want.tolist()) if w > PROB_FLOOR]
