@@ -5,15 +5,16 @@ Given the emitted prefix, the live drafts at a depth are i.i.d. draws from
 the draft model's row for that prefix, and only their number carries
 forward, so the oracle walks states (emitted prefix, live count m) depth by
 depth instead of draft forests. Every ordered m-tuple of the row's support
-goes, with its draft probability, through the decoder's own
-`TokenSelector.support` (the `law` of the very rule the decoder draws
-from, a scan's or the plan's) and its index filter `selection_step`, with no
-draft node built: a token carried by c live drafts moves the weight to
-(prefix + token, c * next branching factor), a token carried by none ends
-the sequence, and after the last depth the bonus row applies. A state
-whose |supp|^m exceeds STATE_TUPLE_CAP, or that would take the walk's
-running totals past WALK_TUPLE_CAP listed tuples or WALK_ENTRY_CAP stored
-entries, raises SizeLimitError before any state of its depth is walked.
+goes, with its draft probability, through the `law` of the very rule the
+decoder draws from (`TokenSelector.rule`, a scan or the plan), kept above
+PROB_FLOOR in a table the call owns, and through the decoder's index filter
+`selection_step`, with no draft node built: a token carried by c live
+drafts moves the weight to (prefix + token, c * next branching factor), a
+token carried by none ends the sequence, and after the last depth the bonus
+row applies. A state whose |supp|^m exceeds STATE_TUPLE_CAP, or that would
+take the walk's running totals past WALK_TUPLE_CAP listed tuples or
+WALK_ENTRY_CAP stored entries, raises SizeLimitError before any state of
+its depth is walked.
 The chain-rule check then sweeps the one output table once, keeping only
 the worst cell.
 
@@ -35,15 +36,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .lm_sim import ToyLm
+from .lm_sim import ToyLm, window
 from .draft_gen import DraftNode, checked_factors
-from .spectr_decode import PROB_FLOOR, SelectionMethod, TokenSelector, selection_step
+from .spectr_decode import SelectionMethod, TokenSelector, selection_step
 from . import token_coupling as tc
 
 SeqDist = dict[tuple[int, ...], float]
 
+# Law entries at or below this are left out of the oracle's law table.
+PROB_FLOOR = 1e-15
 # Most live tuples the walk lists at one state. A K-SEQ tuple costs about 15 us
-# and 0.8 KB of selector memo (V = 3, 5 and 8, one core of a 2-core x86
+# and at most 0.8 KB of law table (V = 3, 5 and 8, one core of a 2-core x86
 # container), so a state at the cap takes about 0.25 s and 13 MB; 3^8 and 5^6
 # fit, 16^4 not.
 STATE_TUPLE_CAP = 1 << 14
@@ -51,7 +54,7 @@ STATE_TUPLE_CAP = 1 << 14
 # walk tested, lists 66,726; V = 3 with one draft passes the cap from L = 11.
 WALK_TUPLE_CAP = 1 << 18
 # Most entries one walk stores, counted for every state of a depth before the
-# depth is walked: the |vocab| law cells the selector memoises per listed tuple,
+# depth is walked: up to |vocab| law cells the law table keeps per listed tuple,
 # and at most |vocab| output sequences and |vocab| next states per state. Just
 # under it, V = 720 with one draft one deep, `spectr verify` peaked at 245 MB
 # ru_maxrss for one method and 303 MB for kseq and otm; V = 3 with factors
@@ -67,6 +70,9 @@ def method_output_distribution(big: ToyLm, small: ToyLm, context: Sequence[int],
     entries in all, raises SizeLimitError."""
     branching = checked_factors(branching)
     selector = TokenSelector(big, small, method)  # recomputed on every call
+    # (window, live tokens) -> (token, probability) over the law's entries above
+    # PROB_FLOOR: the rule's law, or with no live drafts the big model's row.
+    laws: dict = {}
     base = tuple(int(t) for t in context)
     out: SeqDist = {}
     states = {((), branching[0]): 1.0}
@@ -96,10 +102,15 @@ def method_output_distribution(big: ToyLm, small: ToyLm, context: Sequence[int],
         reached: dict[tuple[tuple[int, ...], int], float] = {}
         for ((prefix, live), weight), (row, supp) in zip(states.items(), sized):
             ctx = base + prefix
+            win = window(ctx, selector.order)
             probs = row.probs.tolist()
             for tokens in itertools.product(supp, repeat=live):
                 w = weight * math.prod(map(probs.__getitem__, tokens))
-                for y, wy in selector.support(ctx, tokens):
+                law = laws.get((win, tokens))
+                if law is None:
+                    law = laws[win, tokens] = _support(
+                        selector.rule(ctx, live).law(tokens) if live else big.next_dist(ctx).probs)
+                for y, wy in law:
                     kept = selection_step(tokens, y)
                     if kept is None:
                         _bump(out, prefix + (y,), w * wy)
@@ -110,6 +121,11 @@ def method_output_distribution(big: ToyLm, small: ToyLm, context: Sequence[int],
     if abs(mass - 1.0) > 1e-9:
         raise tc.ValidationError(f"output law mass {mass!r} != 1")
     return out
+
+
+def _support(law: np.ndarray) -> list[tuple[int, float]]:
+    """(token, probability) over the entries of `law` above PROB_FLOOR."""
+    return [(y, w) for y, w in enumerate(law.tolist()) if w > PROB_FLOOR]
 
 
 def enumerate_draft_forests(small: ToyLm, context: Sequence[int],

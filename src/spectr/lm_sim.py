@@ -72,17 +72,16 @@ class ToyLm:
     def next_dist(self, context: Sequence[int]) -> ProbVector:
         """Next-token conditional for the given context (memoized per key).
 
-        The memo is looked up by the raw suffix; the key is converted and
+        The memo is looked up once, by the raw suffix; the key is converted and
         range-checked only on a miss, before a row is built, so a raw suffix
-        hits only for contexts that passed the check.
+        hits only for contexts that passed the check. A miss builds the row
+        under the converted key without looking it up again: a row is a pure
+        function of (seed, window), so a rebuilt row is the same row.
         """
         row = self._rows.get(tuple(context[-self.order:]) if self.order else ())
         if row is None:
             key = self.context_key(context)
-            row = self._rows.get(key)
-            if row is None:
-                row = ProbVector(self._row_values(key))
-                self._rows[key] = row
+            row = self._rows[key] = ProbVector(self._row_values(key))
         return row
 
     def _row_values(self, key: tuple[int, ...]) -> np.ndarray:

@@ -2,13 +2,13 @@
 
 Every stochastic routine in this package draws uniforms from an explicit
 :class:`RngStream`, so runs are bit-reproducible given a seed. A stream is
-numpy's Philox stream for (seed, path), held as its (key, position) state:
-the key is derived once, on the stream's first draw, and kept, and draws come
-through one scratch generator per thread. Philox is counter-based, so single
-draws are drawn ahead a few values at a time without changing any output; a
-stream's position counts the values consumed. Sampling is inverse-CDF over
-ascending token index with left-closed intervals, which makes the algorithms
-enumerable in tests.
+numpy's Philox stream for (seed, path), held as SeedSequence's mixed pool
+and a position, and draws come through one scratch generator per thread,
+reloaded at the stream's key and position for every fill. Philox is
+counter-based, so single draws are drawn ahead a few values at a time without
+changing any output; a stream's position counts the values consumed.
+Sampling is inverse-CDF over ascending token index with left-closed
+intervals, which makes the algorithms enumerable in tests.
 """
 
 from __future__ import annotations
@@ -204,12 +204,11 @@ _AHEAD = 8
 
 
 class _Scratch(threading.local):
-    """Per thread: one Philox generator, built at the thread's first draw, the
-    state dict it is reloaded from (only the counter's first word and the key
-    change), and the stream and position it was last left at."""
+    """Per thread: one Philox generator, built at the thread's first draw, and
+    the state dict it is reloaded from (only the counter's first word and the
+    key change)."""
 
-    bitgen = gen = owner = state = None
-    at = 0
+    bitgen = gen = state = None
 
 
 _SCRATCH = _Scratch()
@@ -219,20 +218,19 @@ class RngStream:
     """Counter-based uniform stream keyed by a seed and a path of indices.
 
     The stream is `Generator(Philox(SeedSequence(seed, spawn_key=path)))`,
-    held as its (key, position) state: SeedSequence's mixed pool, the Philox
-    key that follows from it (derived at the first draw and kept), and
-    `draws`. `child(i, j, ...)` mixes only the new path words into the pool,
-    so substreams cost no SeedSequence, and a child derives its own key.
-    Draws come from one scratch generator per thread, reloaded at the
-    stream's key and position whenever another stream used it last. A single
-    draw `uniform()` draws ahead to the end of the next Philox block and
-    keeps the values it has not returned yet; `uniforms(n)` drops them and
-    reloads at `draws`, which counts the values consumed, never the ones
-    drawn ahead. A stream's output depends only on (seed, path) and its
-    position, and identical (seed, path) reproduce the same draws.
+    held as SeedSequence's mixed pool and `draws`. `child(i, j, ...)` mixes
+    only the new path words into the pool, so substreams cost no
+    SeedSequence. Draws come from one scratch generator per thread, reloaded
+    for every fill at the Philox key that follows from the pool and at
+    `draws`, which counts the values consumed, never the ones drawn ahead. A
+    single draw `uniform()` fills only when its look-ahead is empty: it draws
+    ahead to the end of the next Philox block and keeps the values it has not
+    returned yet; `uniforms(n)` drops them and fills n. A stream's output
+    depends only on (seed, path) and its position, and identical (seed,
+    path) reproduce the same draws.
     """
 
-    __slots__ = ("seed", "path", "draws", "_pool", "_hash", "_key", "_ahead")
+    __slots__ = ("seed", "path", "draws", "_pool", "_hash", "_ahead")
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
         (self.seed,), words = _words((seed,), "seed")
@@ -243,40 +241,34 @@ class RngStream:
         h = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, len(words) - 4), 1 << 32) & _M32
         self._pool, self._hash = _absorb(pool, h, path_words)
         self.draws = 0
-        self._key = None
         self._ahead = ()
 
     def _generator(self) -> np.random.Generator:
-        """The thread's generator, positioned at this stream's next draw; the
-        callers have emptied the look-ahead."""
+        """The thread's generator, reloaded at this stream's key and next draw;
+        the callers have emptied the look-ahead."""
+        # generate_state(2, np.uint64): 4 words, paired little-endian.
+        h, words = _INIT_B, []
+        for v in self._pool:
+            v ^= h
+            h = h * _MULT_B & _M32
+            v = v * h & _M32
+            words.append(v ^ v >> 16)
+        key = [words[0] | words[1] << 32, words[2] | words[3] << 32]
         s = _SCRATCH
-        if s.owner is not self or s.at != self.draws:
-            key = self._key
-            if key is None:
-                # generate_state(2, np.uint64): 4 words, paired little-endian.
-                h, words = _INIT_B, []
-                for v in self._pool:
-                    v ^= h
-                    h = h * _MULT_B & _M32
-                    v = v * h & _M32
-                    words.append(v ^ v >> 16)
-                key = self._key = [words[0] | words[1] << 32, words[2] | words[3] << 32]
-            state = s.state
-            if state is None:
-                s.bitgen = np.random.Philox(0)
-                s.gen = np.random.Generator(s.bitgen)
-                state = s.state = {
-                    "bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4,
-                    "has_uint32": 0, "uinteger": 0,
-                    "state": {"counter": [0, 0, 0, 0], "key": key}}
-            philox = state["state"]
-            philox["counter"][0] = self.draws >> 2
-            philox["key"] = key
-            s.bitgen.state = state
-            if self.draws & 3:
-                s.bitgen.random_raw(self.draws & 3)
-            s.owner = self
-            s.at = self.draws
+        state = s.state
+        if state is None:
+            s.bitgen = np.random.Philox(0)
+            s.gen = np.random.Generator(s.bitgen)
+            state = s.state = {
+                "bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4,
+                "has_uint32": 0, "uinteger": 0,
+                "state": {"counter": [0, 0, 0, 0], "key": key}}
+        philox = state["state"]
+        philox["counter"][0] = self.draws >> 2
+        philox["key"] = key
+        s.bitgen.state = state
+        if self.draws & 3:
+            s.bitgen.random_raw(self.draws & 3)
         return s.gen
 
     def uniform(self) -> float:
@@ -285,11 +277,9 @@ class RngStream:
         if not ahead:
             # Fill from the generator itself, not through `uniforms`: `draws`
             # counts only what is returned.
-            n = _AHEAD - (self.draws & 3)
-            ahead = self._generator().random(n).tolist()
+            ahead = self._generator().random(_AHEAD - (self.draws & 3)).tolist()
             ahead.reverse()
             self._ahead = ahead
-            _SCRATCH.at += n
         self.draws += 1
         return ahead.pop()
 
@@ -297,7 +287,7 @@ class RngStream:
         """`n` U[0,1) draws in stream order."""
         self._ahead = ()
         out = self._generator().random(n)
-        self.draws = _SCRATCH.at = self.draws + n
+        self.draws += n
         return out
 
     def child(self, *path: int) -> "RngStream":
@@ -305,7 +295,7 @@ class RngStream:
 
         Equal to RngStream(seed, path + extension): only the extension's
         words are mixed into this stream's pool. The child starts at position
-        0 and derives its key at its own first draw.
+        0.
         """
         ext, words = _words(path, "path entry")
         stream = RngStream.__new__(RngStream)
@@ -313,7 +303,6 @@ class RngStream:
         stream.path = self.path + ext
         stream._pool, stream._hash = _absorb(self._pool, self._hash, words)
         stream.draws = 0
-        stream._key = None
         stream._ahead = ()
         return stream
 

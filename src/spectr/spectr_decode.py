@@ -15,18 +15,12 @@ import weakref
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .prob_core import RngStream, SpectrError, ValidationError, sample
 from .lm_sim import CostModel, ToyLm, window
 # spectr_decode calls both builders through these module-level names: perfbench's
 # tracer patches them here by name to count and time drafting.
 from .draft_gen import DraftSet, sample_iid_drafts, build_prefix_tree_drafts
 from . import token_coupling as tc
-
-
-# Conditional entries at or below this are left out of `TokenSelector.support`.
-PROB_FLOOR = 1e-15
 
 
 class UndefinedMetricError(SpectrError):
@@ -98,16 +92,15 @@ class TokenSelector:
     holds one rule per (window, live-draft count k), built on the draft and
     target rows there (a `KseqScan`, which solves gamma* only as far as its
     draws need and its residual on the first all-reject, or a
-    `TransportPlan`), and `laws` one (law, support) per (window, tokens).
-    Every rule carries its draft row as `.p`, draws the token with
-    `draw(tokens, rng)` and states its exact law with `law(tokens)`. A memo
-    hit fetches no row: `draft_selection` takes the rule with one `rule`
-    lookup per depth, picks the live drafts' tokens from its `p`, the draft
-    row itself, and calls `draw`; `conditional` reads `law` of the same
-    rule, so the exact oracle checks the decoder's own rule. Drafts are
-    draws from the draft model, whose row is their law; with none the token
-    is a big-model sample. Models are held by weak reference and the memo
-    holds only rows: a shared memo keeps neither model alive.
+    `TransportPlan`). Every rule carries its draft row as `.p`, draws the
+    token with `draw(tokens, rng)` and states its exact law with
+    `law(tokens)`. A memo hit fetches no row: `draft_selection` takes the
+    rule with one `rule` lookup per depth, picks the live drafts' tokens
+    from its `p`, the draft row itself, and calls `draw`; the exact oracle
+    reads `law` of the same rule, so it checks the decoder's own rule.
+    Drafts are draws from the draft model, whose row is their law; with none
+    the token is a big-model sample. Models are held by weak reference and
+    the memo holds only rows: a shared memo keeps neither model alive.
     """
 
     def __init__(self, big: ToyLm, small: ToyLm, method: SelectionMethod):
@@ -116,16 +109,6 @@ class TokenSelector:
         self.method = method
         self.order = max(big.order, small.order)
         self.rules: dict = {}
-        self.laws: dict = {}
-
-    def conditional(self, context: tuple[int, ...], tokens: tuple[int, ...]) -> np.ndarray:
-        """Law of the token drawn given the live draft tokens in order; read-only."""
-        return self._law(context, tokens)[0]
-
-    def support(self, context: tuple[int, ...],
-                tokens: tuple[int, ...]) -> list[tuple[int, float]]:
-        """(token, probability) over the entries of `conditional` above PROB_FLOOR."""
-        return self._law(context, tokens)[1]
 
     def rule(self, context: tuple[int, ...], k: int) -> tc.KseqScan | tc.TransportPlan:
         """The memoised rule for k live drafts at the context's window."""
@@ -138,17 +121,6 @@ class TokenSelector:
             rule = self.rules[key] = (tc.otm_lp_solve(p, q, k)[0] if self.method.kind == "otm_lp"
                                       else tc.KseqScan(p, q, k))
         return rule
-
-    def _law(self, context, tokens):
-        key = (tuple(context[-self.order:]) if self.order else (), tokens)
-        out = self.laws.get(key)
-        if out is None:
-            law = (self.rule(context, len(tokens)).law(tokens) if tokens
-                   else self._big().next_dist(context).probs)
-            law.setflags(write=False)
-            out = self.laws[key] = (law, [(y, w) for y, w in enumerate(law.tolist())
-                                          if w > PROB_FLOOR])
-        return out
 
 
 # (id(big), id(small), method kind) -> (the selector every spectr_decode on that

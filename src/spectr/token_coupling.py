@@ -95,9 +95,12 @@ class TransportPlan:
         return sum(mass * float(law.probs[list(s)].sum()) for s, (mass, law) in self.sets.items())
 
     def conditional(self, draft_tuple: tuple[int, ...]) -> ProbVector:
-        """Output distribution given an observed draft tuple: its set's law."""
+        """Output distribution given an observed draft tuple: its set's law. A
+        tuple of other than k tokens raises ValidationError, as a scan does."""
+        if len(draft_tuple) != self.k:
+            raise ValidationError(f"a rule for {self.k} drafts was given {len(draft_tuple)}")
         entry = self.sets.get(tuple(sorted(set(draft_tuple))))
-        if entry is None or len(draft_tuple) != self.k:
+        if entry is None:
             raise InvalidDraftError(f"draft tuple {draft_tuple} has zero probability under the plan")
         return entry[1]
 

@@ -303,3 +303,12 @@ def test_a_draft_set_picks_no_token_until_read():
     roots = drafts.roots
     assert drafts.roots is roots  # built once
     assert set(lm._rows) == {(2, 3)} | {(3, node.token) for node in roots}
+
+
+def test_a_pick_past_a_cdf_short_of_one_takes_the_last_positive_token():
+    # the cdf ends at 1 - 5e-10, so u = 1 - 1e-10 lies past it: the pick falls
+    # back to the last token with mass, never the zero-mass token 2
+    row = ProbVector([0.5, 0.5 - 5e-10, 0.0])
+    drafts = DraftSet(ToyLm(3, 0, seed=0), (), (2,), (0.1, 1.0 - 1e-10))
+    assert drafts.picks(row, 0, [0, 1]) == [0, 1]
+    assert drafts.picks(row, 0, [1]) == [1]

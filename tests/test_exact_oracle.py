@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from spectr.draft_gen import StructuralError, build_prefix_tree_drafts, sample_iid_drafts
 from spectr.exact import (
+    PROB_FLOOR,
     STATE_TUPLE_CAP,
     enumerate_draft_forests,
     max_chain_rule_gap,
@@ -16,7 +17,7 @@ from spectr.exact import (
 from spectr.lm_sim import make_model_pair
 from spectr.prob_core import RngStream, ValidationError
 from spectr.spectr_decode import SelectionMethod, TokenSelector, draft_selection, selection_step
-from spectr.token_coupling import SizeLimitError
+from spectr.token_coupling import KseqScan, SizeLimitError
 
 PAIR = make_model_pair(3, 1, seed=0, eps=0.5)
 CONTEXT = (0,)
@@ -172,17 +173,22 @@ def test_max_chain_rule_gap_rejects_an_empty_law():
 # the state walk against the forest-by-forest walk
 # ---------------------------------------------------------------------------
 
-def _walk(selector, base, emitted, state, weight, out):
+def _walk(selector, big, base, emitted, state, weight, out):
     """Add `weight` times the selection's law from `state` on to `out`, by emitted sequence."""
-    # With no live drafts left, the selector's law is the bonus token's.
+    # With no live drafts left, the big model's row is the bonus token's law.
     tokens = tuple(node.token for node in state)
-    for y, w in selector.support(base + emitted, tokens):
+    ctx = base + emitted
+    law = (selector.rule(ctx, len(tokens)).law(tokens) if tokens
+           else big.next_dist(ctx).probs)
+    for y, w in enumerate(law.tolist()):
+        if w <= PROB_FLOOR:
+            continue
         kept = selection_step(tokens, y)
         if kept is None:
             out[emitted + (y,)] = out.get(emitted + (y,), 0.0) + weight * w
         else:
             children = [child for i in kept for child in state[i].children]
-            _walk(selector, base, emitted + (y,), children, weight * w, out)
+            _walk(selector, big, base, emitted + (y,), children, weight * w, out)
 
 
 def forest_law(pair, context, branching, method):
@@ -192,7 +198,7 @@ def forest_law(pair, context, branching, method):
     selector = TokenSelector(pair.big, pair.small, method)
     out = {}
     for roots, prob in enumerate_draft_forests(pair.small, context, branching):
-        _walk(selector, tuple(context), (), roots, prob, out)
+        _walk(selector, pair.big, tuple(context), (), roots, prob, out)
     return out
 
 
@@ -265,6 +271,15 @@ def test_state_walk_verifies_sizes_the_forest_walk_cannot(seed, vocab, branching
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
     assert gap <= 1e-6, cell
     assert elapsed <= SECONDS_BOUND
+
+
+def test_an_output_law_that_loses_mass_is_rejected(monkeypatch):
+    # a rule whose stated law sums to 0.9 leaves the output law short of mass 1
+    law = KseqScan.law
+    monkeypatch.setattr(KseqScan, "law", lambda self, tokens: 0.9 * law(self, tokens))
+    with pytest.raises(ValidationError, match="output law mass"):
+        method_output_distribution(PAIR.big, PAIR.small, CONTEXT, [2, 1],
+                                   SelectionMethod.kseq())
 
 
 @pytest.mark.parametrize("vocab,branching", [(16, [4]), (4, [2, 2, 2])])

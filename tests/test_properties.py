@@ -21,9 +21,10 @@ import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from spectr import token_coupling as tc
+from spectr.exact import PROB_FLOOR, _support
 from spectr.lm_sim import ToyLm, make_model_pair
 from spectr.prob_core import ProbVector, RngStream, _pick
-from spectr.spectr_decode import PROB_FLOOR, SelectionMethod, TokenSelector, spectr_decode
+from spectr.spectr_decode import SelectionMethod, TokenSelector, spectr_decode
 
 
 def reference_gamma_star(p, q, k):
@@ -637,6 +638,6 @@ def test_selector_support_equals_its_flatnonzero_form(seed, vocab, allow_zeros, 
     context = (picks[0] % vocab,)
     supp = pair.small.next_dist(context).support().tolist()
     tokens = tuple(supp[i % len(supp)] for i in picks[1:1 + live])
-    law = selector.conditional(context, tokens)
-    assert selector.support(context, tokens) == [
-        (y, float(law[y])) for y in np.flatnonzero(law > PROB_FLOOR).tolist()]
+    law = (selector.rule(context, live).law(tokens) if live
+           else pair.big.next_dist(context).probs)
+    assert _support(law) == [(y, float(law[y])) for y in np.flatnonzero(law > PROB_FLOOR).tolist()]

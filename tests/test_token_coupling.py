@@ -139,11 +139,11 @@ def test_maximal_oracle_law_when_tv_is_tiny():
     big, small = _FixedRowLm(NEAR_Q), _FixedRowLm(NEAR_P)
     selector = TokenSelector(big, small, SelectionMethod.maximal())
     for draft in (0, 1):
-        law = selector.conditional((0,), (draft,))
+        law = selector.rule((0,), 1).law((draft,))
         assert law.sum() == pytest.approx(1.0, abs=1e-15)
         assert law.min() >= 0.0
     # averaged over the draft's law, the output is q
-    mixed = sum(NEAR_P[d] * selector.conditional((0,), (d,)) for d in (0, 1))
+    mixed = sum(NEAR_P[d] * selector.rule((0,), 1).law((d,)) for d in (0, 1))
     assert np.allclose(mixed, NEAR_Q.probs, atol=1e-15)
 
 
@@ -428,6 +428,35 @@ def test_a_scan_refuses_a_draft_count_other_than_its_k():
             with pytest.raises(ValidationError, match="for 2 drafts was given"):
                 scan.law(drafts)
         assert kseq_select(scan, [0, 1], RngStream(0))[0] in (0, 1, 2)
+
+
+def test_a_plan_refuses_a_draft_count_other_than_its_k():
+    # the plan's sets are keyed by distinct tokens, so (0, 1, 1) would find the
+    # set {0, 1}; the count is checked first, with the error a scan raises
+    p, q = ProbVector([0.6, 0.3, 0.1]), ProbVector([0.1, 0.3, 0.6])
+    plan = otm_lp_solve(p, q, 2)[0]
+    for drafts in ((0, 1, 1), (0,)):
+        for read in (plan.conditional, plan.law, lambda t: plan.draw(t, RngStream(0))):
+            with pytest.raises(ValidationError, match="a rule for 2 drafts was given"):
+                read(drafts)
+    assert plan.draw([0, 1], RngStream(0)) in (0, 1, 2)
+    # a tuple of the right length that the plan gives no mass is an invalid draft
+    zero = otm_lp_solve(ProbVector([0.5, 0.5, 0.0]), q, 2)[0]
+    with pytest.raises(InvalidDraftError, match="zero probability under the plan"):
+        zero.draw([0, 2], RngStream(0))
+
+
+def test_a_scan_on_near_disjoint_supports_runs_at_k():
+    # beta(1) = 1e-13 is below NEG_TOL, so the bisection's first step finds the
+    # supports disjoint and the bracket closes at k, as _gamma_star_or_k does
+    p, q = ProbVector([1.0, 0.0]), ProbVector([1e-13, 1.0 - 1e-13])
+    with pytest.raises(DegenerateSupportError):
+        kseq_gamma_star(p, q, 2)
+    scan = KseqScan(p, q, 2)
+    # a(2) = 5e-14 <= u < a(1) = 1e-13: undecided in [1, 2], rejected at k
+    assert scan.accepts(0, 7e-14) is False
+    assert (scan.lo, scan.hi) == (2.0, 2.0)
+    assert scan.params.gamma == 2.0
 
 
 def test_a_scan_solves_gamma_star_and_its_parameters_only_on_an_all_reject(monkeypatch):

@@ -3,7 +3,7 @@
 Every spectr_decode and draft_selection on one model pair shares one selector
 per method; these tests check that sharing it changes no sampled stream, saves
 the repeated solves, holds neither model alive and dies with either, that the
-oracle's law reads the entries the draws stored, that a memo hit reads no row
+oracle's law reads the rule the draws stored, that a memo hit reads no row
 (so a warm decode fetches one only for each bonus token), and that the window
 key gives the laws of freshly fetched rows when the orders differ.
 """
@@ -21,7 +21,6 @@ from spectr.exact import method_output_distribution
 from spectr.lm_sim import ToyLm, make_model_pair
 from spectr.prob_core import RngStream
 from spectr.spectr_decode import (
-    PROB_FLOOR,
     SelectionMethod,
     TokenSelector,
     _SHARED,
@@ -170,10 +169,9 @@ def test_one_scan_entry_per_context_and_live_count(method):
     for seed in range(3):
         selector.rule((2,), len(tokens)).draw(tokens, RngStream(seed))
     rule = selector.rules[((2,), len(tokens))]
-    support = selector.support((2,), tuple(tokens))
+    law = selector.rule((2,), len(tokens)).law(tuple(tokens))
     assert list(selector.rules) == [((2,), len(tokens))]
-    assert list(selector.laws) == [((2,), tuple(tokens))]
-    # the oracle's support read the rule the draws stored, not a new one
+    # the oracle's law read the rule the draws stored, not a new one
     assert selector.rules[((2,), len(tokens))] is rule
     p, q = pair.small.next_dist((2,)), pair.big.next_dist((2,))
     assert rule.p is p and rule.k == len(tokens)
@@ -192,8 +190,7 @@ def test_one_scan_entry_per_context_and_live_count(method):
         # at one draft the scan runs at gamma* = 1
         if method.kind == "maximal":
             assert params.gamma == 1.0
-    assert support == [(y, w) for y, w in enumerate(rule.law(tuple(tokens)).tolist())
-                       if w > PROB_FLOOR]
+    assert abs(law.sum() - 1.0) <= 1e-12
 
 
 def test_oracle_conditional_reads_the_decoder_entries():
@@ -201,14 +198,11 @@ def test_oracle_conditional_reads_the_decoder_entries():
     selector = TokenSelector(pair.big, pair.small, SelectionMethod.kseq())
     selector.rule((2,), 3).draw([0, 1, 1], RngStream(0))
     solved = dict(selector.rules)
-    law = selector.conditional((2,), (0, 1, 1))
-    assert not law.flags.writeable
+    law = selector.rule((2,), 3).law((0, 1, 1))
     assert abs(law.sum() - 1.0) <= 1e-12
     # the law reused gamma and the scan parameters the draw stored
     assert set(selector.rules) == set(solved)
     assert all(selector.rules[key] is solved[key] for key in solved)
-    assert selector.support((2,), (0, 1, 1)) == [
-        (y, float(law[y])) for y in range(4) if law[y] > PROB_FLOOR]
 
 
 class _CountingLm:
@@ -238,8 +232,8 @@ def test_a_memo_hit_reads_no_row(kind):
         for context in ((3, 0, 2), (1, 0, 2), (0, 2)):
             selector.rule(context, len(tokens)).draw(tokens, RngStream(seed))
             selector.rule(context, len(tokens)).draw(tokens[::-1], RngStream(seed))
-            selector.support(context, tuple(tokens))
-            selector.support(context, tuple(tokens[::-1]))
+            selector.rule(context, len(tokens)).law(tuple(tokens))
+            selector.rule(context, len(tokens)).law(tuple(tokens[::-1]))
     assert (big.calls, small.calls) == (1, 1)
     assert list(selector.rules) == [((0, 2), len(tokens))]
 
@@ -267,6 +261,4 @@ def test_laws_match_fresh_rows_when_the_orders_differ(orders, seeds, zeros, kind
         else:
             want = tc.KseqScan(p, q, k, tc.kseq_params(
                 p, q, k, tc._gamma_star_or_k(p, q, k))).law(tokens)
-        assert np.array_equal(selector.conditional(context, tuple(tokens)), want)
-        assert selector.support(context, tuple(tokens)) == [
-            (y, w) for y, w in enumerate(want.tolist()) if w > PROB_FLOOR]
+        assert np.array_equal(selector.rule(context, k).law(tuple(tokens)), want)
