@@ -57,11 +57,19 @@ ROW_CAP = 1 << 14
 # 218 MB (one core of a 2-core x86 container).
 DECODE_TOKEN_CAP = 1 << 22
 # Largest vocabulary decode and verify build model rows over, and sweep its
-# uniform pair over. Models keep every row they build, and verify's output
-# table holds |V|^(depth + 1) sequences: at V = 256, 512, 1,024 and 2,048 a
-# one-draft, one-deep verify peaked at 58, 134, 439 and 1,624 MB
-# ru_maxrss, and a default decode at 60 MB for V = 1,024 (176 at 4,096).
+# uniform pair over. Models keep at most `lm_sim.MEMO_CAP` rows, and verify's
+# output table holds |V|^(depth + 1) sequences: at V = 256, 512, 1,024 and
+# 2,048 a one-draft, one-deep verify peaked at 58, 134, 439 and 1,624 MB
+# ru_maxrss; a default decode peaks at 42 MB for V = 1,024 (64 at 4,096), and
+# one prompt of 16,384 tokens at V = 1,024, order 2, zeros, 8 drafts at 44 MB.
 VOCAB_CAP = 1 << 10
+# Largest model order decode builds. Once every window is new, each new window
+# prefix absorbs order - 1 words into its stream, so a token costs about 7 us
+# more per unit of order: one prompt of 8,192 tokens took 0.19 s at order 1 and
+# 1.9 s at order 32 (V = 16, 37 MB ru_maxrss either way), and order = tokens =
+# 2,000 took 8.8 s. Past order 22 even a two-token vocabulary has more windows
+# than a decode at DECODE_TOKEN_CAP emits tokens.
+ORDER_CAP = 32
 
 
 def _check_vocab(flag: str, size: int) -> None:
@@ -362,6 +370,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
         raise tc.SizeLimitError(f"{args.prompts} prompts x {args.tokens} tokens exceeds "
                                 f"the decode token cap {DECODE_TOKEN_CAP}")
     _check_vocab("--vocab", args.vocab)
+    if args.order > ORDER_CAP:
+        raise tc.SizeLimitError(f"--order {args.order} exceeds the order cap {ORDER_CAP}")
     config = BenchConfig.from_args("decode", args)
     pair = make_model_pair(args.vocab, args.order, args.seed, args.eps,
                            allow_zeros=args.allow_zeros)

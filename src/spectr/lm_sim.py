@@ -3,7 +3,11 @@
 A ToyLm is a table-based n-gram sampler: the conditional for a context is a
 seeded function of the last `order` tokens, generated lazily and memoized, so
 arbitrarily long contexts never blow up memory and repeated queries agree
-bit-for-bit across processes.
+bit-for-bit across processes. Every memo of rows, of window-prefix streams
+and of selection rules holds at most MEMO_CAP entries (`remember` evicts the
+oldest insertion), so a long run's memory is bounded by the cap, not by its
+length. Eviction moves no stream: a row or a prefix stream is rebuilt equal,
+and a rebuilt rule decides as the evicted one did.
 """
 
 from __future__ import annotations
@@ -21,6 +25,27 @@ ZERO_FRACTION = 0.25
 # Uniform draws are scaled by this before exponentiation; larger means peakier
 # rows (more LM-like contrast between likely and unlikely tokens).
 ROW_SPREAD = 3.0
+# Most entries each memo keeps: a model's rows and its window-prefix streams, and a
+# selector's rules. Rows and rules share the cap because a rule holds its two rows.
+# It holds the whole key space of a V = 16, order-1 decode with 8 drafts (16
+# windows x k = 1..8 rules), which then evicts nothing. A V = 256, order-2 tree
+# decode of 32 prompts x 64 tokens, where 7 row lookups in 10 miss, peaked at
+# 39 MB ru_maxrss at this cap, 45 MB at 1,024 and 50 MB uncapped, and built 1%
+# more rows. A run over more windows than the cap rebuilds what it evicts: one
+# V = 1,024, order-1 prompt of 65,536 tokens with 8 drafts built 89,282 rows
+# instead of 2,048 and took 7.5 s instead of 1.4 s, at 47 MB instead of 89 MB
+# (one core of a 2-core x86 container).
+MEMO_CAP = 256
+
+
+def remember(memo: dict, key, value):
+    """Store `value` under `key`, a key `memo` misses, and return it; past MEMO_CAP
+    entries the oldest insertion is evicted. Only a miss calls this, so a hit stays
+    one plain dict lookup."""
+    memo[key] = value
+    if len(memo) > MEMO_CAP:
+        del memo[next(iter(memo))]
+    return value
 
 
 def window(context: Sequence[int], order: int) -> tuple[int, ...]:
@@ -39,7 +64,10 @@ class ToyLm:
     `prefix.child(key[-1])` from the memoised stream of the window's prefix
     `key[:-1]` (one per distinct prefix), and at order 0 as `root.child()`.
     Prefix streams and the root are only ever parents and are never drawn
-    from, so a row rebuilt in any order is the same row.
+    from, so a row rebuilt in any order is the same row. Rows and prefix
+    streams are memoised up to MEMO_CAP each, oldest evicted first: a row is
+    a pure function of (seed, window) and a prefix stream, the root's entry
+    included, is rebuilt equal, so eviction moves no stream.
     """
 
     def __init__(self, vocab_size: int, order: int, seed: int, allow_zeros: bool = False):
@@ -76,12 +104,13 @@ class ToyLm:
         range-checked only on a miss, before a row is built, so a raw suffix
         hits only for contexts that passed the check. A miss builds the row
         under the converted key without looking it up again: a row is a pure
-        function of (seed, window), so a rebuilt row is the same row.
+        function of (seed, window), so a row built again, for a suffix that
+        missed or after an eviction, is the same row.
         """
         row = self._rows.get(tuple(context[-self.order:]) if self.order else ())
         if row is None:
             key = self.context_key(context)
-            row = self._rows[key] = ProbVector(self._row_values(key))
+            row = remember(self._rows, key, ProbVector(self._row_values(key)))
         return row
 
     def _row_values(self, key: tuple[int, ...]) -> np.ndarray:
@@ -102,7 +131,7 @@ class ToyLm:
             return self._root.child()
         prefix = self._prefixes.get(key[:-1])
         if prefix is None:
-            prefix = self._prefixes[key[:-1]] = self._root.child(*key[:-1])
+            prefix = remember(self._prefixes, key[:-1], self._root.child(*key[:-1]))
         return prefix.child(key[-1])
 
 

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .prob_core import RngStream, SpectrError, ValidationError, sample
-from .lm_sim import CostModel, ToyLm, window
+from .lm_sim import CostModel, ToyLm, remember, window
 # spectr_decode calls both builders through these module-level names: perfbench's
 # tracer patches them here by name to count and time drafting.
 from .draft_gen import DraftSet, sample_iid_drafts, build_prefix_tree_drafts
@@ -100,7 +100,11 @@ class TokenSelector:
     reads `law` of the same rule, so it checks the decoder's own rule.
     Drafts are draws from the draft model, whose row is their law; with none
     the token is a big-model sample. Models are held by weak reference and
-    the memo holds only rows: a shared memo keeps neither model alive.
+    the memo holds only rows: a shared memo keeps neither model alive. The
+    memo keeps at most `lm_sim.MEMO_CAP` rules, oldest evicted first, as the
+    models' row memos do. Eviction moves no stream: a rebuilt `KseqScan`
+    decides every draft as the scan at gamma* does, and a rebuilt plan is
+    solved from the same rows.
     """
 
     def __init__(self, big: ToyLm, small: ToyLm, method: SelectionMethod):
@@ -118,8 +122,8 @@ class TokenSelector:
             if self.method.kind == "maximal" and k != 1:
                 raise ValidationError("maximal selection is only valid with a single draft")
             q, p = self._big().next_dist(context), self._small().next_dist(context)
-            rule = self.rules[key] = (tc.otm_lp_solve(p, q, k)[0] if self.method.kind == "otm_lp"
-                                      else tc.KseqScan(p, q, k))
+            rule = remember(self.rules, key, tc.otm_lp_solve(p, q, k)[0]
+                            if self.method.kind == "otm_lp" else tc.KseqScan(p, q, k))
         return rule
 
 
@@ -216,11 +220,11 @@ def spectr_decode(big: ToyLm, small: ToyLm, prompt: Sequence[int], total_tokens:
     selection draws from rng.child(iteration, 1); both are taken as children
     of rng.child(iteration), which is built once per iteration. Every
     decode on one (big, small) pair shares one `TokenSelector` per method, so
-    a scan's gamma* bracket and parameters, and a plan, are solved at most
-    once per context for the pair's life; the sampled stream is the one a
-    fresh memo gives. The context carried between iterations is the last
-    max(big.order, small.order) tokens, so a long prompt costs nothing per
-    iteration.
+    a scan's gamma* bracket and parameters, and a plan, are solved once per
+    context while its rule stays among the memo's last MEMO_CAP; the sampled
+    stream is the one a fresh memo gives. The context carried between
+    iterations is the last max(big.order, small.order) tokens, so a long
+    prompt costs nothing per iteration.
     """
     if total_tokens < 1:
         raise ValidationError("total_tokens must be >= 1")

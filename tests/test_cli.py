@@ -517,6 +517,24 @@ def _no_vector(*args, **kwargs):
     raise AssertionError("built a probability vector")
 
 
+def test_decode_refuses_an_order_above_the_cap_before_any_row(capsys, monkeypatch):
+    monkeypatch.setattr(ProbVector, "__init__", _no_vector)
+    monkeypatch.setattr(cli, "RngStream", _NoStream)
+    start = time.perf_counter()
+    for order, tokens in ((cli.ORDER_CAP + 1, cli.ORDER_CAP + 1), (2000, 2000), (10**12, 64)):
+        code, out, err = run_cli(capsys, "decode", "--order", str(order), "--prompts", "1",
+                                 "--tokens", str(tokens))
+        assert code == 3
+        assert out == ""
+        assert f"--order {order} exceeds the order cap {cli.ORDER_CAP}" in err
+    assert time.perf_counter() - start < 1.0
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "decode", "--order", str(cli.ORDER_CAP), "--prompts", "1",
+                           "--tokens", str(cli.ORDER_CAP))
+    assert code == 0
+    assert len(csv_cells(out)) == 1
+
+
 @pytest.mark.parametrize("argv,flag", [
     (("decode", "--prompts", "1", "--tokens", "1", "--vocab"), "--vocab"),
     (("verify", "--scope", "sequence", "--num-drafts", "1", "--draft-len", "1", "--vocab"),
