@@ -14,7 +14,6 @@ from .prob_core import (
     TokenId,
     ValidationError,
     sample,
-    sample_many,
     tv_distance,
 )
 from .token_coupling import (

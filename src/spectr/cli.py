@@ -88,8 +88,14 @@ class BenchConfig:
     def from_args(cls, subcommand: str, args: argparse.Namespace) -> "BenchConfig":
         skip = {"func", "command", "output", "trace_dir", "plan_out"}
         # Echo only what the run read: --factors replaces the draft count and
-        # length, the baseline drafts nothing, and each verify scope reads
-        # only its own options.
+        # length, the baseline drafts nothing, each verify scope reads only its
+        # own options, and a coupling reads gamma only for a kseq row and k for
+        # any row but the maximal one.
+        if subcommand == "coupling":
+            if args.method not in ("kseq", "all"):
+                skip.add("gamma")
+            if args.method == "maximal":
+                skip.add("k")
         if getattr(args, "factors", None) is not None:
             skip |= {"num_drafts", "draft_len"}
         if getattr(args, "method", None) == "baseline":

@@ -4,17 +4,25 @@ At desk scale the sequence-level selection can be verified without sampling.
 Given the emitted prefix, the live drafts at a depth are i.i.d. draws from
 the draft model's row for that prefix, and only their number carries
 forward, so the oracle walks states (emitted prefix, live count m) depth by
-depth instead of draft forests. Every ordered m-tuple of the row's support
-goes, with its draft probability, through the `law` of the very rule the
-decoder draws from (`TokenSelector.rule`, a scan or the plan), kept above
-PROB_FLOOR in a table the call owns, and through the decoder's index filter
-`selection_step`, with no draft node built: a token carried by c live
-drafts moves the weight to (prefix + token, c * next branching factor), a
-token carried by none ends the sequence, and after the last depth the bonus
-row applies. A state whose |supp|^m exceeds STATE_TUPLE_CAP, or that would
-take the walk's running totals past WALK_TUPLE_CAP listed tuples or
-WALK_ENTRY_CAP stored entries, raises SizeLimitError before any state of
-its depth is walked.
+depth instead of draft forests, reading the very rule the decoder draws from
+(`TokenSelector.rule`) and keeping law entries above PROB_FLOOR in a table
+the call owns. A state takes one of two steps:
+
+* the count step, for K-SEQ and maximal states: the scan's `count_law`, the
+  joint law of the emitted token y and the count c of live drafts carrying
+  it, in O(m) numpy calls with no draft tuple listed;
+* the tuple step, for OTM states: every ordered m-tuple of the row's
+  support goes, with its draft probability, through the rule's `law` and the
+  decoder's index filter `selection_step`, so c is the number of kept drafts.
+
+Either way a token carried by c > 0 live drafts moves the weight to
+(prefix + token, c * next branching factor), a token carried by none ends the
+sequence, and after the last depth the bonus row applies. A count walk whose
+states and output sequences could hold more than COUNT_ENTRY_CAP entries
+raises SizeLimitError before any depth is walked. A tuple-walked state whose
+|supp|^m exceeds STATE_TUPLE_CAP, or that would take the walk's running
+totals past WALK_TUPLE_CAP listed tuples or WALK_ENTRY_CAP stored entries,
+raises it before any state of its depth is walked.
 The chain-rule check then sweeps the one output table once, keeping only
 the worst cell.
 
@@ -45,7 +53,18 @@ SeqDist = dict[tuple[int, ...], float]
 
 # Law entries at or below this are left out of the oracle's law table.
 PROB_FLOOR = 1e-15
-# Most live tuples the walk lists at one state. A K-SEQ tuple costs about 15 us
+# Most entries a count walk (K-SEQ and maximal) may store, bounded from |vocab|
+# and the branching factors alone before any depth is walked: |vocab| * (m + 1)
+# law cells for every state (prefix, m) a depth can reach, and |vocab| output
+# sequences for every prefix. The output table and the chain-rule check's sweep
+# of it set the peak (`spectr verify`, ru_maxrss, one core of a 2-core x86
+# container): V = 16 with factors (4, 1, 1, 1) bounds 3.1 M entries and peaked
+# at 316 MB, V = 1,024 with 8 drafts one deep 2.1 M and 379 MB, and V = 4 with
+# one draft nine deep 3.1 M and 414 MB in 11 s, the largest measured; V = 3
+# with one draft twelve deep bounds 5.6 M and would peak at 794 MB.
+COUNT_ENTRY_CAP = 1 << 22
+# The tuple step's caps, which bound only tuple-walked (OTM) states.
+# Most live tuples the walk lists at one state. A tuple's law costs about 15 us
 # and at most 0.8 KB of law table (V = 3, 5 and 8, one core of a 2-core x86
 # container), so a state at the cap takes about 0.25 s and 13 MB; 3^8 and 5^6
 # fit, 16^4 not.
@@ -65,13 +84,19 @@ WALK_ENTRY_CAP = 1 << 21
 def method_output_distribution(big: ToyLm, small: ToyLm, context: Sequence[int],
                                branching: Sequence[int], method: SelectionMethod) -> SeqDist:
     """Exact output-sequence law of draft_selection over all draft randomness,
-    walked over (emitted prefix, live count) states; a state above STATE_TUPLE_CAP
-    live tuples, or a walk above WALK_TUPLE_CAP tuples or WALK_ENTRY_CAP stored
-    entries in all, raises SizeLimitError."""
+    walked over (emitted prefix, live count) states, K-SEQ and maximal states by
+    the count step and OTM states by the tuple step; a count walk above
+    COUNT_ENTRY_CAP entries, a tuple-walked state above STATE_TUPLE_CAP live
+    tuples, or a tuple walk above WALK_TUPLE_CAP tuples or WALK_ENTRY_CAP
+    stored entries in all, raises SizeLimitError."""
     branching = checked_factors(branching)
+    counted = method.kind != "otm_lp"
+    if counted:
+        _check_count_walk(big.vocab_size, branching)
     selector = TokenSelector(big, small, method)  # recomputed on every call
-    # (window, live tokens) -> (token, probability) over the law's entries above
-    # PROB_FLOOR: the rule's law, or with no live drafts the big model's row.
+    # Entries above PROB_FLOOR of each law, with no live drafts the big model's
+    # row: (window, live count) -> (token, count, probability) for the count
+    # step, (window, live tokens) -> (token, probability) for the tuple step.
     laws: dict = {}
     base = tuple(int(t) for t in context)
     out: SeqDist = {}
@@ -81,46 +106,94 @@ def method_output_distribution(big: ToyLm, small: ToyLm, context: Sequence[int],
     while states:
         # After the leaves, survivors hand on no drafts and the bonus row applies.
         fanout = next(fanouts, 0)
-        # Every state of a depth is sized against the caps before any is walked.
-        sized = []
-        for prefix, live in states:
-            row = small.next_dist(base + prefix)
-            supp = np.flatnonzero(row.probs > PROB_FLOOR).tolist()
-            if tc.power_exceeds(len(supp), live, STATE_TUPLE_CAP):
-                raise tc.SizeLimitError(f"|supp p|^live = {len(supp)}^{live} exceeds "
-                                        f"the state tuple cap {STATE_TUPLE_CAP}")
-            tuples = len(supp) ** live
-            listed += tuples
-            if listed > WALK_TUPLE_CAP:
-                raise tc.SizeLimitError(f"the walk would list {listed} live tuples, above "
-                                        f"the walk tuple cap {WALK_TUPLE_CAP}")
-            stored += (tuples + 2) * row.vocab_size
-            if stored > WALK_ENTRY_CAP:
-                raise tc.SizeLimitError(f"the walk would store {stored} entries, above "
-                                        f"the walk entry cap {WALK_ENTRY_CAP}")
-            sized.append((row, supp))
         reached: dict[tuple[tuple[int, ...], int], float] = {}
-        for ((prefix, live), weight), (row, supp) in zip(states.items(), sized):
-            ctx = base + prefix
-            win = window(ctx, selector.order)
-            probs = row.probs.tolist()
-            for tokens in itertools.product(supp, repeat=live):
-                w = weight * math.prod(map(probs.__getitem__, tokens))
-                law = laws.get((win, tokens))
+        if counted:
+            for (prefix, live), weight in states.items():
+                ctx = base + prefix
+                key = (window(ctx, selector.order), live)
+                law = laws.get(key)
                 if law is None:
-                    law = laws[win, tokens] = _support(
-                        selector.rule(ctx, live).law(tokens) if live else big.next_dist(ctx).probs)
-                for y, wy in law:
-                    kept = selection_step(tokens, y)
-                    if kept is None:
-                        _bump(out, prefix + (y,), w * wy)
+                    law = laws[key] = _count_support(
+                        selector.rule(ctx, live).count_law() if live
+                        else big.next_dist(ctx).probs[:, None])
+                for y, c, wy in law:
+                    if c:
+                        _bump(reached, (prefix + (y,), c * fanout), weight * wy)
                     else:
-                        _bump(reached, (prefix + (y,), len(kept) * fanout), w * wy)
+                        _bump(out, prefix + (y,), weight * wy)
+        else:
+            # Every state of a depth is sized against the caps before any is walked.
+            sized = []
+            for prefix, live in states:
+                row = small.next_dist(base + prefix)
+                supp = np.flatnonzero(row.probs > PROB_FLOOR).tolist()
+                if tc.power_exceeds(len(supp), live, STATE_TUPLE_CAP):
+                    raise tc.SizeLimitError(f"|supp p|^live = {len(supp)}^{live} exceeds "
+                                            f"the state tuple cap {STATE_TUPLE_CAP}")
+                tuples = len(supp) ** live
+                listed += tuples
+                if listed > WALK_TUPLE_CAP:
+                    raise tc.SizeLimitError(f"the walk would list {listed} live tuples, above "
+                                            f"the walk tuple cap {WALK_TUPLE_CAP}")
+                stored += (tuples + 2) * row.vocab_size
+                if stored > WALK_ENTRY_CAP:
+                    raise tc.SizeLimitError(f"the walk would store {stored} entries, above "
+                                            f"the walk entry cap {WALK_ENTRY_CAP}")
+                sized.append((row, supp))
+            for ((prefix, live), weight), (row, supp) in zip(states.items(), sized):
+                ctx = base + prefix
+                win = window(ctx, selector.order)
+                probs = row.probs.tolist()
+                for tokens in itertools.product(supp, repeat=live):
+                    w = weight * math.prod(map(probs.__getitem__, tokens))
+                    law = laws.get((win, tokens))
+                    if law is None:
+                        law = laws[win, tokens] = _support(
+                            selector.rule(ctx, live).law(tokens) if live
+                            else big.next_dist(ctx).probs)
+                    for y, wy in law:
+                        kept = selection_step(tokens, y)
+                        if kept is None:
+                            _bump(out, prefix + (y,), w * wy)
+                        else:
+                            _bump(reached, (prefix + (y,), len(kept) * fanout), w * wy)
         states = reached
     mass = sum(out.values())
     if abs(mass - 1.0) > 1e-9:
         raise tc.ValidationError(f"output law mass {mass!r} != 1")
     return out
+
+
+def _check_count_walk(vocab: int, branching: list[int]) -> None:
+    """Refuse a count walk that could store more than COUNT_ENTRY_CAP entries.
+
+    At depth d there are at most vocab^d prefixes, and the live count is
+    branching[0] at the root, then c * branching[d] for a survivor count c
+    up to the product of the factors before d. Every such state may hold
+    vocab * (live + 1) law cells, every prefix hands on at most vocab output
+    sequences, and a survivor of the last depth holds the bonus row's vocab
+    cells.
+    """
+    prefixes, entries, most = 1, 0, 0
+    for factor in [*branching, 0]:
+        if not most:  # the root's one live count
+            cells = vocab * (factor + 1)
+        elif not factor:  # the bonus row after the leaves
+            cells = vocab
+        else:  # the sum over c = 1 .. most of vocab * (c * factor + 1)
+            cells = vocab * (factor * most * (most + 1) // 2 + most)
+        entries += prefixes * (cells + vocab)
+        if entries > COUNT_ENTRY_CAP:
+            raise tc.SizeLimitError(f"the count walk could store {entries} entries, above "
+                                    f"the count entry cap {COUNT_ENTRY_CAP}")
+        prefixes *= vocab
+        most = most * factor if most else factor
+
+
+def _count_support(table: np.ndarray) -> list[tuple[int, int, float]]:
+    """(token, count, probability) over the entries of a count table above PROB_FLOOR."""
+    ys, cs = np.nonzero(table > PROB_FLOOR)
+    return list(zip(ys.tolist(), cs.tolist(), table[ys, cs].tolist()))
 
 
 def _support(law: np.ndarray) -> list[tuple[int, float]]:

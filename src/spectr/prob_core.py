@@ -319,16 +319,6 @@ def sample(dist: ProbVector, rng: RngStream) -> TokenId:
     return _pick(dist, rng.uniform())
 
 
-def sample_many(dist: ProbVector, rng: RngStream, n: int) -> np.ndarray:
-    """Vectorized `sample`: n tokens from n sequential uniforms of `rng`."""
-    u = rng.uniforms(n)
-    idx = np.searchsorted(dist.cdf, u, side="right")
-    over = idx >= dist.vocab_size
-    if np.any(over):
-        idx[over] = _last_positive(dist)
-    return idx
-
-
 def _pick(dist: ProbVector, u: float) -> TokenId:
     # The cdf is nondecreasing, so this is searchsorted(cdf, u, side="right").
     i = bisect.bisect_right(dist.cdf, u)

@@ -97,7 +97,8 @@ class TokenSelector:
     `law(tokens)`. A memo hit fetches no row: `draft_selection` takes the
     rule with one `rule` lookup per depth, picks the live drafts' tokens
     from its `p`, the draft row itself, and calls `draw`; the exact oracle
-    reads `law` of the same rule, so it checks the decoder's own rule.
+    reads the same rule's `law`, or a scan's `count_law`, so it checks the
+    decoder's own rule.
     Drafts are draws from the draft model, whose row is their law; with none
     the token is a big-model sample. Models are held by weak reference and
     the memo holds only rows: a shared memo keeps neither model alive. The
@@ -195,7 +196,7 @@ def draft_selection(context: Sequence[int], drafts: DraftSet, big: ToyLm, small:
 def selection_step(tokens: Sequence[int], chosen: int) -> list[int] | None:
     """The positions of the live drafts carrying `chosen`, or None when none does and the
     selection stops. `draft_selection` follows the kept drafts' children (none after the
-    leaves: the bonus token comes next) and the exact oracle counts them."""
+    leaves: the bonus token comes next) and the exact oracle's tuple step counts them."""
     return [i for i, token in enumerate(tokens) if token == chosen] or None
 
 

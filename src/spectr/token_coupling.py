@@ -23,8 +23,11 @@ chance that it comes from the draft set:
 Both rules, the scan and the plan (``TransportPlan``), have one interface:
 ``draw(tokens, rng)`` picks the output token for the k draft tokens in
 order, and ``law(tokens)`` is that token's exact law, so the decoder and
-the exact oracle read the same object. ``kseq_select`` is the scan's draw
-that also returns the accepted draft's index.
+the exact oracle read the same object. The scan states its law a second
+way, ``count_law()``: over k i.i.d. drafts, the joint law of its token and
+the number of drafts carrying it, which the oracle walks K-SEQ states by.
+``kseq_select`` is the scan's draw that also returns the accepted draft's
+index.
 """
 
 from __future__ import annotations
@@ -355,6 +358,7 @@ class KseqScan:
 
     `draw` (through `kseq_select`) and `law` take exactly k draft tokens;
     another count raises ValidationError, since gamma* is k's own.
+    `count_law` states the same law over k i.i.d. p-drafts by survivor count.
     """
 
     __slots__ = ("p", "q", "k", "lo", "hi", "_probe", "_params")
@@ -421,6 +425,44 @@ class KseqScan:
         for x, mass in accepted.items():
             law[x] += mass
         return law
+
+    def count_law(self) -> np.ndarray:
+        """Joint law of `draw`'s token y and the number c of the k drafts that
+        carry it, over k i.i.d. p-drafts scanned at `params.gamma`: a
+        |vocab| x (k + 1) array indexed [y, c].
+
+        With a_y the acceptance, r_y = p_y(1 - a_y), R = sum r, and in z,
+        which counts drafts of y, A_y = (R - r_y) + r_y z for a rejected draft
+        and B_y = (1 - p_y) + p_y z for one after the accepted draft: all k
+        rejected gives residual_y * A_y^k, and y accepted at draft i gives
+        p_y a_y z A_y^(i-1) B_y^(k-i), summed over i as p_y a_y z T_k with
+        T_1 = 1, T_(j+1) = A_y^j + B_y T_j. That is O(k) numpy calls, and
+        the table reads the same acceptance and residual as `law`.
+        """
+        params = self.params
+        probs = self.p.probs
+        accept = np.zeros(probs.size)
+        for x in np.flatnonzero(probs).tolist():
+            accept[x] = _acceptance(self.p, self.q, x, params.gamma)
+        rejected = probs * (1.0 - accept)
+        other = rejected.sum() - rejected
+        power = np.zeros((probs.size, self.k + 1))
+        power[:, 0] = 1.0  # A^0
+        series = power.copy()  # T_1
+        for _ in range(1, self.k):
+            power = _times_linear(power, other, rejected)
+            series = power + _times_linear(series, 1.0 - probs, probs)
+        table = params.residual.probs[:, None] * _times_linear(power, other, rejected)
+        table[:, 1:] += (probs * accept)[:, None] * series[:, :-1]
+        return table
+
+
+def _times_linear(poly: np.ndarray, const: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """Row y of `poly`, coefficients of z^0, z^1, ... in columns, times
+    const_y + slope_y z; the product's degree must stay below the width."""
+    out = const[:, None] * poly
+    out[:, 1:] += slope[:, None] * poly[:, :-1]
+    return out
 
 
 def kseq_select(scan: KseqScan, drafts: Sequence[TokenId], rng: RngStream,

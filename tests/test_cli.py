@@ -210,14 +210,45 @@ def test_decode_refuses_a_draft_set_above_its_caps(capsys, argv):
     assert elapsed < 2.0 and peak < 5e6
 
 
-def test_verify_sequence_scope_refuses_a_walk_above_the_cap(capsys):
-    # one draft at V=3 lists 3^d tuples at depth d: the walk stops at depth 11
+@pytest.mark.parametrize("method,cap", [
+    # one draft at V=3 lists 3^d tuples at depth d: the OTM walk stops at depth 11
+    ("otm", "walk tuple cap"),
+    # and the count walk's bound passes its cap at depth 13, before any depth is walked
+    ("kseq", "count entry cap"),
+])
+def test_verify_sequence_scope_refuses_a_walk_above_the_cap(capsys, method, cap):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "verify", "--scope", "sequence", "--num-drafts", "1",
-                             "--draft-len", "2000")
+                             "--draft-len", "2000", "--methods", method)
     assert time.perf_counter() - start < 15.0
     assert code == 3
-    assert out == "" and err.startswith("error: ") and "walk tuple cap" in err
+    assert out == "" and err.startswith("error: ") and cap in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--vocab", "8", "--num-drafts", "8", "--draft-len", "4"),
+    ("--vocab", "16", "--factors", "2,2,2"),
+])
+def test_verify_sequence_scope_reaches_decode_sizes_by_the_count_step(capsys, argv):
+    # decode_hot's draft shape at V = 8 and decode_cold's at V = 16: the tuple walk
+    # would list 8^8 and 16^8 live tuples at one state
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", "--scope", "sequence", "--methods", "kseq", *argv)
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert [r["status"] for r in csv_cells(out)] == ["PASS"]
+
+
+def test_verify_sequence_scope_refuses_a_count_walk_above_the_cap_before_any_row(
+        capsys, monkeypatch):
+    # V = 16 with 8 drafts four deep could store about 5.2 M entries
+    monkeypatch.setattr(ProbVector, "__init__", _no_vector)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--scope", "sequence", "--methods", "kseq",
+                             "--vocab", "16", "--num-drafts", "8", "--draft-len", "4")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == "" and err.startswith("error: ") and "count entry cap" in err
 
 
 @pytest.mark.parametrize("argv,seconds", [
@@ -262,18 +293,21 @@ def test_a_point_mass_with_a_huge_k_is_refused_at_once(capsys, tmp_path, method)
     assert not plan.exists()
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv,cap", [
     # one draft two deep: V^3 = 16.7M output sequences at V = 256
-    ("--methods", "kseq", "--num-drafts", "1", "--draft-len", "2", "--vocab", "256"),
+    (("--methods", "otm", "--num-drafts", "1", "--draft-len", "2", "--vocab", "256"),
+     "walk entry cap"),
+    (("--methods", "kseq", "--num-drafts", "1", "--draft-len", "2", "--vocab", "256"),
+     "count entry cap"),
     # two drafts two deep: 64 states of 64^2 tuples, each with a law of 64 cells
-    ("--vocab", "64"),
+    (("--vocab", "64"), "walk entry cap"),
 ])
-def test_verify_sequence_scope_refuses_a_walk_above_the_entry_cap(capsys, argv):
+def test_verify_sequence_scope_refuses_a_walk_above_the_entry_cap(capsys, argv, cap):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "verify", "--scope", "sequence", *argv)
     assert time.perf_counter() - start < 5.0
     assert code == 3
-    assert out == "" and err.startswith("error: ") and "walk entry cap" in err
+    assert out == "" and err.startswith("error: ") and cap in err
 
 
 @pytest.mark.parametrize("argv,unread", [
@@ -288,6 +322,13 @@ def test_verify_sequence_scope_refuses_a_walk_above_the_entry_cap(capsys, argv):
      {"vocab", "draft_len", "num_drafts", "eps", "methods", "factors"}),
     (("verify", "--scope", "sequence", "--vocab", "3"),
      {"cases", "k_max", "gamma"}),
+    # gamma is read only by a kseq row, and k by no maximal one
+    (("coupling", "--p", "1e-17,1", "--q", "0,1", "--k", "5", "--method", "otm",
+      "--gamma", "nan"), {"gamma"}),
+    (("coupling", "--p", "0.5,0.5", "--q", "0.3,0.7", "--k", "2", "--method", "upper",
+      "--gamma", "2"), {"gamma"}),
+    (("coupling", "--p", "0.5,0.5", "--q", "0.3,0.7", "--k", "2", "--method", "maximal",
+      "--gamma", "2"), {"gamma", "k"}),
 ])
 def test_config_echo_names_only_what_the_run_read(capsys, argv, unread):
     code, out, _ = run_cli(capsys, *argv)
@@ -295,10 +336,18 @@ def test_config_echo_names_only_what_the_run_read(capsys, argv, unread):
     echo = out.splitlines()[0].split()
     assert echo[:3] == ["#", "config:", argv[0]]
     echoed = {pair.split("=")[0] for pair in echo[3:]}
-    assert "seed" in echoed and not echoed & unread
+    assert ("p" if argv[0] == "coupling" else "seed") in echoed and not echoed & unread
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
     assert set(json.loads(out)["config"]) == echoed | {"subcommand"}
+
+
+@pytest.mark.parametrize("method", ["kseq", "all"])
+def test_config_echo_names_gamma_where_a_kseq_row_reads_it(capsys, method):
+    code, out, _ = run_cli(capsys, "coupling", "--p", "0.5,0.5", "--q", "0.3,0.7", "--k", "2",
+                           "--method", method, "--gamma", "2")
+    assert code == 0
+    assert {"gamma=2.0", "k=2"} <= set(out.splitlines()[0].split())
 
 
 def test_decode_baseline_block_efficiency(capsys):
@@ -558,9 +607,13 @@ def test_vocabularies_above_the_cap_are_refused_before_any_row(capsys, monkeypat
         assert elapsed < 1.0 and peak < 5e6
     monkeypatch.undo()
     if argv[0] == "verify":
-        # at the default two drafts, V = VOCAB_CAP passes this cap and meets
-        # the state tuple cap (V^2 tuples), which is refused at once
+        # at the default two drafts two deep, V = VOCAB_CAP passes this cap and
+        # meets the count entry cap (V^3 output sequences), and with OTM the state
+        # tuple cap (V^2 tuples); each is refused at once
         code, out, err = run_cli(capsys, *argv[:3], "--vocab", str(cli.VOCAB_CAP))
+        assert code == 3 and "count entry cap" in err
+        code, out, err = run_cli(capsys, *argv[:3], "--vocab", str(cli.VOCAB_CAP),
+                                 "--methods", "otm")
         assert code == 3 and "state tuple cap" in err
     else:
         code, out, _ = run_cli(capsys, *argv, str(cli.VOCAB_CAP))

@@ -3,21 +3,30 @@ import itertools
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from spectr.draft_gen import StructuralError, build_prefix_tree_drafts, sample_iid_drafts
 from spectr.exact import (
+    COUNT_ENTRY_CAP,
     PROB_FLOOR,
     STATE_TUPLE_CAP,
+    _check_count_walk,
     enumerate_draft_forests,
     max_chain_rule_gap,
     method_output_distribution,
 )
 from spectr.lm_sim import make_model_pair
-from spectr.prob_core import RngStream, ValidationError
+from spectr.prob_core import ProbVector, RngStream, ValidationError
 from spectr.spectr_decode import SelectionMethod, TokenSelector, draft_selection, selection_step
-from spectr.token_coupling import KseqScan, SizeLimitError
+from spectr.token_coupling import (
+    KseqParams,
+    KseqScan,
+    SizeLimitError,
+    TransportPlan,
+    kseq_gamma_star,
+)
 
 PAIR = make_model_pair(3, 1, seed=0, eps=0.5)
 CONTEXT = (0,)
@@ -49,9 +58,11 @@ def test_stepwise_chain_rule_holds(method, branching):
 
 
 # sha256 prefixes of repr(sorted(table.items())) for make_model_pair(V, 1, seed=0,
-# eps=0.5) at context (0,), taken when the walk still ran on stand-in nodes
+# eps=0.5) at context (0,): the OTM table taken when the walk still ran on
+# stand-in nodes, the K-SEQ one re-taken when K-SEQ states moved to the count
+# step (from 9849a81b8dcc2a2a: the same 115 sequences, each within 2.3e-15)
 TABLE_PINS = [
-    (3, (2, 2, 2), SelectionMethod.kseq(), "9849a81b8dcc2a2a"),
+    (3, (2, 2, 2), SelectionMethod.kseq(), "df74ff2090631354"),
     (4, (2, 2), SelectionMethod.otm_lp(), "8ea5b00da774b8f4"),
 ]
 
@@ -241,12 +252,23 @@ def oracle_instances(draw):
 @settings(max_examples=60, deadline=None)
 @given(instance=oracle_instances())
 @example(instance=(make_model_pair(4, 1, 3, 0.5), (0,), [2, 2], METHODS["otm_lp"]))
+# the forest walk keeps (1, 0) at 8.4e-17, from tuple laws above the floor, and
+# the count step leaves it out, its (token, count) mass being below it
+@example(instance=(make_model_pair(3, 1, 1, 0.1), (1,), [1, 4], METHODS["kseq"]))
 def test_state_walk_equals_the_forest_walk(instance):
     pair, context, branching, method = instance
     dist = method_output_distribution(pair.big, pair.small, context, branching, method)
     reference = forest_law(pair, context, branching, method)
-    assert set(dist) == set(reference)
-    assert max(abs(dist[seq] - reference[seq]) for seq in dist) <= 1e-12
+    if method.kind == "otm_lp":
+        assert set(dist) == set(reference)
+    else:
+        # The count step floors each state's joint (token, count) masses and the
+        # forest walk each tuple's law, so a sequence may sit in one table alone
+        # only at a mass below PROB_FLOOR.
+        assert all(dist.get(seq, reference.get(seq)) <= PROB_FLOOR
+                   for seq in set(dist) ^ set(reference))
+    assert max(abs(dist.get(seq, 0.0) - reference.get(seq, 0.0))
+               for seq in set(dist) | set(reference)) <= 1e-12
 
 
 # At V=4 with (4, 1, 1) the forest walk would list (4^3)^4 ≈ 16.7M forests,
@@ -273,20 +295,99 @@ def test_state_walk_verifies_sizes_the_forest_walk_cannot(seed, vocab, branching
     assert elapsed <= SECONDS_BOUND
 
 
-def test_an_output_law_that_loses_mass_is_rejected(monkeypatch):
+@pytest.mark.parametrize("method,rule,name", [
+    # the count step reads a scan's count_law, the tuple step a plan's law
+    (SelectionMethod.kseq(), KseqScan, "count_law"),
+    (SelectionMethod.maximal(), KseqScan, "count_law"),
+    (SelectionMethod.otm_lp(), TransportPlan, "law"),
+])
+def test_an_output_law_that_loses_mass_is_rejected(monkeypatch, method, rule, name):
     # a rule whose stated law sums to 0.9 leaves the output law short of mass 1
-    law = KseqScan.law
-    monkeypatch.setattr(KseqScan, "law", lambda self, tokens: 0.9 * law(self, tokens))
+    law = getattr(rule, name)
+    monkeypatch.setattr(rule, name, lambda self, *args: 0.9 * law(self, *args))
+    branching = [1, 1] if method.kind == "maximal" else [2, 1]
     with pytest.raises(ValidationError, match="output law mass"):
-        method_output_distribution(PAIR.big, PAIR.small, CONTEXT, [2, 1],
-                                   SelectionMethod.kseq())
+        method_output_distribution(PAIR.big, PAIR.small, CONTEXT, branching, method)
+
+
+def _params_below_gamma_star(self):
+    """The scan's parameters at 0.99 gamma*, its residual clamped at zero: a scan
+    that accepts too often and corrects too little."""
+    p, q = self.p.probs, self.q.probs
+    gamma = 0.99 * kseq_gamma_star(self.p, self.q, self.k)
+    accepted = np.minimum(p, q / gamma)
+    beta = float(accepted.sum())
+    p_acc = 1.0 - (1.0 - beta) ** self.k
+    raw = np.maximum(q - accepted * (p_acc / beta), 0.0)
+    return KseqParams(gamma=gamma, beta=beta, p_acc=p_acc, residual=ProbVector(raw / raw.sum()))
+
+
+def test_a_scan_below_gamma_star_fails_the_chain_rule(monkeypatch):
+    # the count step reads the rule's own params, so a scan run at 0.99 gamma*
+    # shows in the oracle; its law keeps mass 1, so only the chain rule sees it
+    dist = method_output_distribution(PAIR.big, PAIR.small, CONTEXT, [2, 2],
+                                      SelectionMethod.kseq())
+    assert max_chain_rule_gap(dist, PAIR.big, CONTEXT, 2)[0] <= 1e-6
+    monkeypatch.setattr(KseqScan, "params", property(_params_below_gamma_star))
+    dist = method_output_distribution(PAIR.big, PAIR.small, CONTEXT, [2, 2],
+                                      SelectionMethod.kseq())
+    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
+    assert max_chain_rule_gap(dist, PAIR.big, CONTEXT, 2)[0] > 1e-6
 
 
 @pytest.mark.parametrize("vocab,branching", [(16, [4]), (4, [2, 2, 2])])
 def test_a_state_above_the_tuple_cap_is_rejected(vocab, branching):
-    # 16^4 tuples at the root, and 4^8 once all 8 leaves survive, exceed the cap
+    # 16^4 tuples at the root, and 4^8 once all 8 leaves survive, exceed the cap;
+    # only OTM states are tuple-walked
     assert 3**8 < 5**6 <= STATE_TUPLE_CAP < 4**8 == 16**4
     pair = make_model_pair(vocab, 1, seed=1, eps=0.5)
     with pytest.raises(SizeLimitError, match=f"cap {STATE_TUPLE_CAP}"):
         method_output_distribution(pair.big, pair.small, CONTEXT, branching,
-                                   SelectionMethod.kseq())
+                                   SelectionMethod.otm_lp())
+
+
+@pytest.mark.parametrize("method", [SelectionMethod.kseq(), SelectionMethod.maximal()])
+def test_a_count_walk_above_its_cap_is_rejected_before_any_row(method):
+    # V = 16 four deep could store 5.2 M entries with 8 drafts, 3.1 M with 4, and
+    # with one draft 16^5 output sequences already at nine deep
+    branching = [8, 1, 1, 1] if method.kind == "kseq" else [1] * 9
+    pair = make_model_pair(16, 1, seed=1, eps=0.5)
+    with pytest.raises(SizeLimitError, match=f"count entry cap {COUNT_ENTRY_CAP}"):
+        method_output_distribution(pair.big, pair.small, CONTEXT, branching, method)
+    assert not pair.big._rows and not pair.small._rows
+    _check_count_walk(16, [4, 1, 1, 1])
+
+
+# ---------------------------------------------------------------------------
+# the count step against a listing of the same state through the decoder's rule
+# ---------------------------------------------------------------------------
+
+@st.composite
+def count_states(draw):
+    """(pair, context, live count, method) over 2-6 tokens, up to 5 live drafts and
+    order 2, with zero-mass entries and p = q (eps 0) among them."""
+    vocab, order = draw(st.integers(2, 6)), draw(st.integers(1, 2))
+    live = draw(st.integers(1, 5))
+    pair = make_model_pair(vocab, order, draw(st.integers(0, 2**16)),
+                           draw(st.sampled_from([0.0, 0.1, 0.5, 0.9])),
+                           allow_zeros=draw(st.booleans()))
+    context = tuple(draw(st.lists(st.integers(0, vocab - 1), min_size=order, max_size=order)))
+    method = METHODS["maximal" if live == 1 and draw(st.booleans()) else "kseq"]
+    return pair, context, live, method
+
+
+@settings(max_examples=40, deadline=None)
+@given(state=count_states())
+@example(state=(make_model_pair(6, 2, 5, 0.0, allow_zeros=True), (1, 4), 5, METHODS["kseq"]))
+def test_the_count_table_equals_a_listing_through_the_rule(state):
+    pair, context, live, method = state
+    rule = TokenSelector(pair.big, pair.small, method).rule(context, live)
+    table = rule.count_law()
+    probs = rule.p.probs.tolist()
+    listing = np.zeros((pair.big.vocab_size, live + 1))
+    for tokens in itertools.product(np.flatnonzero(rule.p.probs).tolist(), repeat=live):
+        w = math.prod(probs[t] for t in tokens)
+        for y, wy in enumerate(rule.law(tokens).tolist()):
+            kept = selection_step(tokens, y)
+            listing[y, 0 if kept is None else len(kept)] += w * wy
+    assert np.abs(table - listing).max() <= 1e-12

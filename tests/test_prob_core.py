@@ -12,10 +12,17 @@ from spectr.prob_core import (
     _pick,
     random_prob_vector,
     sample,
-    sample_many,
     tv_distance,
 )
 from spectr.token_coupling import kseq_params
+
+
+def sample_many(dist: ProbVector, rng: RngStream, n: int) -> np.ndarray:
+    """n tokens from n sequential uniforms of `rng`, the tokens `sample` draws
+    one at a time, as one searchsorted over the cdf."""
+    idx = np.searchsorted(dist.cdf, rng.uniforms(n), side="right")
+    idx[idx >= dist.vocab_size] = dist.support()[-1]
+    return idx
 
 
 def test_probvector_validation():

@@ -9,8 +9,9 @@ and a brute-force min-cut, the upper bound's tuple grid and chunks against its
 per-tuple subset loop, `KseqScan.law` against its numpy scan and the
 selector's support list against its `flatnonzero` form, each bit for bit.
 The token solvers' claims hold up to V = 4096 and k = 16: K-SEQ within
-1 - 1/e of alpha*, alpha* non-decreasing in k, and K-SEQ's output marginal
-equal to q.
+1 - 1/e of alpha*, alpha* non-decreasing in k, K-SEQ's output marginal equal
+to q, and gamma* minimal; alpha* equals a brute-force minimum over every
+subset on a random sub-support of up to 8 tokens.
 """
 
 import itertools
@@ -181,6 +182,46 @@ def test_kseq_output_marginal_at_gamma_star_is_q(pair, k):
     p, q = pair
     marginal = tc.kseq_output_marginal(p, q, k, tc._gamma_star_or_k(p, q, k))
     assert np.abs(marginal.probs - q.probs).max() <= 1e-9
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=st.one_of(distribution_pairs(max_vocab=4096), small_pairs()),
+       k=st.sampled_from(CLAIM_KS))
+@_with_edges
+# Near p = q, f can be flat within rounding of 0 over a stretch of gamma (for
+# p = (1 - 3.5e-8, 3.5e-8), q = (1 - 1.3e-8, 1.3e-8) and k = 3 it reads 0.0 from
+# 1 + 2.2e-8 up to gamma* = 1 + 3.8e-6), so f is held above minus its rounding.
+@example(pair=(ProbVector([1.0 - 3.45258939e-08, 3.45258939e-08]),
+               ProbVector([1.0 - 1.30061331e-08, 1.30061331e-08])), k=3)
+def test_gamma_star_is_minimal(pair, k):
+    # f(g) = 1 - (1 - beta(g))^k - g*beta(g) falls as g grows, and gamma* is the
+    # top of a bracket no wider than GAMMA_BRACKET whose bottom has f > 0, so f is
+    # not negative, beyond rounding, two bracket widths below gamma*
+    p, q = pair
+    gamma = _gamma_or_error(tc.kseq_gamma_star, p, q, k)
+    assume(gamma != "disjoint" and gamma > 1.0)
+    below = max(1.0, gamma - 2.0 * tc.GAMMA_BRACKET)
+    assert tc._damped(p, q, k, below)[1] > -16.0 * k * np.finfo(float).eps
+
+
+@st.composite
+def sub_support_pairs(draw):
+    """(p, q) over 2-8 tokens with p's mass on a random nonempty sub-support."""
+    p, q = draw(st.one_of(distribution_pairs(max_vocab=8), small_pairs()))
+    keep = draw(st.lists(st.booleans(), min_size=p.vocab_size, max_size=p.vocab_size))
+    probs = np.where(keep, p.probs, 0.0)
+    if probs.sum() == 0.0:
+        probs = np.zeros(p.vocab_size)
+        probs[draw(st.integers(0, p.vocab_size - 1))] = 1.0
+    return ProbVector(probs / probs.sum()), q
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=sub_support_pairs(), k=st.sampled_from(CLAIM_KS))
+@_with_edges
+def test_alpha_star_equals_a_brute_force_min_cut_over_every_subset(pair, k):
+    p, q = pair
+    assert abs(tc.alpha_star(p, q, k) - brute_force_min_cut(p, q, k)) <= 1e-12
 
 
 class _ListedUniforms:

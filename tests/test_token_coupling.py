@@ -32,6 +32,8 @@ from spectr.token_coupling import (
     power_exceeds,
 )
 
+from test_prob_core import sample_many
+
 U4 = ProbVector.uniform(4)
 U2_OF_4 = ProbVector.uniform(4, support=2)
 
@@ -83,7 +85,6 @@ def test_maximal_acceptance_rate_is_one_minus_tv():
     q = ProbVector([0.2, 0.3, 0.5])
     rng = RngStream(5)
     n = 10**5
-    from spectr.prob_core import sample_many
     drafts = sample_many(p, rng.child(0), n)
     sel = rng.child(1)
     accepts = sum(maximal(p, q, int(d), sel)[1] for d in drafts)
@@ -95,7 +96,6 @@ def test_maximal_output_is_q_distributed():
     q = ProbVector([0.2, 0.3, 0.5])
     rng = RngStream(15)
     n = 10**5
-    from spectr.prob_core import sample_many
     drafts = sample_many(p, rng.child(0), n)
     sel = rng.child(1)
     counts = np.zeros(3)
@@ -283,7 +283,6 @@ def test_kseq_select_accept_index_is_geometric():
     rule = KseqScan(p, q, k, params)
     n = 10**5
     rng = RngStream(8)
-    from spectr.prob_core import sample_many
     drafts = sample_many(p, rng.child(0), n * k).reshape(n, k)
     sel = rng.child(1)
     counts = np.zeros(k + 1)
@@ -302,7 +301,6 @@ def test_kseq_select_marginal_monte_carlo():
     rule = KseqScan(p, q, k, kseq_params(p, q, k, kseq_gamma_star(p, q, k)))
     n = 10**6
     rng = RngStream(7)
-    from spectr.prob_core import sample_many
     drafts = sample_many(p, rng.child(0), n * k).reshape(n, k)
     sel = rng.child(1)
     counts = np.zeros(4)
