@@ -333,16 +333,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
         else:
             branching = _parse_list(args.factors, int)
         _check_vocab("--vocab", args.vocab)
+        names = [name.strip() for name in args.methods.split(",")]
+        methods = [_selection_method(name) for name in names]
+        # Every method's caps before any walk; the rows are strictly positive.
+        for method in methods:
+            exact.check_walk_caps(args.vocab, branching, method)
         pair = make_model_pair(args.vocab, order=1, seed=args.seed, eps=args.eps)
         context = (0,)
-        for name in args.methods.split(","):
-            method = _selection_method(name.strip())
+        for name, method in zip(names, methods):
             dist = exact.method_output_distribution(
                 pair.big, pair.small, context, branching, method)
             gap, cell = exact.max_chain_rule_gap(dist, pair.big, context, len(branching))
             status = "PASS" if gap <= SEQUENCE_TOL else "FAIL"
             out.row(args.vocab, len(branching), int(np.prod(branching)),
-                    "iid" if args.factors is None else "tree", name.strip(), _fmt(gap), status)
+                    "iid" if args.factors is None else "tree", name, _fmt(gap), status)
             if status == "FAIL":
                 failures.append((gap, f"sequence method={name} cell={cell}"))
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -127,18 +128,7 @@ def method_output_distribution(big: ToyLm, small: ToyLm, context: Sequence[int],
             for prefix, live in states:
                 row = small.next_dist(base + prefix)
                 supp = np.flatnonzero(row.probs > PROB_FLOOR).tolist()
-                if tc.power_exceeds(len(supp), live, STATE_TUPLE_CAP):
-                    raise tc.SizeLimitError(f"|supp p|^live = {len(supp)}^{live} exceeds "
-                                            f"the state tuple cap {STATE_TUPLE_CAP}")
-                tuples = len(supp) ** live
-                listed += tuples
-                if listed > WALK_TUPLE_CAP:
-                    raise tc.SizeLimitError(f"the walk would list {listed} live tuples, above "
-                                            f"the walk tuple cap {WALK_TUPLE_CAP}")
-                stored += (tuples + 2) * row.vocab_size
-                if stored > WALK_ENTRY_CAP:
-                    raise tc.SizeLimitError(f"the walk would store {stored} entries, above "
-                                            f"the walk entry cap {WALK_ENTRY_CAP}")
+                listed, stored = _sized_state(listed, stored, len(supp), live, row.vocab_size)
                 sized.append((row, supp))
             for ((prefix, live), weight), (row, supp) in zip(states.items(), sized):
                 ctx = base + prefix
@@ -188,6 +178,52 @@ def _check_count_walk(vocab: int, branching: list[int]) -> None:
                                     f"the count entry cap {COUNT_ENTRY_CAP}")
         prefixes *= vocab
         most = most * factor if most else factor
+
+
+def check_walk_caps(vocab: int, branching: Sequence[int], method: SelectionMethod) -> None:
+    """Refuse, before any row is built, a walk that method_output_distribution
+    would refuse on models whose every row entry is above PROB_FLOOR, as
+    `spectr verify`'s are, so that a list of methods is refused before any is
+    walked. It refuses nothing such a walk accepts.
+
+    A count walk is bounded from |vocab| and the factors alone. For a tuple
+    walk every state's support is the whole vocabulary, so a state of live
+    count m lists |vocab|^m tuples, and one state per depth is surely reached:
+    the plan's max-flow sends its first set, {0}, to token 0 on its first path,
+    and no later path can undo that, so the all-zero tuple emits token 0 with
+    probability at least q(0) and keeps all m drafts. The caps are checked on
+    that chain of states, as the walk counts them; the walk's own totals at
+    each depth are at least the chain's.
+    """
+    branching = checked_factors(branching)
+    if method.kind != "otm_lp":
+        _check_count_walk(vocab, branching)
+        return
+    listed = stored = 0
+    # The chain's live counts: the factors' running products, then the bonus row's 0.
+    for live in itertools.chain(itertools.accumulate(branching, operator.mul), [0]):
+        listed, stored = _sized_state(listed, stored, vocab, live, vocab)
+
+
+def _sized_state(listed: int, stored: int, size: int, live: int, vocab: int) -> tuple[int, int]:
+    """The tuple walk's totals (listed tuples, stored entries) with one more
+    state of `live` drafts over a support of `size` tokens: size^live tuples,
+    up to `vocab` law cells each and 2 * `vocab` sequences and next states.
+    Raises SizeLimitError above STATE_TUPLE_CAP, WALK_TUPLE_CAP or
+    WALK_ENTRY_CAP."""
+    if tc.power_exceeds(size, live, STATE_TUPLE_CAP):
+        raise tc.SizeLimitError(f"|supp p|^live = {size}^{live} exceeds "
+                                f"the state tuple cap {STATE_TUPLE_CAP}")
+    tuples = size ** live
+    listed += tuples
+    if listed > WALK_TUPLE_CAP:
+        raise tc.SizeLimitError(f"the walk would list {listed} live tuples, above "
+                                f"the walk tuple cap {WALK_TUPLE_CAP}")
+    stored += (tuples + 2) * vocab
+    if stored > WALK_ENTRY_CAP:
+        raise tc.SizeLimitError(f"the walk would store {stored} entries, above "
+                                f"the walk entry cap {WALK_ENTRY_CAP}")
+    return listed, stored
 
 
 def _count_support(table: np.ndarray) -> list[tuple[int, int, float]]:

@@ -15,8 +15,10 @@ chance that it comes from the draft set:
   1 - max(0, max_A p(A)^k - q(A)) over prefixes A of the tokens sorted by
   q/p; O(|vocab| log |vocab|) at any k.
 * ``otm_lp_solve``: an optimal transport plan itself, pi(draft-tuple, output)
-  with membership cost, as a max-flow from distinct-token sets to tokens,
-  stored as one output law per set; it lists every draft tuple, so it is capped.
+  with membership cost, as a max-flow from distinct-token sets to tokens. It
+  lists every draft tuple as one outer-product grid of masses and set
+  bitmasks, so it is capped, and stores one output law per set, a row of
+  one checked (sets x |vocab|) block.
 * ``alpha_upper_bound`` and the closed forms: analytic anchors used to
   cross-check both algorithms.
 
@@ -42,6 +44,7 @@ import numpy as np
 
 from .prob_core import (
     NEG_TOL,
+    SUM_TOL,
     ProbVector,
     RngStream,
     SpectrError,
@@ -84,28 +87,47 @@ class SizeLimitError(SpectrError):
 class TransportPlan:
     """Joint distribution over (draft tuple, output token) pairs.
 
-    `sets` maps each sorted distinct-token set S of supp(p)^k to its mass
-    P(S) and the one output law of every tuple whose distinct set is S, so a
-    tuple t's row is p^k(t) times that law; column marginals reproduce q.
+    `sets` maps each sorted distinct-token set S of supp(p)^k, in the order
+    the tuples first reach it, to its row in `masses`, P(S), and in `laws`,
+    the one output law of every tuple whose distinct set is S: one read-only
+    (sets x |vocab|) block, every row checked as a ProbVector is. A tuple
+    t's row is p^k(t) times its set's law; column marginals reproduce q.
     """
 
     k: int
     p: ProbVector
-    sets: Mapping[tuple[int, ...], tuple[float, ProbVector]]
+    sets: Mapping[tuple[int, ...], int]
+    masses: np.ndarray
+    laws: np.ndarray
+    # Each set's law as a ProbVector, built on first read.
+    _vectors: dict = field(default_factory=dict, repr=False, compare=False)
 
     def acceptance(self) -> float:
         """Probability mass on pairs whose output token appears in the tuple."""
-        return sum(mass * float(law.probs[list(s)].sum()) for s, (mass, law) in self.sets.items())
+        # Under the tuple cap a set holds at most 5 tokens (6^6 > 4096), and
+        # numpy sums so few terms in order, so each set's law is summed over
+        # its tokens in order, one column of `held` at a time (-1 pads).
+        width = max(map(len, self.sets))
+        tokens = np.fromiter(itertools.chain.from_iterable(
+            s + (-1,) * (width - len(s)) for s in self.sets), int).reshape(-1, width)
+        held = np.where(tokens >= 0, self.laws[np.arange(tokens.shape[0])[:, None], tokens], 0.0)
+        inside = held[:, 0]
+        for column in held.T[1:]:
+            inside = inside + column
+        return sum((self.masses * inside).tolist())
 
     def conditional(self, draft_tuple: tuple[int, ...]) -> ProbVector:
         """Output distribution given an observed draft tuple: its set's law. A
         tuple of other than k tokens raises ValidationError, as a scan does."""
         if len(draft_tuple) != self.k:
             raise ValidationError(f"a rule for {self.k} drafts was given {len(draft_tuple)}")
-        entry = self.sets.get(tuple(sorted(set(draft_tuple))))
-        if entry is None:
+        row = self.sets.get(tuple(sorted(set(draft_tuple))))
+        if row is None:
             raise InvalidDraftError(f"draft tuple {draft_tuple} has zero probability under the plan")
-        return entry[1]
+        law = self._vectors.get(row)
+        if law is None:
+            law = self._vectors[row] = ProbVector(self.laws[row])
+        return law
 
     def draw(self, tokens: Sequence[TokenId], rng: RngStream) -> TokenId:
         """The output token for these k draft tokens, a sample of their law."""
@@ -119,8 +141,8 @@ class TransportPlan:
     def entries(self) -> dict[tuple[tuple[int, ...], int], float]:
         """Every (draft tuple, output token) pair with positive mass, for export."""
         probs = self.p.probs.tolist()
-        laws = {s: [(y, w) for y, w in enumerate(law.probs.tolist()) if w > 0.0]
-                for s, (_, law) in self.sets.items()}
+        laws = {s: [(y, w) for y, w in enumerate(self.laws[i].tolist()) if w > 0.0]
+                for s, i in self.sets.items()}
         out = {}
         for t in itertools.product(self.p.support().tolist(), repeat=self.k):
             m = math.prod(probs[i] for i in t)
@@ -135,13 +157,13 @@ class TransportPlan:
         return [("-".join(str(i) for i in t), y, entries[(t, y)]) for t, y in sorted(entries)]
 
     def validate(self, p: ProbVector, q: ProbVector, tol: float = MARGINAL_TOL) -> None:
-        """Set masses sum to 1 and columns match q; every law is a ProbVector,
-        so each tuple's row is p^k(t) by construction."""
+        """Set masses sum to 1 and columns match q; every law passed
+        ProbVector's checks, so each tuple's row is p^k(t) by construction."""
         if not np.array_equal(p.probs, self.p.probs):
             raise ValidationError("plan was built for another draft law")
-        if abs(math.fsum(mass for mass, _ in self.sets.values()) - 1.0) > tol:
+        if abs(math.fsum(self.masses.tolist()) - 1.0) > tol:
             raise ValidationError("plan set masses do not sum to 1")
-        cols = sum(mass * law.probs for mass, law in self.sets.values())
+        cols = np.add.reduce(self.masses[:, None] * self.laws, axis=0)
         if np.abs(cols - q.probs).max() > tol:
             raise ValidationError("plan column marginals do not match q")
 
@@ -518,12 +540,6 @@ def _check_tuple_space(size: int, k: int, cap: int) -> None:
             f"|supp p|^k = {size}^{k} tuples of {k} tokens exceed the tuple cap {cap}")
 
 
-def _tuple_space(p: ProbVector, k: int, cap: int) -> list[tuple[int, ...]]:
-    supp = p.support().tolist()
-    _check_tuple_space(len(supp), k, cap)
-    return list(itertools.product(supp, repeat=k))
-
-
 def alpha_star(p: ProbVector, q: ProbVector, k: int) -> float:
     """Optimal acceptance probability of k i.i.d. p-drafts against target q.
 
@@ -555,42 +571,98 @@ def otm_lp_solve(p: ProbVector, q: ProbVector, k: int) -> tuple[TransportPlan, f
     a max-flow no y in an unsent S is unfilled, so this accepts nothing.
     Every tuple takes its set's conditional (proportional disaggregation),
     which keeps the plan optimal, so the plan stores one law per set.
-    Planning lists every tuple of supp(p)^k, hence the cap. Returns (plan,
-    the plan's own acceptance), which equals alpha_star(p, q, k) up to
-    rounding; the two are computed apart, so each checks the other.
+
+    Planning lists every tuple of supp(p)^k, hence the cap, as one
+    outer-product grid (`_tuple_grid`) of masses and distinct-set bitmasks
+    over support positions; P(S) sums a set's tuples in itertools.product
+    order, and the sets keep the order the tuples first reach them. The
+    laws are one (sets x |vocab|) block read off the flow's residuals and
+    checked as ProbVectors are. Returns (plan, the plan's own acceptance),
+    which equals alpha_star(p, q, k) up to rounding; the two are computed
+    apart, so each checks the other.
     """
     _check_same_vocab(p, q)
     if k < 1:
         raise ValidationError("k must be >= 1")
-    probs = p.probs.tolist()
-    set_mass: dict[tuple[int, ...], float] = {}
-    for t in _tuple_space(p, k, DEFAULT_TUPLE_CAP):
-        s = tuple(sorted(set(t)))
-        set_mass[s] = set_mass.get(s, 0.0) + math.prod(probs[i] for i in t)
+    supp = p.support()
+    _check_tuple_space(supp.size, k, DEFAULT_TUPLE_CAP)
+    if k == 1:
+        sets = [(y,) for y in supp.tolist()]
+        set_mass = p.probs[supp]
+    else:
+        # Under the cap k >= 2 keeps |supp p| <= 64, so a set's bitmask over
+        # support positions fits 64 bits (bit 63 as int64's sign).
+        positions = np.arange(supp.size)
+        tuple_mass, tuple_sets = _tuple_grid(p.probs[supp], np.left_shift(1, positions), k)
+        masks = tuple_sets.tolist()
+        # Set ids in the order the tuples first reach them; each set's tuples
+        # are summed in itertools.product order, from 0.0.
+        ids = {mask: i for i, mask in enumerate(dict.fromkeys(masks))}
+        set_mass = np.bincount(list(map(ids.__getitem__, masks)), weights=tuple_mass)
+        held = (np.array(list(ids))[:, None] >> positions) & 1
+        sizes = held.sum(axis=1).tolist()
+        tokens = supp[held.nonzero()[1]].tolist()
+        sets = [tuple(tokens[end - size:end])
+                for size, end in zip(sizes, itertools.accumulate(sizes))]
 
     # Residual capacities; sets are tuples, tokens ints.
-    ys = [int(y) for y in q.support()]
-    res: dict = {"source": dict(set_mass), "sink": {}}
-    res.update((s, {y: math.inf for y in s if q[y] > 0.0}) for s in set_mass)
-    res.update((y, {"sink": q[y]}) for y in ys)
+    q_probs = q.probs.tolist()
+    ys = q.support().tolist()
+    res: dict = {"source": dict(zip(sets, set_mass.tolist())), "sink": {}}
+    res.update((s, {y: math.inf for y in s if q_probs[y] > 0.0}) for s in sets)
+    res.update((y, {"sink": q_probs[y]}) for y in ys)
     _max_flow(res, "source", "sink")
 
-    left = math.fsum(res[y]["sink"] for y in ys)
+    unfilled = [res[y]["sink"] for y in ys]
+    left = math.fsum(unfilled)
     # Where rounding leaves unsent mass but no unfilled mass, q takes it.
-    share = {y: res[y]["sink"] / left if left > 0.0 else q[y] for y in ys}
-    sets = {}
-    for s, mass in set_mass.items():
-        # S's unsent mass spread by `share`, plus what the flow sent from S.
-        row = [res["source"][s] * share.get(y, 0.0) for y in range(p.vocab_size)]
-        for y in s:
-            if y in res:
-                row[y] += res[y][s]
-        total = math.fsum(row)
-        if total > 0.0:
-            sets[s] = (mass, ProbVector(np.array(row) / total))
-    plan = TransportPlan(k=k, p=p, sets=sets)
+    share = np.zeros(p.vocab_size)
+    share[ys] = np.array(unfilled) / left if left > 0.0 else q.probs[ys]
+    # Each set's unsent mass spread by `share`, plus what the flow sent from it.
+    block = np.multiply.outer([res["source"][s] for s in sets], share)
+    edges = [(i * p.vocab_size + y, y, s) for i, s in enumerate(sets) for y in s
+             if q_probs[y] > 0.0]
+    block.ravel()[[cell for cell, _, _ in edges]] += [res[y][s] for _, y, s in edges]
+    totals = np.array([math.fsum(row) for row in map(np.ndarray.tolist, block)])
+    kept = totals > 0.0
+    laws = _checked_laws(block[kept] / totals[kept, None])
+    plan = TransportPlan(k=k, p=p, sets={s: i for i, s in enumerate(itertools.compress(sets, kept))},
+                         masses=set_mass[kept], laws=laws)
     plan.validate(p, q)
     return plan, min(max(plan.acceptance(), 0.0), 1.0)
+
+
+def _tuple_grid(masses: np.ndarray, bits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every tuple of k of these tokens in itertools.product order, as an
+    outer-product grid in k - 1 numpy calls: its mass, multiplied left to
+    right, and the bitwise or of its tokens' `bits`."""
+    tuple_mass, tuple_sets = masses, bits
+    for _ in range(k - 1):
+        tuple_mass = np.multiply.outer(tuple_mass, masses).ravel()
+        tuple_sets = np.bitwise_or.outer(tuple_sets, bits).ravel()
+    return tuple_mass, tuple_sets
+
+
+def _checked_laws(block: np.ndarray) -> np.ndarray:
+    """ProbVector's checks on every row of a nonempty 2-D block, which is
+    frozen in place: finite, no entry below -NEG_TOL (those above it clamped
+    to 0), and each row's sum within SUM_TOL of 1."""
+    totals = np.add.reduce(block, axis=1)
+    if not np.isfinite(totals).all() and not np.isfinite(block).all():
+        raise ValidationError("probability vector contains non-finite entries")
+    low = block.min()
+    if low < -NEG_TOL:
+        raise ValidationError(f"negative probability {low!r} below clamp tolerance {-NEG_TOL}")
+    if low < 0.0:
+        block[block < 0.0] = 0.0
+        totals = np.add.reduce(block, axis=1)
+    off = np.abs(totals - 1.0)
+    worst = off.argmax()
+    if off[worst] > SUM_TOL:
+        raise ValidationError(f"probabilities sum to {float(totals[worst])!r}, off by more "
+                              f"than {SUM_TOL}")
+    block.setflags(write=False)
+    return block
 
 
 def _max_flow(res: dict, source, sink) -> None:
@@ -663,33 +735,31 @@ def alpha_upper_bound(p: ProbVector, q: ProbVector, k: int) -> tuple[float, tupl
         raise SizeLimitError(f"|vocab| = {v} exceeds subset-enumeration cap {UPPER_BOUND_MAX_VOCAB}")
     supp = p.support()
     _check_tuple_space(supp.size, k, DEFAULT_TUPLE_CAP)
-    # Every tuple of supp(p)^k in itertools.product order, as an outer-product
-    # grid: its mass multiplied left to right and its distinct-token bitmask.
-    masses, bits = p.probs[supp], np.left_shift(1, supp)
-    tuple_mass, tuple_sets = masses, bits
-    for _ in range(k - 1):
-        tuple_mass = np.multiply.outer(tuple_mass, masses).ravel()
-        tuple_sets = np.bitwise_or.outer(tuple_sets, bits).ravel()
+    # Every tuple of supp(p)^k, its mass and its distinct-token bitmask.
+    tuple_mass, tuple_sets = _tuple_grid(p.probs[supp], np.left_shift(1, supp), k)
 
     first_term = np.minimum(q.probs, 1.0 - (1.0 - p.probs) ** k)
     # Sums over every bitmask, adding members in ascending order.
     inside = _subset_sums(first_term)
     qsum = _subset_sums(q.probs)
 
-    full = (1 << v) - 1
+    outside_of = ((1 << v) - 1) ^ np.arange(1 << v)
     values = np.empty(1 << v)
     step = max(1, _UPPER_BOUND_CHUNK // tuple_mass.size)
     for lo in range(0, 1 << v, step):
-        subsets = np.arange(lo, min(lo + step, 1 << v))
-        outside = qsum[tuple_sets & (full ^ subsets)[:, None]]
-        values[subsets] = inside[subsets] + np.minimum(tuple_mass, outside).sum(axis=1)
+        chunk = slice(lo, lo + step)
+        outside = qsum[tuple_sets & outside_of[chunk, None]]
+        values[chunk] = inside[chunk] + np.minimum(tuple_mass, outside).sum(axis=1)
     best = values.min()
     # Of the tied bitmasks keep the fewest members, then, token by token from
     # the lowest, those holding it if any does: the least member tuple.
     ties = np.flatnonzero(values == best)
-    sizes = sum((ties >> y) & 1 for y in range(v))
-    ties = ties[sizes == sizes.min()]
+    if ties.size > 1:
+        sizes = sum((ties >> y) & 1 for y in range(v))
+        ties = ties[sizes == sizes.min()]
     for y in range(v):
+        if ties.size == 1:
+            break
         held = (ties >> y) & 1 == 1
         if held.any():
             ties = ties[held]

@@ -1,12 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
+import re
 import time
 import tracemalloc
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spectr import cli, token_coupling as tc
+from spectr import cli, exact, token_coupling as tc
 from spectr.cli import main
 from spectr.prob_core import ProbVector
 
@@ -223,6 +227,19 @@ def test_verify_sequence_scope_refuses_a_walk_above_the_cap(capsys, method, cap)
     assert time.perf_counter() - start < 15.0
     assert code == 3
     assert out == "" and err.startswith("error: ") and cap in err
+
+
+def test_verify_refuses_every_method_before_walking_any(capsys, monkeypatch):
+    # K-SEQ's count walk fits, OTM's tuple walk would first meet 16^4 tuples at
+    # depth 1: the refusal comes before K-SEQ is walked, with the walk's message
+    def walked(*args):
+        raise AssertionError("a method was walked")
+    monkeypatch.setattr(exact, "method_output_distribution", walked)
+    code, out, err = run_cli(capsys, "verify", "--scope", "sequence", "--vocab", "16",
+                             "--factors", "2,2,2")
+    assert code == 3
+    assert out == "" and err == ("error: |supp p|^live = 16^4 exceeds the state tuple "
+                                 "cap 16384\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -774,3 +791,77 @@ def test_verify_token_scope_rejects_zero_cases(capsys):
     assert code == 2
     assert "PASS" not in out
     assert "--cases" in err
+
+
+# For the fuzz: per option, values that run in milliseconds, and edge values
+# shared by every option, which must end in a documented exit too.
+_EDGE = ["0", "-1", "nan", "inf", "-inf", "4294967296", "1e20", "x", "", "1,2", ",", "0.5"]
+_DISTS = ["0.5,0.5", "0.25,0.75", "1,0", "0,1", "0.2,0.3,0.5", "0.2,0.8,0", "1e-17,1"]
+_FACTORS = ["2,1", "1", "2,2", "1,1,1", "3"]
+_SMALL = ["1", "2", "3"]
+_OPTIONS = {
+    "coupling": {"--p": _DISTS, "--q": _DISTS, "--k": _SMALL, "--gamma": ["1", "2", "3"],
+                 "--method": ["maximal", "kseq", "otm", "upper", "all"],
+                 "--format": ["csv", "json"]},
+    "sweep": {"--family": ["bernoulli", "uniform"], "--p-head": ["0", "0.25", "1"],
+              "--b-list": ["0.5", "0,1", "0.2,0.9"], "--d": ["2", "4", "6"],
+              "--r-list": ["1", "2", "1,2"], "--k-max": _SMALL, "--with-lp": None,
+              "--format": ["csv", "json"]},
+    "verify": {"--scope": ["token", "sequence"], "--cases": _SMALL, "--seed": ["0", "1"],
+               "--k-max": _SMALL, "--gamma": ["1", "2", "3"], "--vocab": ["2", "3"],
+               "--draft-len": ["1", "2"], "--num-drafts": _SMALL,
+               "--eps": ["0", "0.3", "1", "1e-12"], "--factors": _FACTORS,
+               "--methods": ["kseq", "otm", "maximal", "kseq,otm", "maximal,kseq"],
+               "--format": ["csv", "json"]},
+    "decode": {"--vocab": ["2", "4"], "--order": ["0", "1", "2"], "--seed": ["0", "1"],
+               "--eps": ["0", "0.3", "1"], "--allow-zeros": None,
+               "--method": ["baseline", "maximal", "kseq", "otm"], "--factors": _FACTORS,
+               "--num-drafts": _SMALL, "--draft-len": ["1", "2"], "--prompts": ["1", "2"],
+               "--prompt-len": ["0", "1", "2"], "--tokens": ["1", "2", "8"],
+               "--big-cost": ["0", "1", "2"], "--small-cost": ["0", "0.5"],
+               "--overhead": ["0", "1"], "--format": ["csv", "json"]},
+}
+
+# Required options, and decode's sizes, whose defaults take seconds.
+_REQUIRED = {"coupling": ["--p", "--q"], "sweep": ["--family"], "verify": ["--scope"],
+             "decode": ["--vocab", "--prompts", "--tokens"]}
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand with a random subset of its options, each set to one of its
+    small values or, one time in four, to an edge value."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    required = _REQUIRED.get(command, [])
+    optional = sorted(set(_OPTIONS[command]) - set(required))
+    for flag in required + draw(st.lists(st.sampled_from(optional), unique=True)):
+        values = _OPTIONS[command][flag]
+        if values is None:
+            argv.append(flag)
+        else:
+            edge = draw(st.integers(0, 3)) == 0
+            argv += [flag, draw(st.sampled_from(_EDGE if edge else values))]
+    return argv
+
+
+@settings(max_examples=250, deadline=None)
+@given(argv=cli_argvs())
+def test_every_invocation_answers_or_exits_as_documented(argv):
+    # exit 0 (answer), 1 (a verify failed), 2 (usage, argparse's SystemExit
+    # included) or 3 (a cap), no other exception, and no NaN in any result
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert not re.search(r"\bnan\b", _results(out.getvalue()), re.IGNORECASE), argv
+
+
+def _results(text: str) -> str:
+    """The result rows of a report, CSV or JSON, without its config echo."""
+    if text.startswith("{"):
+        return json.dumps(json.loads(text)["rows"])
+    return "\n".join(line for line in text.splitlines() if not line.startswith("#"))

@@ -15,8 +15,11 @@ subset on a random sub-support of up to 8 tokens.
 """
 
 import itertools
+import math
 import sys
 import threading
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
@@ -24,7 +27,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 from spectr import token_coupling as tc
 from spectr.exact import PROB_FLOOR, _support
 from spectr.lm_sim import ToyLm, make_model_pair
-from spectr.prob_core import ProbVector, RngStream, _pick
+from spectr.prob_core import (ProbVector, RngStream, TokenId, ValidationError, _check_same_vocab,
+                               _pick, sample)
+from spectr.token_coupling import (DEFAULT_TUPLE_CAP, MARGINAL_TOL, InvalidDraftError,
+                                   _check_tuple_space, _max_flow)
 from spectr.spectr_decode import SelectionMethod, TokenSelector, spectr_decode
 
 
@@ -550,7 +556,7 @@ def brute_force_min_cut(p, q, k):
 def reference_upper_bound(p, q, k):
     """The subset loop that the chunked alpha_upper_bound must reproduce."""
     v = p.vocab_size
-    tuples = tc._tuple_space(p, k, tc.DEFAULT_TUPLE_CAP)
+    tuples = _tuple_space(p, k, tc.DEFAULT_TUPLE_CAP)
     tuple_mass = np.array([float(np.prod([p[i] for i in t])) for t in tuples])
     tuple_sets = np.array([sum(1 << y for y in set(t)) for t in tuples], dtype=np.int64)
     first_term = np.minimum(q.probs, 1.0 - (1.0 - p.probs) ** k)
@@ -578,6 +584,169 @@ def otm_instances(draw):
     k = draw(st.integers(1, 5))
     assume(p.vocab_size ** k <= 1024)
     return p, q, k
+
+
+# The per-tuple plan that otm_lp_solve's tuple grid and law block must
+# reproduce bit for bit: the package's code before both, kept verbatim but
+# for its two names, over the same max-flow.
+def _tuple_space(p: ProbVector, k: int, cap: int) -> list[tuple[int, ...]]:
+    supp = p.support().tolist()
+    _check_tuple_space(len(supp), k, cap)
+    return list(itertools.product(supp, repeat=k))
+
+
+@dataclass(frozen=True)
+class ReferencePlan:
+    """Joint distribution over (draft tuple, output token) pairs.
+
+    `sets` maps each sorted distinct-token set S of supp(p)^k to its mass
+    P(S) and the one output law of every tuple whose distinct set is S, so a
+    tuple t's row is p^k(t) times that law; column marginals reproduce q.
+    """
+
+    k: int
+    p: ProbVector
+    sets: Mapping[tuple[int, ...], tuple[float, ProbVector]]
+
+    def acceptance(self) -> float:
+        """Probability mass on pairs whose output token appears in the tuple."""
+        return sum(mass * float(law.probs[list(s)].sum()) for s, (mass, law) in self.sets.items())
+
+    def conditional(self, draft_tuple: tuple[int, ...]) -> ProbVector:
+        """Output distribution given an observed draft tuple: its set's law. A
+        tuple of other than k tokens raises ValidationError, as a scan does."""
+        if len(draft_tuple) != self.k:
+            raise ValidationError(f"a rule for {self.k} drafts was given {len(draft_tuple)}")
+        entry = self.sets.get(tuple(sorted(set(draft_tuple))))
+        if entry is None:
+            raise InvalidDraftError(f"draft tuple {draft_tuple} has zero probability under the plan")
+        return entry[1]
+
+    def draw(self, tokens: Sequence[TokenId], rng: RngStream) -> TokenId:
+        """The output token for these k draft tokens, a sample of their law."""
+        return sample(self.conditional(tuple(tokens)), rng)
+
+    def law(self, tokens: Sequence[TokenId]) -> np.ndarray:
+        """Exact law of `draw`'s token for these draft tokens."""
+        return self.conditional(tokens).probs
+
+    @property
+    def entries(self) -> dict[tuple[tuple[int, ...], int], float]:
+        """Every (draft tuple, output token) pair with positive mass, for export."""
+        probs = self.p.probs.tolist()
+        laws = {s: [(y, w) for y, w in enumerate(law.probs.tolist()) if w > 0.0]
+                for s, (_, law) in self.sets.items()}
+        out = {}
+        for t in itertools.product(self.p.support().tolist(), repeat=self.k):
+            m = math.prod(probs[i] for i in t)
+            for y, w in laws.get(tuple(sorted(set(t))), ()):
+                if m * w > 0.0:
+                    out[(t, y)] = m * w
+        return out
+
+    def csv_rows(self) -> list[tuple[str, int, float]]:
+        """(hyphen-joined draft tuple, output token, mass), lexicographic."""
+        entries = self.entries
+        return [("-".join(str(i) for i in t), y, entries[(t, y)]) for t, y in sorted(entries)]
+
+    def validate(self, p: ProbVector, q: ProbVector, tol: float = MARGINAL_TOL) -> None:
+        """Set masses sum to 1 and columns match q; every law is a ProbVector,
+        so each tuple's row is p^k(t) by construction."""
+        if not np.array_equal(p.probs, self.p.probs):
+            raise ValidationError("plan was built for another draft law")
+        if abs(math.fsum(mass for mass, _ in self.sets.values()) - 1.0) > tol:
+            raise ValidationError("plan set masses do not sum to 1")
+        cols = sum(mass * law.probs for mass, law in self.sets.values())
+        if np.abs(cols - q.probs).max() > tol:
+            raise ValidationError("plan column marginals do not match q")
+
+
+def reference_otm_lp_solve(p: ProbVector, q: ProbVector, k: int) -> tuple[ReferencePlan, float]:
+    """An optimal transport plan with membership cost, and its acceptance.
+
+    The plan pi(x^k, y) charges 1 whenever y is not among the tuple's
+    distinct tokens, so a tuple's cost depends on its distinct set S alone.
+    A max-flow sends P(S), the mass of the tuples whose distinct set is S,
+    to the tokens y in S, each taking at most q(y). The mass it leaves
+    unsent is coupled with the mass it leaves unfilled in proportion; after
+    a max-flow no y in an unsent S is unfilled, so this accepts nothing.
+    Every tuple takes its set's conditional (proportional disaggregation),
+    which keeps the plan optimal, so the plan stores one law per set.
+    Planning lists every tuple of supp(p)^k, hence the cap. Returns (plan,
+    the plan's own acceptance), which equals alpha_star(p, q, k) up to
+    rounding; the two are computed apart, so each checks the other.
+    """
+    _check_same_vocab(p, q)
+    if k < 1:
+        raise ValidationError("k must be >= 1")
+    probs = p.probs.tolist()
+    set_mass: dict[tuple[int, ...], float] = {}
+    for t in _tuple_space(p, k, DEFAULT_TUPLE_CAP):
+        s = tuple(sorted(set(t)))
+        set_mass[s] = set_mass.get(s, 0.0) + math.prod(probs[i] for i in t)
+
+    # Residual capacities; sets are tuples, tokens ints.
+    ys = [int(y) for y in q.support()]
+    res: dict = {"source": dict(set_mass), "sink": {}}
+    res.update((s, {y: math.inf for y in s if q[y] > 0.0}) for s in set_mass)
+    res.update((y, {"sink": q[y]}) for y in ys)
+    _max_flow(res, "source", "sink")
+
+    left = math.fsum(res[y]["sink"] for y in ys)
+    # Where rounding leaves unsent mass but no unfilled mass, q takes it.
+    share = {y: res[y]["sink"] / left if left > 0.0 else q[y] for y in ys}
+    sets = {}
+    for s, mass in set_mass.items():
+        # S's unsent mass spread by `share`, plus what the flow sent from S.
+        row = [res["source"][s] * share.get(y, 0.0) for y in range(p.vocab_size)]
+        for y in s:
+            if y in res:
+                row[y] += res[y][s]
+        total = math.fsum(row)
+        if total > 0.0:
+            sets[s] = (mass, ProbVector(np.array(row) / total))
+    plan = ReferencePlan(k=k, p=p, sets=sets)
+    plan.validate(p, q)
+    return plan, min(max(plan.acceptance(), 0.0), 1.0)
+
+
+def _sparse_pair(vocab, p_support, q_support, seed):
+    rng = np.random.default_rng(seed)
+    p, q = np.zeros(vocab), np.zeros(vocab)
+    p[rng.choice(vocab, p_support, replace=False)] = rng.random(p_support)
+    q[rng.choice(vocab, q_support, replace=False)] = rng.random(q_support)
+    return ProbVector(p / p.sum()), ProbVector(q / q.sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance=otm_instances())
+@example(instance=(ProbVector([3.91180854e-13, 1.0 - 3.91180854e-13]),
+                   ProbVector([0.0, 1.0]), 2))
+@example(instance=(ProbVector([0.5, 0.0, 0.3, 0.2]), ProbVector([0.1, 0.0, 0.6, 0.3]), 5))
+@example(instance=(ProbVector([0.2, 0.3, 0.5]), ProbVector([0.2, 0.3, 0.5]), 4))
+# the cap's edges: |supp p|^k = 64^2 and 16^3, and 300 of 4,096 tokens at k = 1
+@example(instance=(ProbVector(np.arange(1.0, 65.0) / 2080.0),
+                   ProbVector(np.arange(64.0, 0.0, -1.0) / 2080.0), 2))
+@example(instance=(ProbVector(np.arange(1.0, 17.0) / 136.0),
+                   ProbVector(np.arange(16.0, 0.0, -1.0) / 136.0), 3))
+@example(instance=(*_sparse_pair(4096, 300, 500, 1), 1))
+def test_otm_plan_equals_the_per_tuple_reference(instance):
+    p, q, k = instance
+    plan, alpha = tc.otm_lp_solve(p, q, k)
+    ref, ref_alpha = reference_otm_lp_solve(p, q, k)
+    assert alpha == ref_alpha
+    assert plan.acceptance() == ref.acceptance()
+    # the same sets in the same order, each with its mass and law bit for bit
+    assert list(plan.sets) == list(ref.sets)
+    for s, i in plan.sets.items():
+        mass, law = ref.sets[s]
+        assert plan.masses[i] == mass
+        assert plan.laws[i].tobytes() == law.probs.tobytes()
+        full = s + s[-1:] * (k - len(s))
+        assert plan.law(full).tobytes() == law.probs.tobytes()
+    assert not plan.laws.flags.writeable
+    if p.support().size ** k <= 1024:
+        assert plan.csv_rows() == ref.csv_rows()
 
 
 @settings(max_examples=150, deadline=None)
@@ -622,6 +791,11 @@ def test_otm_plan_is_optimal_and_set_proportional(instance):
 # |supp p|^k = 16^3, the tuple cap itself
 @example(instance=(ProbVector(np.arange(1.0, 17.0) / 136.0),
                    ProbVector(np.arange(16.0, 0.0, -1.0) / 136.0), 3))
+# six zeros in q: 2,368 of the 4,096 subsets tie, six of them with the fewest
+# members, so the witness rule decides
+@example(instance=(ProbVector(np.arange(1.0, 13.0) / 78.0),
+                   ProbVector(np.where(np.isin(np.arange(12), [1, 3, 5, 7, 9, 10]), 0.0,
+                                       np.arange(12.0, 0.0, -1.0)) / 41.0), 1))
 def test_upper_bound_equals_its_subset_loop_and_alpha_star(instance):
     p, q, k = instance
     value, witness = tc.alpha_upper_bound(p, q, k)
