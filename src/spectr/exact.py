@@ -189,9 +189,11 @@ def check_walk_caps(vocab: int, branching: Sequence[int], method: SelectionMetho
     A count walk is bounded from |vocab| and the factors alone. For a tuple
     walk every state's support is the whole vocabulary, so a state of live
     count m lists |vocab|^m tuples, and one state per depth is surely reached:
-    the plan's max-flow sends its first set, {0}, to token 0 on its first path,
-    and no later path can undo that, so the all-zero tuple emits token 0 with
-    probability at least q(0) and keeps all m drafts. The caps are checked on
+    the plan sends its first set, {0}, min(P({0}), q(0)) to token 0, so the
+    all-zero tuple emits token 0 with probability at least q(0) and keeps all
+    m drafts. At one draft the plan is the maximal coupling in closed form,
+    which sends just that; only at m >= 2 does a max-flow run, and it sends
+    that on its first path, which no later path can undo. The caps are checked on
     that chain of states, as the walk counts them; the walk's own totals at
     each depth are at least the chain's.
     """

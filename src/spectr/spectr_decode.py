@@ -33,9 +33,10 @@ class SelectionMethod:
 
     kind "kseq" is the sequential scan at gamma* for the live draft count,
     re-solved at every depth; "maximal" the single-draft rule (the scan at its
-    one draft, where gamma* = 1); "otm_lp" an exact optimal plan,
-    `otm_lp_solve`'s max-flow over distinct-token sets (subject to its
-    fixed tuple cap).
+    one draft, where gamma* = 1); "otm_lp" an exact optimal plan from
+    `otm_lp_solve` (subject to its fixed tuple cap): at one live draft the
+    maximal coupling in closed form, and only at k >= 2 a max-flow over
+    distinct-token sets.
     """
 
     kind: str

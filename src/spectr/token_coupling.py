@@ -15,10 +15,11 @@ chance that it comes from the draft set:
   1 - max(0, max_A p(A)^k - q(A)) over prefixes A of the tokens sorted by
   q/p; O(|vocab| log |vocab|) at any k.
 * ``otm_lp_solve``: an optimal transport plan itself, pi(draft-tuple, output)
-  with membership cost, as a max-flow from distinct-token sets to tokens. It
-  lists every draft tuple as one outer-product grid of masses and set
-  bitmasks, so it is capped, and stores one output law per set, a row of
-  one checked (sets x |vocab|) block.
+  with membership cost: at one draft the maximal coupling in closed form, at
+  k >= 2 a max-flow from distinct-token sets to tokens. It lists every draft
+  tuple as one outer-product grid of masses and set bitmasks, so it is
+  capped, and stores one output law per set, a row of one checked
+  (sets x |vocab|) block, which ``law`` returns as it is.
 * ``alpha_upper_bound`` and the closed forms: analytic anchors used to
   cross-check both algorithms.
 
@@ -119,11 +120,7 @@ class TransportPlan:
     def conditional(self, draft_tuple: tuple[int, ...]) -> ProbVector:
         """Output distribution given an observed draft tuple: its set's law. A
         tuple of other than k tokens raises ValidationError, as a scan does."""
-        if len(draft_tuple) != self.k:
-            raise ValidationError(f"a rule for {self.k} drafts was given {len(draft_tuple)}")
-        row = self.sets.get(tuple(sorted(set(draft_tuple))))
-        if row is None:
-            raise InvalidDraftError(f"draft tuple {draft_tuple} has zero probability under the plan")
+        row = self._row(draft_tuple)
         law = self._vectors.get(row)
         if law is None:
             law = self._vectors[row] = ProbVector(self.laws[row])
@@ -134,8 +131,23 @@ class TransportPlan:
         return sample(self.conditional(tuple(tokens)), rng)
 
     def law(self, tokens: Sequence[TokenId]) -> np.ndarray:
-        """Exact law of `draw`'s token for these draft tokens."""
-        return self.conditional(tokens).probs
+        """Exact law of `draw`'s token for these draft tokens: their set's
+        read-only row of `laws`, which was checked as a ProbVector is, so no
+        ProbVector is built. At one draft the plan is the maximal coupling in
+        closed form; only at k >= 2 did a max-flow build it. Raises as
+        `conditional` does."""
+        return self.laws[self._row(tokens)]
+
+    def _row(self, tokens: Sequence[TokenId]) -> int:
+        """The row of these k draft tokens' set, or ValidationError for another
+        count and InvalidDraftError for a set the plan gives no mass."""
+        if len(tokens) != self.k:
+            raise ValidationError(f"a rule for {self.k} drafts was given {len(tokens)}")
+        row = self.sets.get(tuple(sorted(set(tokens))))
+        if row is None:
+            raise InvalidDraftError(f"draft tuple {tuple(tokens)} has zero probability "
+                                    "under the plan")
+        return row
 
     @property
     def entries(self) -> dict[tuple[tuple[int, ...], int], float]:
@@ -526,9 +538,17 @@ def kseq_acceptance(p: ProbVector, q: ProbVector, k: int, gamma: float) -> float
 
 
 def power_exceeds(base: int, exp: int, cap: int) -> bool:
-    """Whether base**exp > cap >= 1, found without computing base**exp: exp is
-    compared with the largest exponent the cap allows."""
-    return base > 1 and exp > max(e for e in range(cap.bit_length()) if base ** e <= cap)
+    """Whether base**exp > cap >= 1, found without computing base**exp: the
+    powers of base are multiplied up only to the first one above the cap, at
+    most cap.bit_length() of them however large exp is."""
+    if base <= 1:
+        return False
+    power = 1
+    for _ in range(exp):
+        power *= base
+        if power > cap:
+            return True
+    return False
 
 
 def _check_tuple_space(size: int, k: int, cap: int) -> None:
@@ -572,23 +592,37 @@ def otm_lp_solve(p: ProbVector, q: ProbVector, k: int) -> tuple[TransportPlan, f
     Every tuple takes its set's conditional (proportional disaggregation),
     which keeps the plan optimal, so the plan stores one law per set.
 
-    Planning lists every tuple of supp(p)^k, hence the cap, as one
-    outer-product grid (`_tuple_grid`) of masses and distinct-set bitmasks
-    over support positions; P(S) sums a set's tuples in itertools.product
-    order, and the sets keep the order the tuples first reach them. The
-    laws are one (sets x |vocab|) block read off the flow's residuals and
-    checked as ProbVectors are. Returns (plan, the plan's own acceptance),
-    which equals alpha_star(p, q, k) up to rounding; the two are computed
-    apart, so each checks the other.
+    At one draft every set is one token {y}, and the plan is the maximal
+    coupling in closed form: {y} sends min(p(y), q(y)) to y. Only at k >= 2
+    does a max-flow (Dinic, `_set_flow`) run, over the sets that planning
+    lists: every tuple of supp(p)^k, hence the cap, as one outer-product
+    grid (`_tuple_grid`) of masses and distinct-set bitmasks over support
+    positions; P(S) sums a set's tuples in itertools.product order, and the
+    sets keep the order the tuples first reach them. Either way the flow is
+    three arrays, each set's unsent mass, each token's unfilled mass and
+    each edge's sent mass, and the laws are one (sets x |vocab|) block read
+    off them and checked as ProbVectors are. Returns (plan, the plan's own
+    acceptance), which equals alpha_star(p, q, k) up to rounding; the two
+    are computed apart, so each checks the other.
     """
     _check_same_vocab(p, q)
     if k < 1:
         raise ValidationError("k must be >= 1")
     supp = p.support()
     _check_tuple_space(supp.size, k, DEFAULT_TUPLE_CAP)
+    vocab, ys = p.vocab_size, q.support()
     if k == 1:
+        # The maximal coupling in closed form. Every set is {y} with mass p(y);
+        # the max-flow would push min(p(y), q(y)) once along
+        # source -> {y} -> y -> sink and find no later path, since y is
+        # reachable from {y} alone. So each array is one IEEE operation, as
+        # the flow computes it; where q(y) = 0 the edge sends 0.0, adding nothing.
         sets = [(y,) for y in supp.tolist()]
         set_mass = p.probs[supp]
+        sent = np.minimum(set_mass, q.probs[supp])
+        cells = np.arange(supp.size) * vocab + supp
+        unsent = set_mass - sent
+        unfilled = q.probs[ys] - np.minimum(p.probs[ys], q.probs[ys])
     else:
         # Under the cap k >= 2 keeps |supp p| <= 64, so a set's bitmask over
         # support positions fits 64 bits (bit 63 as int64's sign).
@@ -604,25 +638,15 @@ def otm_lp_solve(p: ProbVector, q: ProbVector, k: int) -> tuple[TransportPlan, f
         tokens = supp[held.nonzero()[1]].tolist()
         sets = [tuple(tokens[end - size:end])
                 for size, end in zip(sizes, itertools.accumulate(sizes))]
+        unsent, unfilled, cells, sent = _set_flow(sets, set_mass, q, ys)
 
-    # Residual capacities; sets are tuples, tokens ints.
-    q_probs = q.probs.tolist()
-    ys = q.support().tolist()
-    res: dict = {"source": dict(zip(sets, set_mass.tolist())), "sink": {}}
-    res.update((s, {y: math.inf for y in s if q_probs[y] > 0.0}) for s in sets)
-    res.update((y, {"sink": q_probs[y]}) for y in ys)
-    _max_flow(res, "source", "sink")
-
-    unfilled = [res[y]["sink"] for y in ys]
-    left = math.fsum(unfilled)
+    left = math.fsum(unfilled.tolist())
     # Where rounding leaves unsent mass but no unfilled mass, q takes it.
-    share = np.zeros(p.vocab_size)
-    share[ys] = np.array(unfilled) / left if left > 0.0 else q.probs[ys]
+    share = np.zeros(vocab)
+    share[ys] = unfilled / left if left > 0.0 else q.probs[ys]
     # Each set's unsent mass spread by `share`, plus what the flow sent from it.
-    block = np.multiply.outer([res["source"][s] for s in sets], share)
-    edges = [(i * p.vocab_size + y, y, s) for i, s in enumerate(sets) for y in s
-             if q_probs[y] > 0.0]
-    block.ravel()[[cell for cell, _, _ in edges]] += [res[y][s] for _, y, s in edges]
+    block = np.multiply.outer(unsent, share)
+    block.ravel()[cells] += sent
     totals = np.array([math.fsum(row) for row in map(np.ndarray.tolist, block)])
     kept = totals > 0.0
     laws = _checked_laws(block[kept] / totals[kept, None])
@@ -630,6 +654,25 @@ def otm_lp_solve(p: ProbVector, q: ProbVector, k: int) -> tuple[TransportPlan, f
                          masses=set_mass[kept], laws=laws)
     plan.validate(p, q)
     return plan, min(max(plan.acceptance(), 0.0), 1.0)
+
+
+def _set_flow(sets: list, set_mass: np.ndarray, q: ProbVector, ys: np.ndarray):
+    """Dinic's max-flow from the sets, each with its mass, to the tokens of
+    supp(q), each taking at most q(y), read out as arrays: each set's unsent
+    mass, each token of `ys`'s unfilled mass, and each edge S -> y (y in S
+    with q(y) > 0, sets in order, tokens ascending) as its flat cell
+    (row of S) * |vocab| + y and the mass it sent."""
+    q_probs = q.probs.tolist()
+    ys = ys.tolist()
+    # Residual capacities; sets are tuples, tokens ints.
+    res: dict = {"source": dict(zip(sets, set_mass.tolist())), "sink": {}}
+    res.update((s, {y: math.inf for y in s if q_probs[y] > 0.0}) for s in sets)
+    res.update((y, {"sink": q_probs[y]}) for y in ys)
+    _max_flow(res, "source", "sink")
+    edges = [(i, y, s) for i, s in enumerate(sets) for y in s if q_probs[y] > 0.0]
+    cells = np.array([i * len(q_probs) + y for i, y, _ in edges], dtype=np.intp)
+    return (np.array([res["source"][s] for s in sets]), np.array([res[y]["sink"] for y in ys]),
+            cells, np.array([res[y][s] for _, y, s in edges], dtype=float))
 
 
 def _tuple_grid(masses: np.ndarray, bits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from spectr import token_coupling as tc
@@ -747,6 +748,102 @@ def test_otm_plan_equals_the_per_tuple_reference(instance):
     assert not plan.laws.flags.writeable
     if p.support().size ** k <= 1024:
         assert plan.csv_rows() == ref.csv_rows()
+
+
+def _cap_pair():
+    """4,096 support tokens, the tuple cap at k = 1: p rises with the token,
+    and q is p with its first eight entries reversed, so four sets keep
+    unsent mass and four tokens unfilled mass."""
+    p = np.arange(1.0, 4097.0) / 8390656.0
+    q = p.copy()
+    q[:8] = q[7::-1]
+    return ProbVector(p), ProbVector(q)
+
+
+ONE_DRAFT_CASES = {
+    "q zero on a token of supp p": (ProbVector([0.2, 0.3, 0.5]), ProbVector([0.0, 0.6, 0.4])),
+    "q mass outside supp p": (ProbVector([0.5, 0.0, 0.5, 0.0]),
+                              ProbVector([0.1, 0.4, 0.3, 0.2])),
+    "p = q": (ProbVector([0.25, 0.0, 0.45, 0.3]), ProbVector([0.25, 0.0, 0.45, 0.3])),
+    "point mass": (ProbVector([0.0, 1.0, 0.0]), ProbVector([0.3, 0.3, 0.4])),
+    "4,096 support tokens at the cap": _cap_pair(),
+}
+
+
+@pytest.mark.parametrize("case", ONE_DRAFT_CASES)
+def test_one_draft_plan_is_the_closed_form_maximal_coupling(case, monkeypatch):
+    p, q = ONE_DRAFT_CASES[case]
+
+    def no_flow(*args):
+        raise AssertionError("the one-draft plan ran the max-flow")
+
+    monkeypatch.setattr(tc, "_max_flow", no_flow)
+    plan, alpha = tc.otm_lp_solve(p, q, 1)
+    ref, ref_alpha = reference_otm_lp_solve(p, q, 1)
+    assert alpha == ref_alpha
+    assert plan.acceptance() == ref.acceptance()
+    assert list(plan.sets) == list(ref.sets)
+    for s, i in plan.sets.items():
+        mass, law = ref.sets[s]
+        assert plan.masses[i] == mass
+        assert plan.laws[i].tobytes() == law.probs.tobytes()
+        assert plan.law(s).tobytes() == law.probs.tobytes()
+    assert plan.csv_rows() == ref.csv_rows()
+
+
+def test_a_plan_of_two_drafts_runs_the_max_flow_on_the_reference_graph(monkeypatch):
+    p, q = ProbVector([0.5, 0.0, 0.3, 0.2]), ProbVector([0.1, 0.2, 0.0, 0.7])
+    graphs = []
+
+    def flow(res, source, sink):
+        graphs.append([(u, list(edges.items())) for u, edges in res.items()])
+        _max_flow(res, source, sink)
+
+    monkeypatch.setattr(tc, "_max_flow", flow)
+    plan, _ = tc.otm_lp_solve(p, q, 2)
+    # the reference's residual graph, insertion order included
+    set_mass: dict = {}
+    for t in itertools.product([0, 2, 3], repeat=2):
+        s = tuple(sorted(set(t)))
+        set_mass[s] = set_mass.get(s, 0.0) + math.prod(p[i] for i in t)
+    ys = [0, 1, 3]
+    res: dict = {"source": dict(set_mass), "sink": {}}
+    res.update((s, {y: math.inf for y in s if q[y] > 0.0}) for s in set_mass)
+    res.update((y, {"sink": q[y]}) for y in ys)
+    assert graphs == [[(u, list(edges.items())) for u, edges in res.items()]]
+    assert list(plan.sets) == list(reference_otm_lp_solve(p, q, 2)[0].sets)
+
+
+@st.composite
+def law_instances(draw):
+    """(p, q, k) over 2-8 tokens and 1-4 drafts, zeros in p and q among them."""
+    p, q = draw(st.one_of(distribution_pairs(max_vocab=8), small_pairs(), sub_support_pairs()))
+    k = draw(st.integers(1, 4))
+    assume(p.vocab_size ** k <= 1024)
+    return p, q, k
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance=law_instances())
+@example(instance=(ProbVector([0.5, 0.0, 0.3, 0.2]), ProbVector([0.1, 0.4, 0.0, 0.5]), 3))
+@example(instance=(ProbVector([0.0, 1.0]), ProbVector([0.5, 0.5]), 1))
+def test_plan_law_is_its_conditional_row_read_only(instance):
+    p, q, k = instance
+    plan, _ = tc.otm_lp_solve(p, q, k)
+    for s in plan.sets:
+        full = s + s[-1:] * (k - len(s))
+        for tokens in (full, full[::-1]):
+            law = plan.law(tokens)
+            assert law.tobytes() == plan.conditional(tokens).probs.tobytes()
+            assert not law.flags.writeable
+        for wrong in (full[:-1], full + s[:1]):
+            for read in (plan.law, plan.conditional):
+                with pytest.raises(ValidationError, match=f"a rule for {k} drafts"):
+                    read(wrong)
+    for z in np.flatnonzero(p.probs == 0.0).tolist():
+        for read in (plan.law, plan.conditional):
+            with pytest.raises(InvalidDraftError, match="zero probability"):
+                read((z,) * k)
 
 
 @settings(max_examples=150, deadline=None)

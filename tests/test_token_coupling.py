@@ -673,6 +673,10 @@ def test_power_exceeds_agrees_with_the_power():
     # a support of one token never exceeds a cap, whatever the exponent
     assert not power_exceeds(1, 10**12, 1)
     assert power_exceeds(3, 10**12, 4096)
+    # base**(2^62) has about 2^62 bits, so these answer only if it is never computed
+    for cap in (1, 4096, 1 << 22):
+        for base in range(0, 18):
+            assert power_exceeds(base, 1 << 62, cap) == (base > 1), (base, cap)
 
 
 def test_bernoulli_closed_form_values():
