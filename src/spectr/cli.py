@@ -26,6 +26,7 @@ from .prob_core import (
     tv_distance,
 )
 from . import token_coupling as tc
+from .draft_gen import DRAFT_DEPTH_CAP
 from .lm_sim import CostModel, make_model_pair
 from .spectr_decode import (
     SelectionMethod,
@@ -325,10 +326,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
                                 ("--draft-len", args.draft_len)):
                 if value < 1:
                     raise ValidationError(f"{flag} must be >= 1")
-            # Rows are strictly positive, so every depth lists at least one live tuple.
-            if args.draft_len > exact.WALK_TUPLE_CAP:
-                raise tc.SizeLimitError(f"a walk of {args.draft_len} depths exceeds "
-                                        f"the walk tuple cap {exact.WALK_TUPLE_CAP}")
+            # The decoder's depth cap, before the branching list is built.
+            if args.draft_len > DRAFT_DEPTH_CAP:
+                raise tc.SizeLimitError(f"draft length {args.draft_len} exceeds "
+                                        f"the depth cap {DRAFT_DEPTH_CAP}")
             branching = [args.num_drafts] + [1] * (args.draft_len - 1)
         else:
             branching = _parse_list(args.factors, int)

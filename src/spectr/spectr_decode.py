@@ -94,12 +94,13 @@ class TokenSelector:
     target rows there (a `KseqScan`, which solves gamma* only as far as its
     draws need and its residual on the first all-reject, or a
     `TransportPlan`). Every rule carries its draft row as `.p`, draws the
-    token with `draw(tokens, rng)` and states its exact law with
-    `law(tokens)`. A memo hit fetches no row: `draft_selection` takes the
-    rule with one `rule` lookup per depth, picks the live drafts' tokens
-    from its `p`, the draft row itself, and calls `draw`; the exact oracle
-    reads the same rule's `law`, or a scan's `count_law`, so it checks the
-    decoder's own rule.
+    token with `draw(tokens, rng)`, states its exact law with `law(tokens)`
+    and, over k i.i.d. drafts of `p`, the joint law of its token and the
+    number of drafts carrying it with `count_law()`. A memo hit fetches no
+    row: `draft_selection` takes the rule with one `rule` lookup per depth,
+    picks the live drafts' tokens from its `p`, the draft row itself, and
+    calls `draw`; the exact oracle reads the same rule's `count_law`, so it
+    checks the decoder's own rule.
     Drafts are draws from the draft model, whose row is their law; with none
     the token is a big-model sample. Models are held by weak reference and
     the memo holds only rows: a shared memo keeps neither model alive. The
@@ -197,7 +198,7 @@ def draft_selection(context: Sequence[int], drafts: DraftSet, big: ToyLm, small:
 def selection_step(tokens: Sequence[int], chosen: int) -> list[int] | None:
     """The positions of the live drafts carrying `chosen`, or None when none does and the
     selection stops. `draft_selection` follows the kept drafts' children (none after the
-    leaves: the bonus token comes next) and the exact oracle's tuple step counts them."""
+    leaves: the bonus token comes next); their number is the c of a rule's `count_law`."""
     return [i for i, token in enumerate(tokens) if token == chosen] or None
 
 

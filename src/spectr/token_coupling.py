@@ -19,18 +19,19 @@ chance that it comes from the draft set:
   k >= 2 a max-flow from distinct-token sets to tokens. It lists every draft
   tuple as one outer-product grid of masses and set bitmasks, so it is
   capped, and stores one output law per set, a row of one checked
-  (sets x |vocab|) block, which ``law`` returns as it is.
+  (sets x |vocab|) block, which ``law`` returns as it is and ``count_law``
+  reads for every tuple.
 * ``alpha_upper_bound`` and the closed forms: analytic anchors used to
   cross-check both algorithms.
 
 Both rules, the scan and the plan (``TransportPlan``), have one interface:
 ``draw(tokens, rng)`` picks the output token for the k draft tokens in
-order, and ``law(tokens)`` is that token's exact law, so the decoder and
-the exact oracle read the same object. The scan states its law a second
-way, ``count_law()``: over k i.i.d. drafts, the joint law of its token and
-the number of drafts carrying it, which the oracle walks K-SEQ states by.
-``kseq_select`` is the scan's draw that also returns the accepted draft's
-index.
+order, ``law(tokens)`` is that token's exact law, and ``count_law()`` is,
+over k i.i.d. drafts, the joint law of the token and the number of drafts
+carrying it, which the exact oracle walks every state by; so the decoder
+and the oracle read the same object. The scan states it in O(k) numpy
+calls, the plan from each draft tuple's row. ``kseq_select`` is the scan's
+draw that also returns the accepted draft's index.
 """
 
 from __future__ import annotations
@@ -137,6 +138,37 @@ class TransportPlan:
         closed form; only at k >= 2 did a max-flow build it. Raises as
         `conditional` does."""
         return self.laws[self._row(tokens)]
+
+    def count_law(self) -> np.ndarray:
+        """Joint law of `draw`'s token y and the number c of the k drafts that
+        carry it, over k i.i.d. p-drafts: a |vocab| x (k + 1) array indexed
+        [y, c], as a scan's `count_law`.
+
+        Every ordered tuple of supp(p)^k, at most DEFAULT_TUPLE_CAP of them,
+        is listed with its mass and the row `draw` reads for it (`_row`).
+        Each distinct token y of a tuple, carried by c of its drafts, adds the
+        tuple's mass times its row's entry at y to [y, c]. [y, 0] takes what
+        the rows put on tokens their tuples do not carry: per row, its
+        tuples' mass less that of those carrying y (both summed in tuple
+        order, so exactly 0 where every tuple of the row carries y), times the
+        row's entry at y. Those masses form a (sets x |vocab|) block like
+        `laws`; no (tuples x |vocab|) array is built.
+        """
+        tuples = list(itertools.product(self.p.support().tolist(), repeat=self.k))
+        rows = np.array([self._row(t) for t in tuples])
+        tokens = np.array(tuples)
+        mass = np.multiply.reduce(self.p.probs[tokens], axis=1)
+        vocab, width, sets = self.p.vocab_size, self.k + 1, self.laws.shape[0]
+        # Each (tuple, distinct token) pair once, tuples in order, with its carriers.
+        pairs, carriers = np.unique(np.arange(len(tuples))[:, None] * vocab + tokens,
+                                    return_counts=True)
+        at, ys = np.divmod(pairs, vocab)
+        table = np.bincount(ys * width + carriers, weights=mass[at] * self.laws[rows[at], ys],
+                            minlength=vocab * width).reshape(vocab, width)
+        carried = np.bincount(rows[at] * vocab + ys, weights=mass[at], minlength=sets * vocab)
+        off = np.bincount(rows, weights=mass, minlength=sets)[:, None] - carried.reshape(sets, vocab)
+        table[:, 0] = np.add.reduce(off * self.laws, axis=0)
+        return table
 
     def _row(self, tokens: Sequence[TokenId]) -> int:
         """The row of these k draft tokens' set, or ValidationError for another

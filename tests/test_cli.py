@@ -182,7 +182,7 @@ def test_verify_sequence_scope_past_the_forest_walk(capsys):
 
 
 def test_verify_sequence_scope_rejects_a_state_above_the_cap(capsys):
-    # 16^4 live tuples at the root exceed the state tuple cap: refused before any is built
+    # 16^4 live tuples at the root exceed the plan's tuple cap: refused before any is built
     tracemalloc.start()
     try:
         code, out, err = run_cli(capsys, "verify", "--scope", "sequence", "--vocab", "16",
@@ -191,7 +191,7 @@ def test_verify_sequence_scope_rejects_a_state_above_the_cap(capsys):
     finally:
         tracemalloc.stop()
     assert code == 3
-    assert "16^4" in err and "cap 16384" in err
+    assert "16^4" in err and "cap 4096" in err
     assert peak < 5e6
 
 
@@ -215,10 +215,10 @@ def test_decode_refuses_a_draft_set_above_its_caps(capsys, argv):
 
 
 @pytest.mark.parametrize("method,cap", [
-    # one draft at V=3 lists 3^d tuples at depth d: the OTM walk stops at depth 11
-    ("otm", "walk tuple cap"),
-    # and the count walk's bound passes its cap at depth 13, before any depth is walked
-    ("kseq", "count entry cap"),
+    # 2000 depths pass the decoder's depth cap, checked before the branching list is
+    # built; the count walk's bound would pass its cap at depth 13
+    ("otm", "depth cap"),
+    ("kseq", "depth cap"),
 ])
 def test_verify_sequence_scope_refuses_a_walk_above_the_cap(capsys, method, cap):
     start = time.perf_counter()
@@ -229,17 +229,23 @@ def test_verify_sequence_scope_refuses_a_walk_above_the_cap(capsys, method, cap)
     assert out == "" and err.startswith("error: ") and cap in err
 
 
-def test_verify_refuses_every_method_before_walking_any(capsys, monkeypatch):
-    # K-SEQ's count walk fits, OTM's tuple walk would first meet 16^4 tuples at
-    # depth 1: the refusal comes before K-SEQ is walked, with the walk's message
+@pytest.mark.parametrize("vocab,factors,tuples", [
+    ("16", "2,2,2", "16^8 tuples of 8 tokens"),
+    ("3", "2,2,2", "3^8 tuples of 8 tokens"),
+    ("5", "2,3", "5^6 tuples of 6 tokens"),
+])
+def test_verify_refuses_every_method_before_walking_any(capsys, monkeypatch, vocab, factors,
+                                                        tuples):
+    # K-SEQ's walk fits, OTM's would build a plan of more tuples than the plan's cap
+    # once every draft survives: the refusal comes before K-SEQ is walked, with the
+    # plan's message
     def walked(*args):
         raise AssertionError("a method was walked")
     monkeypatch.setattr(exact, "method_output_distribution", walked)
-    code, out, err = run_cli(capsys, "verify", "--scope", "sequence", "--vocab", "16",
-                             "--factors", "2,2,2")
+    code, out, err = run_cli(capsys, "verify", "--scope", "sequence", "--vocab", vocab,
+                             "--factors", factors)
     assert code == 3
-    assert out == "" and err == ("error: |supp p|^live = 16^4 exceeds the state tuple "
-                                 "cap 16384\n")
+    assert out == "" and err == f"error: |supp p|^k = {tuples} exceed the tuple cap 4096\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -247,8 +253,8 @@ def test_verify_refuses_every_method_before_walking_any(capsys, monkeypatch):
     ("--vocab", "16", "--factors", "2,2,2"),
 ])
 def test_verify_sequence_scope_reaches_decode_sizes_by_the_count_step(capsys, argv):
-    # decode_hot's draft shape at V = 8 and decode_cold's at V = 16: the tuple walk
-    # would list 8^8 and 16^8 live tuples at one state
+    # decode_hot's draft shape at V = 8 and decode_cold's at V = 16: an OTM plan
+    # would list 8^8 and 16^8 draft tuples at one state
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, "verify", "--scope", "sequence", "--methods", "kseq", *argv)
     assert time.perf_counter() - start < 5.0
@@ -273,7 +279,7 @@ def test_verify_sequence_scope_refuses_a_count_walk_above_the_cap_before_any_row
     (("coupling", "--p", "0.5,0.3,0.2", "--q", "0.2,0.3,0.5", "--k", "30000000",
       "--method", "upper"), 1.0),
     (("verify", "--scope", "sequence", "--num-drafts", "10000000", "--draft-len", "1"), 1.0),
-    # every depth lists a tuple, so the depth alone exceeds the walk cap
+    # the depth alone exceeds the decoder's depth cap
     (("verify", "--scope", "sequence", "--num-drafts", "1", "--draft-len", "20000000"), 2.0),
 ])
 def test_oversized_tuple_spaces_are_refused_at_once(capsys, argv, seconds):
@@ -313,11 +319,11 @@ def test_a_point_mass_with_a_huge_k_is_refused_at_once(capsys, tmp_path, method)
 @pytest.mark.parametrize("argv,cap", [
     # one draft two deep: V^3 = 16.7M output sequences at V = 256
     (("--methods", "otm", "--num-drafts", "1", "--draft-len", "2", "--vocab", "256"),
-     "walk entry cap"),
+     "count entry cap"),
     (("--methods", "kseq", "--num-drafts", "1", "--draft-len", "2", "--vocab", "256"),
      "count entry cap"),
-    # two drafts two deep: 64 states of 64^2 tuples, each with a law of 64 cells
-    (("--vocab", "64"), "walk entry cap"),
+    # factors (2, 2): an OTM plan of 64^4 tuples once all 4 leaves survive
+    (("--vocab", "64", "--factors", "2,2"), "tuple cap"),
 ])
 def test_verify_sequence_scope_refuses_a_walk_above_the_entry_cap(capsys, argv, cap):
     start = time.perf_counter()
@@ -625,13 +631,13 @@ def test_vocabularies_above_the_cap_are_refused_before_any_row(capsys, monkeypat
     monkeypatch.undo()
     if argv[0] == "verify":
         # at the default two drafts two deep, V = VOCAB_CAP passes this cap and
-        # meets the count entry cap (V^3 output sequences), and with OTM the state
-        # tuple cap (V^2 tuples); each is refused at once
+        # meets the count entry cap (V^3 output sequences), and with OTM first the
+        # plan's tuple cap (V^2 tuples); each is refused at once
         code, out, err = run_cli(capsys, *argv[:3], "--vocab", str(cli.VOCAB_CAP))
         assert code == 3 and "count entry cap" in err
         code, out, err = run_cli(capsys, *argv[:3], "--vocab", str(cli.VOCAB_CAP),
                                  "--methods", "otm")
-        assert code == 3 and "state tuple cap" in err
+        assert code == 3 and "the tuple cap" in err
     else:
         code, out, _ = run_cli(capsys, *argv, str(cli.VOCAB_CAP))
         assert code == 0

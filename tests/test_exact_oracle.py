@@ -11,7 +11,6 @@ from spectr.draft_gen import StructuralError, build_prefix_tree_drafts, sample_i
 from spectr.exact import (
     COUNT_ENTRY_CAP,
     PROB_FLOOR,
-    STATE_TUPLE_CAP,
     _check_count_walk,
     enumerate_draft_forests,
     max_chain_rule_gap,
@@ -21,6 +20,7 @@ from spectr.lm_sim import make_model_pair
 from spectr.prob_core import ProbVector, RngStream, ValidationError
 from spectr.spectr_decode import SelectionMethod, TokenSelector, draft_selection, selection_step
 from spectr.token_coupling import (
+    DEFAULT_TUPLE_CAP,
     KseqParams,
     KseqScan,
     SizeLimitError,
@@ -58,12 +58,13 @@ def test_stepwise_chain_rule_holds(method, branching):
 
 
 # sha256 prefixes of repr(sorted(table.items())) for make_model_pair(V, 1, seed=0,
-# eps=0.5) at context (0,): the OTM table taken when the walk still ran on
-# stand-in nodes, the K-SEQ one re-taken when K-SEQ states moved to the count
-# step (from 9849a81b8dcc2a2a: the same 115 sequences, each within 2.3e-15)
+# eps=0.5) at context (0,), each re-taken when its states moved to the count
+# step: K-SEQ from 9849a81b8dcc2a2a (the same 115 sequences, each within
+# 2.3e-15), OTM from 8ea5b00da774b8f4 (76 sequences, each within 1.3e-16, less
+# 7 of at most 3.3e-17 that the tuple step kept from tuple laws above the floor)
 TABLE_PINS = [
     (3, (2, 2, 2), SelectionMethod.kseq(), "df74ff2090631354"),
-    (4, (2, 2), SelectionMethod.otm_lp(), "8ea5b00da774b8f4"),
+    (4, (2, 2), SelectionMethod.otm_lp(), "4ee37e661d4f1f1f"),
 ]
 
 
@@ -259,21 +260,19 @@ def test_state_walk_equals_the_forest_walk(instance):
     pair, context, branching, method = instance
     dist = method_output_distribution(pair.big, pair.small, context, branching, method)
     reference = forest_law(pair, context, branching, method)
-    if method.kind == "otm_lp":
-        assert set(dist) == set(reference)
-    else:
-        # The count step floors each state's joint (token, count) masses and the
-        # forest walk each tuple's law, so a sequence may sit in one table alone
-        # only at a mass below PROB_FLOOR.
-        assert all(dist.get(seq, reference.get(seq)) <= PROB_FLOOR
-                   for seq in set(dist) ^ set(reference))
+    # The count step floors each state's joint (token, count) masses and the
+    # forest walk each tuple's law, so a sequence may sit in one table alone
+    # only at a mass below PROB_FLOOR.
+    assert all(dist.get(seq, reference.get(seq)) <= PROB_FLOOR
+               for seq in set(dist) ^ set(reference))
     assert max(abs(dist.get(seq, 0.0) - reference.get(seq, 0.0))
                for seq in set(dist) | set(reference)) <= 1e-12
 
 
 # At V=4 with (4, 1, 1) the forest walk would list (4^3)^4 ≈ 16.7M forests,
-# and at V=3 with (2, 2, 2) (3 * (3 * 3^2)^2)^2 ≈ 4.8M. The state walk took
-# at most 1.3 s on any of these cases on a 2-core container.
+# at V=3 with (2, 2, 2) (3 * (3 * 3^2)^2)^2 ≈ 4.8M, and at V=16 with (3, 1, 1)
+# (16^3)^3 ≈ 6.9e10. The state walk took at most 1.3 s on any of these cases
+# on a 2-core container.
 SECONDS_BOUND = 10.0
 
 
@@ -283,6 +282,8 @@ SECONDS_BOUND = 10.0
     # all 8 leaves can survive to the last depth: 3^8 = 6561 live tuples
     (3, (2, 2, 2), SelectionMethod.kseq()),
     (4, (4, 1, 1), SelectionMethod.otm_lp()),
+    # 16^3 = 4096 draft tuples at the root, the plan's own cap
+    (16, (3, 1, 1), SelectionMethod.otm_lp()),
 ])
 def test_state_walk_verifies_sizes_the_forest_walk_cannot(seed, vocab, branching, method):
     pair = make_model_pair(vocab, 1, seed=seed, eps=0.5)
@@ -295,16 +296,16 @@ def test_state_walk_verifies_sizes_the_forest_walk_cannot(seed, vocab, branching
     assert elapsed <= SECONDS_BOUND
 
 
-@pytest.mark.parametrize("method,rule,name", [
-    # the count step reads a scan's count_law, the tuple step a plan's law
-    (SelectionMethod.kseq(), KseqScan, "count_law"),
-    (SelectionMethod.maximal(), KseqScan, "count_law"),
-    (SelectionMethod.otm_lp(), TransportPlan, "law"),
+@pytest.mark.parametrize("method,rule", [
+    # every state reads its rule's count_law: a scan's or a plan's
+    (SelectionMethod.kseq(), KseqScan),
+    (SelectionMethod.maximal(), KseqScan),
+    (SelectionMethod.otm_lp(), TransportPlan),
 ])
-def test_an_output_law_that_loses_mass_is_rejected(monkeypatch, method, rule, name):
+def test_an_output_law_that_loses_mass_is_rejected(monkeypatch, method, rule):
     # a rule whose stated law sums to 0.9 leaves the output law short of mass 1
-    law = getattr(rule, name)
-    monkeypatch.setattr(rule, name, lambda self, *args: 0.9 * law(self, *args))
+    law = rule.count_law
+    monkeypatch.setattr(rule, "count_law", lambda self: 0.9 * law(self))
     branching = [1, 1] if method.kind == "maximal" else [2, 1]
     with pytest.raises(ValidationError, match="output law mass"):
         method_output_distribution(PAIR.big, PAIR.small, CONTEXT, branching, method)
@@ -335,13 +336,32 @@ def test_a_scan_below_gamma_star_fails_the_chain_rule(monkeypatch):
     assert max_chain_rule_gap(dist, PAIR.big, CONTEXT, 2)[0] > 1e-6
 
 
-@pytest.mark.parametrize("vocab,branching", [(16, [4]), (4, [2, 2, 2])])
+def _row_without_the_last_draft(row):
+    """A plan's `_row` that reads a tuple's set as that of its first k - 1 tokens."""
+    return lambda self, tokens: row(self, tuple(tokens[:-1]) + tuple(tokens[:1]))
+
+
+def test_a_plan_that_reads_another_row_fails_the_chain_rule(monkeypatch):
+    # a plan's count_law reads each tuple's row through `_row`, the row `draw`
+    # samples, so a plan keying a tuple by the wrong set shows in the oracle; each
+    # row is still a law, so only the chain rule sees it
+    dist = method_output_distribution(PAIR.big, PAIR.small, CONTEXT, [2, 2],
+                                      SelectionMethod.otm_lp())
+    assert max_chain_rule_gap(dist, PAIR.big, CONTEXT, 2)[0] <= 1e-6
+    monkeypatch.setattr(TransportPlan, "_row", _row_without_the_last_draft(TransportPlan._row))
+    dist = method_output_distribution(PAIR.big, PAIR.small, CONTEXT, [2, 2],
+                                      SelectionMethod.otm_lp())
+    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
+    assert max_chain_rule_gap(dist, PAIR.big, CONTEXT, 2)[0] > 1e-6
+
+
+@pytest.mark.parametrize("vocab,branching", [(16, [4]), (4, [2, 2, 2]), (3, [2, 2, 2])])
 def test_a_state_above_the_tuple_cap_is_rejected(vocab, branching):
-    # 16^4 tuples at the root, and 4^8 once all 8 leaves survive, exceed the cap;
-    # only OTM states are tuple-walked
-    assert 3**8 < 5**6 <= STATE_TUPLE_CAP < 4**8 == 16**4
+    # 16^4 tuples at the root, and 4^8 or 3^8 once all 8 leaves survive, exceed
+    # the cap of the plan each OTM state builds
+    assert 4**6 == DEFAULT_TUPLE_CAP < 3**8 < 4**8 == 16**4
     pair = make_model_pair(vocab, 1, seed=1, eps=0.5)
-    with pytest.raises(SizeLimitError, match=f"cap {STATE_TUPLE_CAP}"):
+    with pytest.raises(SizeLimitError, match=f"tuple cap {DEFAULT_TUPLE_CAP}"):
         method_output_distribution(pair.big, pair.small, CONTEXT, branching,
                                    SelectionMethod.otm_lp())
 
@@ -365,20 +385,24 @@ def test_a_count_walk_above_its_cap_is_rejected_before_any_row(method):
 @st.composite
 def count_states(draw):
     """(pair, context, live count, method) over 2-6 tokens, up to 5 live drafts and
-    order 2, with zero-mass entries and p = q (eps 0) among them."""
+    order 2, with zero-mass entries and p = q (eps 0) among them; an OTM state
+    within the plan's tuple cap."""
     vocab, order = draw(st.integers(2, 6)), draw(st.integers(1, 2))
     live = draw(st.integers(1, 5))
     pair = make_model_pair(vocab, order, draw(st.integers(0, 2**16)),
                            draw(st.sampled_from([0.0, 0.1, 0.5, 0.9])),
                            allow_zeros=draw(st.booleans()))
     context = tuple(draw(st.lists(st.integers(0, vocab - 1), min_size=order, max_size=order)))
-    method = METHODS["maximal" if live == 1 and draw(st.booleans()) else "kseq"]
-    return pair, context, live, method
+    name = draw(st.sampled_from(["maximal", "kseq", "otm_lp"] if live == 1 else ["kseq", "otm_lp"]))
+    if name == "otm_lp":
+        assume(pair.small.next_dist(context).support().size ** live <= DEFAULT_TUPLE_CAP)
+    return pair, context, live, METHODS[name]
 
 
 @settings(max_examples=40, deadline=None)
 @given(state=count_states())
 @example(state=(make_model_pair(6, 2, 5, 0.0, allow_zeros=True), (1, 4), 5, METHODS["kseq"]))
+@example(state=(make_model_pair(6, 2, 5, 0.0, allow_zeros=True), (1, 4), 4, METHODS["otm_lp"]))
 def test_the_count_table_equals_a_listing_through_the_rule(state):
     pair, context, live, method = state
     rule = TokenSelector(pair.big, pair.small, method).rule(context, live)

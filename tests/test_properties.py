@@ -26,7 +26,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from spectr import token_coupling as tc
-from spectr.exact import PROB_FLOOR, _support
+from spectr.exact import PROB_FLOOR, _count_support
 from spectr.lm_sim import ToyLm, make_model_pair
 from spectr.prob_core import (ProbVector, RngStream, TokenId, ValidationError, _check_same_vocab,
                                _pick, sample)
@@ -942,14 +942,13 @@ def test_kseq_conditional_equals_the_numpy_scan(instance):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 1000), vocab=st.integers(2, 6), allow_zeros=st.booleans(),
        kind=st.sampled_from(["kseq", "otm_lp"]), live=st.integers(0, 4),
-       picks=st.lists(st.integers(0, 2**16), min_size=5, max_size=5))
-def test_selector_support_equals_its_flatnonzero_form(seed, vocab, allow_zeros, kind, live,
-                                                      picks):
+       pick=st.integers(0, 2**16))
+def test_selector_count_support_equals_a_cell_by_cell_listing(seed, vocab, allow_zeros, kind,
+                                                              live, pick):
     pair = make_model_pair(vocab, 1, seed, 0.5, allow_zeros=allow_zeros)
     selector = TokenSelector(pair.big, pair.small, SelectionMethod(kind))
-    context = (picks[0] % vocab,)
-    supp = pair.small.next_dist(context).support().tolist()
-    tokens = tuple(supp[i % len(supp)] for i in picks[1:1 + live])
-    law = (selector.rule(context, live).law(tokens) if live
-           else pair.big.next_dist(context).probs)
-    assert _support(law) == [(y, float(law[y])) for y in np.flatnonzero(law > PROB_FLOOR).tolist()]
+    context = (pick % vocab,)
+    table = (selector.rule(context, live).count_law() if live
+             else pair.big.next_dist(context).probs[:, None])
+    assert _count_support(table) == [(y, c, w) for y, row in enumerate(table.tolist())
+                                     for c, w in enumerate(row) if w > PROB_FLOOR]

@@ -569,6 +569,27 @@ def test_otm_at_the_tuple_cap_is_quick_and_small():
     assert plan.acceptance() == pytest.approx(alpha_star(p, q, 3), abs=1e-12)
 
 
+def test_a_plan_count_law_holds_q_and_the_acceptance_without_a_tuple_block():
+    # 4^6 = 4096 draft tuples over 4 of 1,024 tokens, in 15 distinct sets: a
+    # (tuples x |vocab|) float64 block would take 32 MB, the (sets x |vocab|) one 120 KB
+    vocab, k = 1024, 6
+    p = ProbVector.uniform(vocab, support=4)
+    q = random_prob_vector(vocab, RngStream(7))
+    plan, alpha = otm_lp_solve(p, q, k)
+    tracemalloc.start()
+    try:
+        table = plan.count_law()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert table.shape == (vocab, k + 1)
+    assert np.abs(table.sum(axis=1) - q.probs).max() <= 1e-12
+    assert table[:, 1:].sum() == pytest.approx(alpha, abs=1e-12)
+    # only tokens of supp(p) are carried by a draft
+    assert not table[4:, 1:].any()
+
+
 def test_alpha_star_has_no_cap():
     # U(d) drafts against U(d/r): 1 - (1 - 1/r)^k, far beyond any tuple cap
     for d, r, k in ((120, 2.0, 8), (4096, 4.0, 50), (12, 3.0, 1)):
