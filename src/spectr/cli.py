@@ -372,6 +372,8 @@ def _selection_method(name: str) -> SelectionMethod:
 def cmd_decode(args: argparse.Namespace) -> int:
     if args.prompts < 1:
         raise ValidationError("--prompts must be >= 1")
+    if args.tokens < 1:
+        raise ValidationError("--tokens must be >= 1")
     if args.prompt_len < 0:
         raise ValidationError("--prompt-len must be >= 0")
     if args.prompt_len > PROMPT_LEN_CAP:

@@ -585,6 +585,18 @@ def test_decode_refuses_tokens_above_the_cap_before_any_prompt(capsys, monkeypat
         main(["decode", "--prompts", "4", "--tokens", str(cap // 4)])
 
 
+@pytest.mark.parametrize("tokens", ["0", "-1"])
+def test_decode_refuses_fewer_than_one_token_before_any_prompt(capsys, monkeypatch, tokens):
+    # a product with no tokens would pass the token cap for any prompt count
+    def no_prompt(*args, **kwargs):
+        raise AssertionError("drew a prompt")
+
+    monkeypatch.setattr(cli, "RngStream", no_prompt)
+    code, out, err = run_cli(capsys, "decode", "--prompts", str(1 << 32), "--tokens", tokens)
+    assert code == 2
+    assert out == "" and "--tokens must be >= 1" in err
+
+
 def _no_vector(*args, **kwargs):
     raise AssertionError("built a probability vector")
 
